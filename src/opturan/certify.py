@@ -57,6 +57,7 @@ from .embedding import (
     EmbeddingInvariantError,
     NotOuterplanarError,
     OuterplaneEmbedding,
+    canonical_cycle,
     contract_outer_edge,
     contraction_vertex_map,
     cycle_length_set,
@@ -412,12 +413,10 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
-    verdict = not audit.failures
-    if verdict:
-        check = bound_holds(cert.graph.e, k, cert.graph.n)
-        assert check.holds, "verified certificate with a failing root bound"
+    if not audit.failures and not bound_holds(cert.graph.e, k, cert.graph.n).holds:
+        audit.fail("root", "every node checks out but the root bound fails")
     return AuditReport(
-        verdict=verdict,
+        verdict=not audit.failures,
         root_slack=root_rhs - root_lhs,
         entries=tuple(audit.entries),
         failures=tuple(audit.failures),
@@ -525,14 +524,10 @@ def _check_partition(node: CertNode, path: str, audit: _Audit) -> bool:
     if len(counted) != len(set(counted)):
         audit.fail(path, "children share an edge")
         return False
-    if set(counted) != g_edge_set(node):
+    if set(counted) != node.graph.edge_set():
         audit.fail(path, "children edges do not cover the node's edges exactly")
         return False
     return True
-
-
-def g_edge_set(node: CertNode) -> set[Edge]:
-    return set(node.graph.edges)
 
 
 def _verify_cut_split(node: CertNode, k: int, path: str, audit: _Audit) -> bool:
@@ -590,8 +585,6 @@ def _verify_big_face_split(
         return False
     if emb is None:
         return False
-    from .embedding import canonical_cycle
-
     if canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
         audit.fail(path, "recorded face is not an inner face of the node graph")
         return False
@@ -648,8 +641,6 @@ def _verify_terminal_peel(
         return False
     if emb is None:
         return False
-    from .embedding import canonical_cycle
-
     if canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
         audit.fail(path, "recorded face is not an inner face of the node graph")
         return False
@@ -683,7 +674,7 @@ def _verify_terminal_peel(
         audit.fail(path, "terminal peel needs exactly two children")
         return False
     rest, star = node.children
-    expected_rest = g_edge_set(node) - peel_edges
+    expected_rest = node.graph.edge_set() - peel_edges
     if _mapped_edges(rest) != expected_rest:
         audit.fail(path, "first child must hold exactly the unpeeled edges")
         ok = False

@@ -10,7 +10,10 @@ Hamiltonian cycle (its boundary): a degree-2 vertex always exists, its two
 edges are forced boundary edges, and eliminating it (adding a virtual edge
 between its neighbours when absent) reduces to a smaller instance. Replaying
 the eliminations in reverse reconstructs the unique boundary cycle or proves
-no boundary order exists.
+no boundary order exists. A block with e edges costs O(e log e): degree-2
+vertices come from a lazy min-heap, each replay step relinks a cycle in O(1),
+and one stack scan over sorted chords (shared with validate_embedding) rules
+out crossings.
 
 Faces are read off each block by a single monotone stack scan over chord
 endpoints in cycle order; no geometry is ever computed. The cycle spectrum
@@ -22,9 +25,11 @@ the tree yields the full spectrum without enumerating cycles.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from .graph import (
     Edge,
@@ -73,16 +78,13 @@ class Face:
 
 def canonical_cycle(vertices: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Least rotation/reflection of a cyclic vertex sequence."""
-    vs = list(vertices)
-    p = len(vs)
-    best: tuple[int, ...] | None = None
-    for seq in (vs, vs[::-1]):
+
+    def from_min(seq: list[int]) -> tuple[int, ...]:
         at = seq.index(min(seq))
-        rotated = tuple(seq[at:] + seq[:at])
-        if best is None or rotated < best:
-            best = rotated
-    assert best is not None
-    return best
+        return tuple(seq[at:] + seq[:at])
+
+    vs = list(vertices)
+    return min(from_min(vs), from_min(vs[::-1]))
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,8 @@ def validate_embedding(emb: OuterplaneEmbedding) -> None:
                 raise EmbeddingInvariantError(f"chord positions ({i}, {j}) out of order")
             if j - i == 1 or (i == 0 and j == p - 1):
                 raise EmbeddingInvariantError(f"chord ({i}, {j}) duplicates a cycle edge")
-        for a, b in block.chords:
-            for c, d in block.chords:
-                if a < c < b < d:
-                    raise EmbeddingInvariantError(
-                        f"chords ({a}, {b}) and ({c}, {d}) cross"
-                    )
+        if (crossing := _crossing_chords(block.chords)) is not None:
+            raise EmbeddingInvariantError("chords %s and %s cross" % crossing)
         claimed.extend(block.cycle_edges())
         claimed.extend(block.chord_edges())
     if len(claimed) != len(set(claimed)):
@@ -153,15 +151,11 @@ def recognize_outerplanar(g: Graph) -> OuterplaneEmbedding:
     unique boundary cycle reconstructed by degree-2 elimination.
     """
     dec = biconnected_decomposition(g)
-    blocks = []
-    for blk in dec.blocks:
-        blocks.append(_embed_block(blk.vertices, blk.edges))
-    blocks.sort(key=lambda b: b.outer)
+    blocks = sorted(
+        (_embed_block(blk.vertices, blk.edges) for blk in dec.blocks), key=lambda b: b.outer
+    )
     emb = OuterplaneEmbedding(
-        graph=g,
-        blocks=tuple(blocks),
-        bridges=dec.bridges,
-        isolated=dec.isolated,
+        graph=g, blocks=tuple(blocks), bridges=dec.bridges, isolated=dec.isolated
     )
     validate_embedding(emb)
     return emb
@@ -174,39 +168,42 @@ def _embed_block(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> BlockEmb
         adj[u].add(v)
         adj[v].add(u)
 
-    active = set(vertices)
+    # Lazy min-heap of degree-2 vertices; degrees never grow, so stale entries
+    # (eliminated, or degree now below 2) are simply dropped when they surface.
+    ready = sorted(v for v in vertices if len(adj[v]) == 2)  # sorted is a heap
     eliminated: list[tuple[int, int, int]] = []
-    while len(active) > 3:
-        v = min((x for x in active if len(adj[x]) == 2), default=None)
-        if v is None:
+    while len(adj) > 3:
+        while ready and (ready[0] not in adj or len(adj[ready[0]]) != 2):
+            heapq.heappop(ready)
+        if not ready:
             raise NotOuterplanarError(
                 "2-connected block with no degree-2 vertex cannot be outerplanar"
             )
-        a, b = sorted(adj[v])
+        v = heapq.heappop(ready)
+        a, b = sorted(adj.pop(v))
         eliminated.append((v, a, b))
-        active.remove(v)
-        adj[a].discard(v)
-        adj[b].discard(v)
-        del adj[v]
-        adj[a].add(b)  # virtual edge if absent; harmless if already present
-        adj[b].add(a)
+        for x, y in ((a, b), (b, a)):
+            adj[x].discard(v)
+            adj[x].add(y)  # virtual edge if absent; harmless if already present
+            if len(adj[x]) == 2:
+                heapq.heappush(ready, x)
 
-    tri = sorted(active)
+    tri = sorted(adj)
     if not all(y in adj[x] for x in tri for y in tri if x != y):
         raise NotOuterplanarError("block does not reduce to a triangle")
-    cycle: list[int] = tri
+    # Replay in reverse on a linked cycle: v goes back between a and b.
+    nxt = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
     for v, a, b in reversed(eliminated):
-        p = len(cycle)
-        slot = None
-        for i in range(p):
-            if {cycle[i], cycle[(i + 1) % p]} == {a, b}:
-                slot = i
-                break
-        if slot is None:
+        if nxt[b] == a:
+            a, b = b, a
+        elif nxt[a] != b:
             raise NotOuterplanarError(
                 f"vertex {v} cannot be returned to the boundary between {a} and {b}"
             )
-        cycle.insert(slot + 1, v)
+        nxt[a], nxt[v] = v, b
+    cycle = [tri[0]]
+    while len(cycle) < len(nxt):
+        cycle.append(nxt[cycle[-1]])
 
     outer = canonical_cycle(cycle)
     pos = {v: i for i, v in enumerate(outer)}
@@ -214,14 +211,25 @@ def _embed_block(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> BlockEmb
     boundary = {edge_key(outer[i], outer[(i + 1) % p]) for i in range(p)}
     if not boundary <= real:
         raise NotOuterplanarError("reconstructed boundary uses a non-edge")
-    chords = sorted(
-        tuple(sorted((pos[u], pos[v]))) for u, v in real - boundary
-    )
-    for a, b in chords:
-        for c, d in chords:
-            if a < c < b < d:
-                raise NotOuterplanarError("boundary found but chords cross")
+    chords = sorted(edge_key(pos[u], pos[v]) for u, v in real - boundary)
+    if _crossing_chords(chords) is not None:
+        raise NotOuterplanarError("boundary found but chords cross")
     return BlockEmbedding(outer=outer, chords=tuple(chords))
+
+
+def _crossing_chords(chords: Iterable[Edge]) -> tuple[Edge, Edge] | None:
+    """Two crossing position pairs (a < c < b < d), or None if all nest.
+
+    Chords are scanned by start, longest first, against a stack of open ones:
+    nesting chords are laminar, so each must fit inside the innermost."""
+    stack: list[Edge] = []
+    for c, d in sorted(chords, key=lambda ch: (ch[0], -ch[1])):
+        while stack and stack[-1][1] <= c:
+            stack.pop()
+        if stack and stack[-1][1] < d:
+            return stack[-1], (c, d)
+        stack.append((c, d))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +327,6 @@ def path_length_set(emb: OuterplaneEmbedding, u: int, v: int) -> frozenset[int]:
         raise EdgeNotOnOuterFaceError(f"({u}, {v}) is not an edge on the outer face")
     adj = emb.graph.adjacency()
     lengths: set[int] = set()
-    path_len = 0
     on_path = [False] * emb.graph.n
     on_path[u] = True
 
@@ -407,14 +414,7 @@ def _subtree_sums(adj: list[list[int]], weights: list[int]) -> set[int]:
                 bits |= extra
         rooted_sums[v] = bits
         total |= bits
-    sums: set[int] = set()
-    at = 0
-    while total:
-        if total & 1:
-            sums.add(at)
-        total >>= 1
-        at += 1
-    return sums
+    return {at for at, bit in enumerate(bin(total)[:1:-1]) if bit == "1"}
 
 
 # ---------------------------------------------------------------------------

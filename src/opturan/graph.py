@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -65,9 +65,6 @@ class Graph:
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set()
 
     def degrees(self) -> list[int]:
         deg = [0] * self.n
@@ -195,7 +192,8 @@ def biconnected_decomposition(g: Graph) -> BlockCutDecomposition:
                         comps.append(comp)
                         if p != root or root_children > 1:
                             cuts.add(p)
-        assert not estack, "edge stack not drained"
+        if estack:
+            raise RuntimeError("edge stack not drained after a DFS tree")
 
     blocks: list[GraphBlock] = []
     bridges: list[Edge] = []
@@ -262,9 +260,11 @@ def _cycle_region(
 
     Every such vertex is >= s, within floor(k/2) of s along the cycle, and
     has degree >= 2 inside the region; iterate these filters to a fixpoint.
+    The first pass tests w >= s directly rather than building the set of
+    every vertex above s, so a pass costs time in the edges within distance
+    floor(k/2) of s (times its peeling rounds), not in n.
     """
-    allowed = {v for v in range(s, len(adj))}
-    dist: dict[int, int] = {}
+    allowed: set[int] | None = None  # first pass: every vertex >= s
     while True:
         dist = _bfs_within(adj, s, allowed, half)
         shrunk = set(dist)
@@ -279,14 +279,15 @@ def _cycle_region(
             shrunk -= drop
         if s not in shrunk or sum(1 for w in adj[s] if w in shrunk) < 2:
             return None, {}
-        if shrunk == allowed:
+        if shrunk == allowed or (allowed is None and len(shrunk) == len(adj) - s):
             return shrunk, dist
         allowed = shrunk
 
 
 def _bfs_within(
-    adj: list[list[int]], s: int, allowed: set[int], radius: int
+    adj: list[list[int]], s: int, allowed: set[int] | None, radius: int
 ) -> dict[int, int]:
+    """Distances from s up to radius, through `allowed` (None: vertices >= s)."""
     dist = {s: 0}
     queue = deque([s])
     while queue:
@@ -295,7 +296,7 @@ def _bfs_within(
         if d == radius:
             continue
         for w in adj[v]:
-            if w in allowed and w not in dist:
+            if w not in dist and (w in allowed if allowed is not None else w >= s):
                 dist[w] = d + 1
                 queue.append(w)
     return dist
@@ -461,9 +462,3 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
                     queue.append(w)
         comps.append(tuple(sorted(comp)))
     return comps
-
-
-def iter_edges_of_vertices(g: Graph, vertices: set[int]) -> Iterator[Edge]:
-    for u, v in g.edges:
-        if u in vertices and v in vertices:
-            yield (u, v)

@@ -190,6 +190,17 @@ class TestVerifier:
         assert lines[-1] == "verdict=true root_slack=0"
         assert any("maximal_leaf" in line for line in lines)
 
+    def test_failing_root_bound_is_a_failure_not_an_exception(self, monkeypatch):
+        import opturan.certify as certify_module
+
+        cert = op.build_certificate(op.fan(4), 5)
+        failing = op.BoundCheck(holds=False, equality=False, lhs=1, rhs=0)
+        monkeypatch.setattr(certify_module, "bound_holds", lambda e, k, n: failing)
+        report = op.verify_certificate(cert, 5)
+        assert not report.verdict
+        assert report.failures == ("root: every node checks out but the root bound fails",)
+        assert report.format_lines()[-1].startswith("verdict=false")
+
 
 class TestCompleteness:
     def test_oracle_witnesses_certify(self):

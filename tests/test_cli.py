@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import opturan as op
 from opturan.cli import main
@@ -180,3 +183,21 @@ class TestAnalyze:
 def test_missing_file_exit2(capsys):
     code, _, _ = run(capsys, "certify", "-k", "5", "--in", "/nonexistent/file.json")
     assert code == 2
+
+
+def test_construct_then_certify_under_python_O(tmp_path):
+    """No result check may depend on `assert`, which `python -O` strips."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PATH": ""}
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "opturan", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    built = cli("construct", "-k", "5", "-m", "4", "--out", ".")
+    assert built.returncode == 0, built.stderr
+    checked = cli("certify", "-k", "5", "--in", "chain_k5_m4.graph.json")
+    assert checked.returncode == 0, checked.stderr
+    assert checked.stdout.splitlines()[-1] == "verdict=true root_slack=0"
