@@ -1,8 +1,8 @@
 """Outerplanar cycle-Turan machinery.
 
 Exact upper bounds on the edge count of outerplanar graphs avoiding a
-k-cycle, the extremal chain construction attaining them, an exhaustive
-small-n oracle, and decomposition certificates with an independent
+k-cycle, the extremal chain construction attaining them, an exact
+interval-DP oracle, and decomposition certificates with an independent
 arithmetic verifier.
 """
 
@@ -77,9 +77,9 @@ from .construct import (
 )
 from .oracle import (
     OracleCapError,
+    OracleCheckError,
     OracleResult,
     exact_ex,
-    max_ckfree_edges,
     triangulations,
 )
 from .certify import (

@@ -9,7 +9,6 @@ failure, 2 invalid input, 3 resource refusal.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from .embedding import (
     cycle_length_set,
     embedding_to_dot,
     embedding_to_json,
+    inner_faces,
     recognize_outerplanar,
 )
 from .dual import (
@@ -41,8 +41,8 @@ from .turan import (
     sharp_residue,
     upper_bound,
 )
-from .construct import ChainParams, build_chain
-from .oracle import DEFAULT_ORACLE_CAP, OracleCapError, exact_ex
+from .construct import build_chain
+from .oracle import DEFAULT_ORACLE_CAP, OracleCapError, OracleCheckError, exact_ex
 from .certify import (
     ContainsForbiddenCycleError,
     build_certificate,
@@ -68,17 +68,7 @@ class RunConfig:
     out: str | None = None
     formats: tuple[str, ...] = ("json",)
     csv: str | None = None
-    jobs: int = 1
     cap: int = DEFAULT_ORACLE_CAP
-    symmetry: bool | None = None
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("OPTURAN_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -95,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opturan",
         description="outerplanar cycle-Turan toolkit: bounds, constructions, "
-        "exhaustive oracle, and proof-replay certificates",
+        "exact oracle, and proof-replay certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -113,12 +103,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=str, required=True, help="vertex count or a..b range")
 
-    p = sub.add_parser("oracle", help="exact maximum edges by exhaustive sweep")
+    p = sub.add_parser(
+        "oracle", help="exact maximum edges by interval DP over the convex polygon"
+    )
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=str, required=True, help="vertex count or a..b range")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
     p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--symmetry", choices=("auto", "on", "off"), default="auto")
     p.add_argument("--csv", help="write the comparison table here")
     p.add_argument("--out", help="directory for witness graph JSON files")
 
@@ -142,9 +133,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         ns = _parse_range(args.n)
         if not ns:
             raise ValueError("empty -n range")
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = _default_jobs()
+    jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     m = getattr(args, "m", 0)
@@ -156,8 +145,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for f in formats:
         if f not in FORMATS:
             raise ValueError(f"unknown format {f!r}; choose from {FORMATS}")
-    symmetry_raw = getattr(args, "symmetry", "auto")
-    symmetry = None if symmetry_raw == "auto" else symmetry_raw == "on"
     return RunConfig(
         command=args.command,
         k=k,
@@ -167,9 +154,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
         formats=formats,
         csv=getattr(args, "csv", None),
-        jobs=jobs,
         cap=getattr(args, "cap", DEFAULT_ORACLE_CAP),
-        symmetry=symmetry,
     )
 
 
@@ -196,12 +181,13 @@ def _emit_graph_files(
     return written
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str | None) -> Graph:
+    if path is None:
+        raise ValueError("--in is required")
     return graph_from_text(Path(path).read_text())
 
 
 def _cmd_construct(cfg: RunConfig) -> int:
-    params = ChainParams(cfg.k, cfg.m)
     emb = build_chain(cfg.k, cfg.m)
     g = emb.graph
     check = bound_holds(g.e, cfg.k, g.n)
@@ -212,7 +198,6 @@ def _cmd_construct(cfg: RunConfig) -> int:
         f"bound={upper_bound(cfg.k, g.n)} "
         f"equality={'yes' if check.equality else 'no'}"
     )
-    assert g.n == params.vertex_count and g.e == params.edge_count
     if cfg.out:
         for path in _emit_graph_files(
             emb, f"chain_k{cfg.k}_m{cfg.m}", cfg.out, cfg.formats
@@ -235,9 +220,7 @@ def _cmd_bound(cfg: RunConfig) -> int:
 def _cmd_oracle(cfg: RunConfig) -> int:
     values: dict[int, int] = {}
     for n in cfg.ns:
-        result = exact_ex(
-            n, cfg.k, cap=cfg.cap, symmetry=cfg.symmetry, jobs=cfg.jobs
-        )
+        result = exact_ex(n, cfg.k, cap=cfg.cap)
         values[n] = result.value
         check = bound_holds(result.value, cfg.k, n)
         print(
@@ -246,8 +229,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             f"equality={'yes' if check.equality else 'no'}"
         )
         print(
-            f"  scanned={result.triangulations_scanned} "
-            f"elapsed={result.elapsed:.2f}s",
+            f"  states={result.states} elapsed={result.elapsed:.2f}s",
             file=sys.stderr,
         )
         if cfg.out:
@@ -264,7 +246,6 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 
 
 def _cmd_certify(cfg: RunConfig) -> int:
-    assert cfg.input_path is not None
     g = _load_graph(cfg.input_path)
     emb = recognize_outerplanar(g)
     cert = build_certificate(emb, cfg.k)
@@ -278,11 +259,8 @@ def _cmd_certify(cfg: RunConfig) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
-    assert cfg.input_path is not None
     g = _load_graph(cfg.input_path)
     emb = recognize_outerplanar(g)
-    from .embedding import inner_faces
-
     faces = inner_faces(emb)
     dual = weak_dual(emb)
     partition = classify_terminal(triangular_blocks(emb), emb)
@@ -340,6 +318,9 @@ def main(argv: list[str] | None = None) -> int:
     except OracleCapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except OracleCheckError as exc:
+        print(f"oracle check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except ContainsForbiddenCycleError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

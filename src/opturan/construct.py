@@ -100,8 +100,8 @@ def _gadget_graph(k: int) -> tuple[Graph, Edge, Edge]:
         if i == k // 2 and p >= 3:
             far = edge_key(local[1], local[2])
     g = make_graph(fresh, sorted(set(edges)))
-    assert g.e == len(edges), "gadget edge lists must not overlap"
-    assert far is not None
+    if g.e != len(edges) or far is None:
+        raise RuntimeError(f"gadget for k={k}: fan edge lists overlap or the far edge is unset")
     return g, (0, k), far
 
 
@@ -136,7 +136,11 @@ def build_chain_graph(k: int, m: int) -> Graph:
             merged.add(edge_key(rename[x], rename[y]))
         g = make_graph(nxt, sorted(merged))
         attach = edge_key(rename[far[0]], rename[far[1]])
-    assert g.n == params.vertex_count and g.e == params.edge_count
+    if (g.n, g.e) != (params.vertex_count, params.edge_count):
+        raise RuntimeError(
+            f"chain k={k} m={m} has n={g.n} e={g.e}, not the closed form "
+            f"n={params.vertex_count} e={params.edge_count}"
+        )
     return g
 
 

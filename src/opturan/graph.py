@@ -261,23 +261,26 @@ def _cycle_region(
     Every such vertex is >= s, within floor(k/2) of s along the cycle, and
     has degree >= 2 inside the region; iterate these filters to a fixpoint.
     The first pass tests w >= s directly rather than building the set of
-    every vertex above s, so a pass costs time in the edges within distance
-    floor(k/2) of s (times its peeling rounds), not in n.
+    every vertex above s, and degree peeling runs off a worklist of
+    in-region degrees, so a pass costs time in the edges within distance
+    floor(k/2) of s, not in n.
     """
     allowed: set[int] | None = None  # first pass: every vertex >= s
     while True:
         dist = _bfs_within(adj, s, allowed, half)
         shrunk = set(dist)
-        while True:
-            drop = {
-                v
-                for v in shrunk
-                if v != s and sum(1 for w in adj[v] if w in shrunk) < 2
-            }
-            if not drop:
-                break
-            shrunk -= drop
-        if s not in shrunk or sum(1 for w in adj[s] if w in shrunk) < 2:
+        deg = {v: sum(1 for w in adj[v] if w in shrunk) for v in shrunk}
+        # each vertex is queued once: when first seen below 2, or on 2 -> 1
+        queue = [v for v in shrunk if v != s and deg[v] < 2]
+        while queue:
+            v = queue.pop()
+            shrunk.discard(v)
+            for w in adj[v]:
+                if w in shrunk:
+                    deg[w] -= 1
+                    if deg[w] == 1 and w != s:
+                        queue.append(w)
+        if deg[s] < 2:
             return None, {}
         if shrunk == allowed or (allowed is None and len(shrunk) == len(adj) - s):
             return shrunk, dist
@@ -368,7 +371,7 @@ def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     try:
         return make_graph(data["n"], data["edges"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -435,11 +438,17 @@ def graph_from_graph6(text: str) -> Graph:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse canonical JSON or graph6, whichever the content looks like."""
+    """Parse canonical JSON or graph6, whichever the content is.
+
+    After its optional header graph6 uses only the characters 0x3F..0x7E,
+    and JSON needs quotes, which lie outside them. The first character does
+    not decide: the size byte of a 60-vertex graph6 string is '{'.
+    """
     stripped = text.strip()
-    if stripped.startswith("{"):
-        return graph_from_json(stripped)
-    return graph_from_graph6(stripped)
+    body = stripped.removeprefix(_G6_HEADER).strip()
+    if not body or ("?" <= min(body) and max(body) <= "~"):
+        return graph_from_graph6(stripped)
+    return graph_from_json(stripped)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

@@ -1,20 +1,30 @@
-"""Exact maximum edge counts by exhaustive sweep at desk scale.
+"""Exact maximum edge counts by an interval DP over the convex polygon.
 
-Every n-vertex outerplanar graph is a subgraph of some edge-maximal one on
-the same vertex set, i.e. of a triangulation of the convex n-gon. So the
-maximum edge count of an outerplanar graph with no k-cycle is the maximum,
-over all Catalan(n-2) triangulations, of the largest k-cycle-free edge
-subset of that triangulation. The inner maximisation is branch-and-bound:
-find one k-cycle, branch on deleting each of its edges, prune by the best
-count so far, and de-duplicate revisited edge subsets.
+Every n-vertex outerplanar graph is a subgraph of a triangulation of the
+convex n-gon, so the maximum edge count of an outerplanar graph with no
+k-cycle is that of the largest non-crossing edge set on the polygon
+0..n-1 with no k-cycle. In a triangulation, the chord position (i, j)
+separates the vertices i..j from the rest whether or not edge (i, j) is
+chosen, so a cycle through both sides passes through i and j, and the rest
+of the graph needs to know only the set of i-j path lengths below k inside
+the part on i..j.
 
-The sweep is deterministic: triangulations stream in a fixed recursive
-order, branching always deletes cycle edges smallest-first, and parallel
-runs merge per-triangulation results by (value, enumeration index), so the
-reported value and witness do not depend on worker count or completion
-order. An optional symmetry filter keeps one triangulation per
-rotation/reflection class of the polygon, which changes nothing about the
-maximum value.
+The DP keeps, per interval, a map from that set (a bitmask, bit L for
+length L) to the largest edge count. Without edge (i, j) the part splits
+at the apex m of the triangle on (i, j); m is a cut vertex between the
+parts on i..m and m..j, so no cycle crosses it and the path lengths are
+the sumset of theirs. Closing the interval may add edge (i, j), which sets
+bit 1 and is allowed only when bit k-1 is absent. A state loses to one
+whose mask is a subset of its own and whose count is at least as large.
+Intervals of equal length are translates of one another, so the tables
+are indexed by length, and the sumset is symmetric, so apexes past the
+middle add nothing.
+
+The witness is rebuilt from back-pointers. Ties keep the first state in a
+fixed order (apex ascending, then the children's states in kept order), so
+identical calls return identical witnesses. Before returning, the witness
+is checked by the independent exhaustive cycle search and against the
+certified bound; a failure raises OracleCheckError.
 """
 
 from __future__ import annotations
@@ -23,12 +33,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Edge, Graph, edge_key, find_cycle_in_edges, make_graph
-from .embedding import BlockEmbedding, OuterplaneEmbedding, is_edge_maximal
+from .graph import Edge, Graph, find_cycle_in_edges, make_graph
+from .embedding import BlockEmbedding, OuterplaneEmbedding
 from .turan import upper_bound
 
-DEFAULT_ORACLE_CAP = 11
-SYMMETRY_AUTO_THRESHOLD = 10
+DEFAULT_ORACLE_CAP = 64
 
 _CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
 
@@ -41,7 +50,11 @@ def catalan(i: int) -> int:
 
 
 class OracleCapError(RuntimeError):
-    """Refusal to run an exhaustive sweep above the configured cap."""
+    """Refusal to run the oracle above the configured cap."""
+
+
+class OracleCheckError(RuntimeError):
+    """The oracle's witness failed its own independent check."""
 
 
 def _chord_sets(i: int, j: int) -> Iterator[frozenset[Edge]]:
@@ -67,84 +80,20 @@ def _triangulation_embedding(n: int, chords: frozenset[Edge]) -> OuterplaneEmbed
     return OuterplaneEmbedding(graph=graph, blocks=(block,), bridges=(), isolated=())
 
 
-def triangulations(n: int, symmetry: bool = False) -> Iterator[OuterplaneEmbedding]:
+def triangulations(n: int) -> Iterator[OuterplaneEmbedding]:
     """All triangulations of the convex n-gon, exactly Catalan(n-2) of them.
 
     Vertex i sits at polygon position i, so chord position pairs equal chord
-    vertex pairs. With symmetry=True only the canonical representative of
-    each rotation/reflection class is produced.
+    vertex pairs.
     """
     if n < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {n}")
     for chords in _chord_sets(0, n - 1):
-        if symmetry and _dihedral_canonical(n, chords) != tuple(sorted(chords)):
-            continue
         yield _triangulation_embedding(n, chords)
 
 
-def _dihedral_canonical(n: int, chords: frozenset[Edge]) -> tuple[Edge, ...]:
-    best: tuple[Edge, ...] | None = None
-    for reflect in (False, True):
-        for shift in range(n):
-            mapped = tuple(
-                sorted(
-                    edge_key(
-                        ((-u if reflect else u) + shift) % n,
-                        ((-v if reflect else v) + shift) % n,
-                    )
-                    for u, v in chords
-                )
-            )
-            if best is None or mapped < best:
-                best = mapped
-    assert best is not None
-    return best
-
-
 # ---------------------------------------------------------------------------
-# Branch and bound over edge subsets of one triangulation
-# ---------------------------------------------------------------------------
-
-
-def _max_ckfree_in_edges(
-    n: int, edges: tuple[Edge, ...], k: int
-) -> tuple[int, tuple[Edge, ...]]:
-    best_count = -1
-    best_edges: tuple[Edge, ...] = ()
-    seen: set[frozenset[Edge]] = set()
-    stack: list[frozenset[Edge]] = [frozenset(edges)]
-    while stack:
-        current = stack.pop()
-        if len(current) <= best_count or current in seen:
-            continue
-        seen.add(current)
-        cycle = find_cycle_in_edges(n, sorted(current), k)
-        if cycle is None:
-            best_count = len(current)
-            best_edges = tuple(sorted(current))
-            continue
-        cycle_edges = sorted(
-            edge_key(cycle[i], cycle[(i + 1) % k]) for i in range(k)
-        )
-        # LIFO stack: push in reverse so the smallest edge is removed first
-        for e in reversed(cycle_edges):
-            stack.append(current - {e})
-    return best_count, best_edges
-
-
-def max_ckfree_edges(
-    t: OuterplaneEmbedding, k: int
-) -> tuple[int, tuple[Edge, ...]]:
-    """Largest k-cycle-free edge subset of a triangulation, with witness."""
-    if k < 3:
-        raise ValueError(f"cycle length must be >= 3, got {k}")
-    if not is_edge_maximal(t):
-        raise ValueError("branch-and-bound host must be edge-maximal")
-    return _max_ckfree_in_edges(t.graph.n, t.graph.edges, k)
-
-
-# ---------------------------------------------------------------------------
-# Full sweep
+# Interval DP
 # ---------------------------------------------------------------------------
 
 
@@ -154,85 +103,115 @@ class OracleResult:
     k: int
     value: int
     witness: Graph
-    triangulations_scanned: int
+    states: int
     elapsed: float
 
 
-def _sweep_one(args: tuple[int, int, tuple[Edge, ...]]) -> tuple[int, tuple[Edge, ...]]:
-    n, k, edges = args
-    return _max_ckfree_in_edges(n, edges, k)
+# open[d]:   mask -> (count, back); back = (apex offset, left mask, right mask),
+#            or None for d == 1, whose only part is the empty one
+# closed[d]: mask -> (count, open mask, whether edge (i, i+d) is added)
+_Open = dict[int, tuple[int, tuple[int, int, int] | None]]
+_Closed = dict[int, tuple[int, int, bool]]
 
 
-def exact_ex(
-    n: int,
-    k: int,
-    *,
-    cap: int = DEFAULT_ORACLE_CAP,
-    symmetry: bool | None = None,
-    jobs: int = 1,
-) -> OracleResult:
+def _sumset(a: int, b: int, limit: int) -> int:
+    """Bitmask of {x + y : x in a, y in b}, cut to the bits of `limit`."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= b * low  # b shifted left by the length `low` stands for
+        a ^= low
+    return out & limit
+
+
+def _pareto(states: dict) -> dict:
+    """Keep the states no other beats; kept order is (count desc, size, mask)."""
+    kept: dict = {}
+    ranked = sorted(states.items(), key=lambda s: (-s[1][0], s[0].bit_count(), s[0]))
+    for mask, entry in ranked:
+        if not any(other & mask == other for other in kept):
+            kept[mask] = entry
+    return kept
+
+
+def _tables(n: int, k: int) -> tuple[list[_Open], list[_Closed]]:
+    limit = (1 << k) - 1
+    forbidden = 1 << (k - 1)
+    opened: list[_Open] = [{}]
+    closed: list[_Closed] = [{}]
+    for d in range(1, n):
+        cand: _Open = {0: (0, None)} if d == 1 else {}
+        for a in range(1, d // 2 + 1):
+            right = closed[d - a]
+            for lm, (lc, _, _) in closed[a].items():
+                for rm, (rc, _, _) in right.items():
+                    mask = _sumset(lm, rm, limit)
+                    old = cand.get(mask)
+                    if old is None or lc + rc > old[0]:
+                        cand[mask] = (lc + rc, (a, lm, rm))
+        opened.append(_pareto(cand))
+        shut: _Closed = {m: (c, m, False) for m, (c, _) in opened[d].items()}
+        for m, (c, _) in opened[d].items():
+            if not m & forbidden:
+                shut[m | 2] = (c + 1, m, True)
+        closed.append(_pareto(shut))
+    return opened, closed
+
+
+def _witness_edges(opened: list[_Open], closed: list[_Closed], mask: int) -> list[Edge]:
+    n = len(closed)
+    edges: list[Edge] = []
+    stack = [(0, n - 1, mask)]
+    while stack:
+        i, d, mask = stack.pop()
+        _, open_mask, with_edge = closed[d][mask]
+        if with_edge:
+            edges.append((i, i + d))
+        back = opened[d][open_mask][1]
+        if back is not None:
+            a, lm, rm = back
+            stack.append((i + a, d - a, rm))
+            stack.append((i, a, lm))
+    return edges
+
+
+def _check_witness(n: int, k: int, value: int, edges: list[Edge]) -> None:
+    if len(edges) != value or len(set(edges)) != value:
+        raise OracleCheckError(
+            f"n={n} k={k}: witness has {len(set(edges))} distinct edges, not {value}"
+        )
+    if find_cycle_in_edges(n, sorted(edges), k) is not None:
+        raise OracleCheckError(f"n={n} k={k}: witness contains a {k}-cycle")
+    if value > upper_bound(k, n).floor():
+        raise OracleCheckError(f"n={n} k={k}: value {value} exceeds the certified upper bound")
+
+
+def exact_ex(n: int, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     """Exact maximum edges of an n-vertex outerplanar graph with no k-cycle.
 
-    symmetry=None resolves to True for n >= 10 (auditable full enumeration
-    below that). Raises OracleCapError above `cap` with a cost estimate.
+    Raises OracleCapError above `cap`, and OracleCheckError if the witness
+    fails its independent check.
     """
     if n < 2:
         raise ValueError(f"vertex count must be >= 2, got {n}")
     if k < 3:
         raise ValueError(f"cycle length must be >= 3, got {k}")
-    if jobs < 1:
-        raise ValueError(f"worker count must be >= 1, got {jobs}")
     if n > cap:
-        count = catalan(n - 2)
         raise OracleCapError(
-            f"n={n} exceeds the sweep cap {cap}: {count} triangulations x "
-            f"branch-and-bound over up to 2^{2 * n - 3} subsets each; "
-            "raise the cap explicitly to proceed"
+            f"n={n} exceeds the oracle cap {cap}: the interval DP combines "
+            f"{(n - 1) ** 2 // 4} (length, apex) pairs over up to 2^{k - 1} "
+            "path-length sets per side; raise the cap explicitly to proceed"
         )
     started = time.monotonic()
-    if n == 2:
-        return OracleResult(
-            n=2,
-            k=k,
-            value=1,
-            witness=make_graph(2, [(0, 1)]),
-            triangulations_scanned=0,
-            elapsed=time.monotonic() - started,
-        )
-    if symmetry is None:
-        symmetry = n >= SYMMETRY_AUTO_THRESHOLD
-    full = 2 * n - 3
-    tasks = ((n, k, t.graph.edges) for t in triangulations(n, symmetry=symmetry))
-    best_value = -1
-    best_edges: tuple[Edge, ...] = ()
-    scanned = 0
-    if jobs == 1:
-        for task in tasks:
-            value, edges = _sweep_one(task)
-            scanned += 1
-            if value > best_value:
-                best_value, best_edges = value, edges
-            if best_value == full:
-                break  # a full triangulation is k-cycle-free; nothing beats 2n-3
-    else:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            for value, edges in pool.imap(_sweep_one, tasks, chunksize=8):
-                scanned += 1
-                if value > best_value:
-                    best_value, best_edges = value, edges
-    witness = make_graph(n, best_edges)
-    result = OracleResult(
+    opened, closed = _tables(n, k)
+    mask, (value, _, _) = next(iter(closed[n - 1].items()))
+    edges = _witness_edges(opened, closed, mask)
+    _check_witness(n, k, value, edges)
+    return OracleResult(
         n=n,
         k=k,
-        value=best_value,
-        witness=witness,
-        triangulations_scanned=scanned,
+        value=value,
+        witness=make_graph(n, edges),
+        states=sum(map(len, opened)) + sum(map(len, closed)),
         elapsed=time.monotonic() - started,
     )
-    check = upper_bound(k, n)
-    assert best_value * check.denominator <= check.numerator, (
-        "sweep exceeded the certified upper bound; this is a bug"
-    )
-    return result

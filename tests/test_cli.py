@@ -3,8 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import opturan as op
+from opturan import oracle as oracle_module
 from opturan.cli import main
+from opturan.turan import BoundValue
 
 
 def run(capsys, *argv):
@@ -83,9 +87,36 @@ class TestOracle:
         assert values == [1, 2, 4, 5, 7, 8, 10]
 
     def test_cap_refusal(self, capsys):
-        code, _, err = run(capsys, "oracle", "-k", "5", "-n", "12")
+        code, _, err = run(capsys, "oracle", "-k", "5", "-n", "65")
         assert code == 3
-        assert "16796" in err
+        assert "cap 64" in err and "1024 (length, apex) pairs" in err
+
+    def test_jobs_output_byte_identical(self, tmp_path, capsys):
+        outs = []
+        for jobs in ("1", "2"):
+            d = tmp_path / jobs
+            code, out, _ = run(capsys, "oracle", "-k", "5", "-n", "3..12", "--jobs", jobs, "--out", str(d))
+            assert code == 0
+            files = {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+            outs.append((out, files))
+        assert outs[0] == outs[1]
+        code, _, err = run(capsys, "oracle", "-k", "5", "-n", "4", "--jobs", "0")
+        assert code == 2 and "--jobs" in err
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            ("_witness_edges", lambda opened, closed, mask: [(0, 1), (1, 2), (0, 2), (2, 3)]),
+            ("_witness_edges", lambda opened, closed, mask: [(0, 1), (1, 2), (2, 3), (0, 1)]),
+            ("upper_bound", lambda k, n: BoundValue(k, n, 3, 1)),
+        ],
+        ids=["triangle", "duplicate", "bound"],
+    )
+    def test_failed_self_check_exit1(self, monkeypatch, capsys, patch):
+        monkeypatch.setattr(oracle_module, *patch)
+        code, out, err = run(capsys, "oracle", "-k", "3", "-n", "4")
+        assert code == 1
+        assert "oracle check failed: n=4 k=3" in err and out == ""
 
     def test_csv_and_witness(self, tmp_path, capsys):
         csv_path = tmp_path / "table.csv"
@@ -145,6 +176,13 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "-k", "3", "--in", str(graph_path))
         assert code == 0 and "verdict=true" in out
 
+    def test_malformed_json_exit2(self, tmp_path, capsys):
+        for text in ('{"n": 3, "edges": [[0, 1]', '{"n": 3}', '{"n": 3, "edges": [[0]]}', "{"):
+            graph_path = tmp_path / "bad.json"
+            graph_path.write_text(text)
+            code, _, err = run(capsys, "certify", "-k", "3", "--in", str(graph_path))
+            assert code == 2 and "invalid input" in err, text
+
 
 class TestAnalyze:
     def test_gadget(self, tmp_path, capsys):
@@ -179,6 +217,15 @@ class TestAnalyze:
         assert (tmp_path / "weak_dual.dot").exists()
         assert (tmp_path / "incidence.dot").exists()
 
+    def test_graph6_sizes_59_to_63(self, tmp_path, capsys):
+        for n in range(59, 64):
+            g = op.make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+            graph_path = tmp_path / f"c{n}.g6"
+            graph_path.write_text(op.graph_to_graph6(g) + "\n")
+            code, out, _ = run(capsys, "analyze", "--in", str(graph_path))
+            assert code == 0, n
+            assert out.splitlines()[0] == f"n={n} e={n}"
+
 
 def test_missing_file_exit2(capsys):
     code, _, _ = run(capsys, "certify", "-k", "5", "--in", "/nonexistent/file.json")
@@ -201,3 +248,16 @@ def test_construct_then_certify_under_python_O(tmp_path):
     checked = cli("certify", "-k", "5", "--in", "chain_k5_m4.graph.json")
     assert checked.returncode == 0, checked.stderr
     assert checked.stdout.splitlines()[-1] == "verdict=true root_slack=0"
+
+
+def test_oracle_under_python_O(tmp_path):
+    """The oracle's self-check must not depend on `assert` either."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "opturan", "oracle", "-k", "4", "-n", "3..11"],
+        cwd=tmp_path, env={"PYTHONPATH": src, "PATH": ""},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    values = [int(line.split("value=")[1].split()[0]) for line in done.stdout.splitlines()]
+    assert values == [3, 4, 6, 7, 9, 11, 13, 15, 16]

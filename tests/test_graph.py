@@ -3,7 +3,7 @@ import random
 import pytest
 
 import opturan as op
-from opturan.graph import find_cycle_in_edges
+from opturan.graph import _cycle_region, find_cycle_in_edges
 
 from helpers import all_graphs, brute_cycle_lengths, rand_subgraph, rand_triangulation
 
@@ -123,6 +123,40 @@ class TestCycleSearch:
             for k in range(3, n + 1):
                 assert op.has_cycle_of_length(g, k) == (k in expect)
 
+    def test_region_is_the_peeling_fixpoint(self):
+        def naive_region(adj, s, half):
+            region = set(range(s, len(adj)))
+            while True:
+                dist, frontier = {s: 0}, [s]
+                for d in range(1, half + 1):
+                    frontier = [w for v in frontier for w in adj[v] if w in region and w not in dist]
+                    dist.update((w, d) for w in frontier)
+                kept = set(dist)
+                while True:
+                    drop = {v for v in kept if v != s and sum(w in kept for w in adj[v]) < 2}
+                    if not drop:
+                        break
+                    kept -= drop
+                if sum(w in kept for w in adj[s]) < 2:
+                    return None
+                if kept == region:
+                    return kept
+                region = kept
+
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(4, 14)
+            edges = set(rand_subgraph(rng, rand_triangulation(rng, n).graph, 0.8).edges)
+            for _ in range(rng.randint(0, 3)):  # pendant paths to peel
+                at = rng.randrange(n)
+                for _ in range(rng.randint(1, 5)):
+                    edges.add((at, n))
+                    at, n = n, n + 1
+            adj = op.make_graph(n, edges).adjacency()
+            for s in range(n):
+                for half in (1, 2, 3):
+                    assert _cycle_region(adj, s, half)[0] == naive_region(adj, s, half), (edges, s, half)
+
     def test_cross_oracle_with_face_spectrum(self):
         # outerplanar cross-check: exhaustive search vs dual-subtree spectrum
         rng = random.Random(13)
@@ -161,6 +195,15 @@ class TestSerialization:
         g = op.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert op.graph_from_text(op.graph_to_json(g)) == g
         assert op.graph_from_text("Cl\n") == g
+
+    def test_autodetect_graph6_size_byte_brace(self):
+        # n=60 encodes its size as '{', the character JSON starts with
+        for n in range(59, 64):
+            g = op.make_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, n // 2)])
+            text = op.graph_to_graph6(g)
+            assert op.graph_from_text(text + "\n") == g
+            assert op.graph_from_text(">>graph6<<" + text) == g
+            assert op.graph_from_text(op.graph_to_json(g)) == g
 
 
 def test_all_graphs_n4_cycle_oracle():

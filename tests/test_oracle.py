@@ -1,7 +1,7 @@
 import pytest
 
 import opturan as op
-from opturan.oracle import catalan
+from opturan.oracle import _pareto, catalan
 
 from helpers import brute_max_ckfree
 
@@ -24,44 +24,9 @@ class TestTriangulations:
                 assert op.is_edge_maximal(t)
                 assert t.graph.e == 2 * n - 3
 
-    def test_symmetry_filter_keeps_representatives(self):
-        full = {tuple(sorted(t.blocks[0].chords)) for t in op.triangulations(6)}
-        reps = list(op.triangulations(6, symmetry=True))
-        assert 0 < len(reps) < len(full)
-
     def test_too_small(self):
         with pytest.raises(ValueError):
             next(op.triangulations(2))
-
-
-class TestMaxCkfree:
-    def test_fan4_k3(self):
-        count, witness = op.max_ckfree_edges(op.fan(4), 3)
-        assert count == 4
-        assert op.find_cycle_of_length(op.make_graph(4, witness), 3) is None
-
-    def test_fan4_k5(self):
-        count, _ = op.max_ckfree_edges(op.fan(4), 5)
-        assert count == 5  # no 5-cycle fits in 4 vertices
-
-    def test_requires_triangulation(self):
-        c4 = op.recognize_outerplanar(
-            op.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        )
-        with pytest.raises(ValueError):
-            op.max_ckfree_edges(c4, 3)
-
-    def test_matches_subset_bruteforce(self):
-        # every triangulation of small polygons, full 2^e sweep as the oracle
-        for n in (4, 5, 6):
-            for k in (3, 4, 5):
-                swept = max(op.max_ckfree_edges(t, k)[0] for t in op.triangulations(n))
-                assert swept == brute_max_ckfree(n, k), (n, k)
-
-    def test_ten_gon_k4_at_most_15(self):
-        some = next(op.triangulations(10))
-        count, _ = op.max_ckfree_edges(some, 4)
-        assert count <= 15
 
 
 class TestExactEx:
@@ -86,7 +51,7 @@ class TestExactEx:
 
     def test_matches_subset_bruteforce(self):
         for n in range(2, 8):
-            for k in (3, 4, 5):
+            for k in range(3, 8):
                 assert op.exact_ex(n, k).value == brute_max_ckfree(n, k), (n, k)
 
     def test_monotone_in_n(self):
@@ -96,26 +61,43 @@ class TestExactEx:
 
     def test_cap_refusal(self):
         with pytest.raises(op.OracleCapError) as err:
-            op.exact_ex(12, 5)
-        assert "16796" in str(err.value)  # cost estimate included
+            op.exact_ex(65, 5)
+        assert "1024 (length, apex) pairs" in str(err.value)  # DP size included
 
     def test_cap_can_be_raised(self):
         assert op.exact_ex(8, 11, cap=8).value == 13  # k > n: full triangulation
-
-    def test_symmetry_consistent(self):
-        for k in (3, 4, 5):
-            a = op.exact_ex(8, k, symmetry=False)
-            b = op.exact_ex(8, k, symmetry=True)
-            assert a.value == b.value
-
-    def test_parallel_consistent(self):
-        for k in (3, 5):
-            a = op.exact_ex(7, k, jobs=1)
-            b = op.exact_ex(7, k, jobs=2)
-            assert a.value == b.value
-            assert a.witness == b.witness
 
     def test_deterministic_witness(self):
         a = op.exact_ex(7, 4)
         b = op.exact_ex(7, 4)
         assert a.witness == b.witness and a.value == b.value
+
+    def test_values_beyond_the_sweep(self):
+        # computed by the exhaustive triangulation sweep this oracle replaced
+        pins = {
+            11: (14, 16, 16, 17, 18, 18),
+            12: (16, 18, 18, 19, 19, 20),
+        }
+        for n, values in pins.items():
+            for k, value in zip(range(3, 9), values):
+                assert op.exact_ex(n, k).value == value, (n, k)
+
+    def test_sharp_residues_meet_the_bound(self):
+        for k in range(3, 8):
+            for n in range(2, 41):
+                if op.sharp_residue(k, n):
+                    assert op.exact_ex(n, k).value == op.upper_bound(k, n).floor(), (k, n)
+
+    def test_witnesses_pass_both_detectors(self):
+        for k in range(3, 8):
+            for n in range(2, 41):
+                r = op.exact_ex(n, k)
+                assert r.witness.e == r.value
+                assert op.find_cycle_of_length(r.witness, k) is None, (k, n)
+                emb = op.recognize_outerplanar(r.witness)
+                assert k not in op.cycle_length_set(emb), (k, n)
+
+    def test_dominated_states_dropped(self):
+        # a state loses to one with a subset of its path lengths and no fewer edges
+        states = {0b0110: (5, "a"), 0b0010: (4, "b"), 0b1110: (4, "c"), 0b0100: (5, "d")}
+        assert list(_pareto(states).items()) == [(0b0100, (5, "d")), (0b0010, (4, "b"))]
