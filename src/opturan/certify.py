@@ -35,6 +35,24 @@ Dispatch order is fixed: strip isolated vertices, then base size, then
 Handling 2-connectivity before the peel matters: in a 2-connected graph the
 terminal blocks around the chosen face own every edge at the face's
 interior vertices, which is what makes the peel bookkeeping exact.
+
+The proof may split at any cut vertex and at any face of size >= k+1; the
+builder picks the most balanced ones, by edge count, so that long inputs
+give shallow certificates:
+
+  disconnected    the components go into two groups, heaviest first into
+                  the lighter group; the groups share no vertex.
+  cut vertex      the cut vertex whose heaviest branch in the block-cut
+                  tree has the fewest edges (least id on ties); its
+                  branches are grouped the same way and share the cut.
+  big face        the face of size >= k+1 whose largest child has the
+                  fewest edges, from one subtree-sum pass over the weak
+                  dual (least boundary on ties).
+
+Chains and forests thus certify at depth O(log n). Terminal peels still
+take one face per level, and so does a cut split whose heaviest branch is
+one large block carrying many small ones: a long polygon with a pendant
+edge at every vertex still gives a certificate as deep as the polygon.
 """
 
 from __future__ import annotations
@@ -43,6 +61,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import (
+    BlockCutDecomposition,
     Edge,
     Graph,
     GraphError,
@@ -65,7 +84,13 @@ from .embedding import (
     is_edge_maximal,
     recognize_outerplanar,
 )
-from .dual import classify_terminal, find_reducible_face, triangular_blocks, weak_dual
+from .dual import (
+    WeakDualForest,
+    classify_terminal,
+    find_reducible_face,
+    triangular_blocks,
+    weak_dual,
+)
 from .turan import bound_holds
 
 EDGELESS = "edgeless"
@@ -151,24 +176,22 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
 
 
 def _build(g: Graph, to_parent: tuple[int, ...], k: int) -> CertNode:
-    assert g.e > 0, "recursion must never see an edgeless graph"
+    if g.e == 0:
+        raise CoverageError("recursion reached an edgeless graph")
     if g.n == 2:
         return CertNode(kind=BASE, graph=g, to_parent=to_parent)
 
     dec = biconnected_decomposition(g)
-    assert not dec.isolated, "recursion must never see isolated vertices"
-    units = len(dec.blocks) + len(dec.bridges)
-    comps = connected_components(g)
-    if len(comps) > 1 or units > 1:
-        return _build_cut_split(g, to_parent, k, comps)
+    if dec.isolated:
+        raise CoverageError("recursion reached a graph with isolated vertices")
+    if len(dec.blocks) + len(dec.bridges) > 1:
+        return _build_cut_split(g, to_parent, k, dec)
 
     emb = recognize_outerplanar(g)
-    faces = inner_faces(emb)
-    big = [f for f in faces if f.size >= k + 1]
-    if big:
-        face = min(big, key=lambda f: f.vertices)
-        return _build_big_face_split(g, to_parent, k, emb, face.vertices)
-    if any(f.size >= 4 for f in faces):
+    dual = weak_dual(emb)
+    if any(f.size >= k + 1 for f in dual.faces):
+        return _build_big_face_split(g, to_parent, k, dual)
+    if any(f.size >= 4 for f in dual.faces):
         return _build_terminal_peel(g, to_parent, k, emb)
     leaf = CertNode(kind=MAXIMAL_LEAF, graph=g, to_parent=to_parent)
     if not (is_edge_maximal(emb) and g.n <= k - 1):
@@ -178,81 +201,137 @@ def _build(g: Graph, to_parent: tuple[int, ...], k: int) -> CertNode:
     return leaf
 
 
-def _child(g: Graph, edges: list[Edge], k: int, extra: tuple[int, ...] = ()) -> CertNode:
-    sub, mapping = subgraph_on_edges(g, edges, extra)
+def _child(g: Graph, edges: list[Edge], k: int) -> CertNode:
+    sub, mapping = subgraph_on_edges(g, edges)
     return _build(sub, mapping, k)
 
 
+def _branch_weights(adj: list[list[int]], weight: list[int]) -> list[list[int]]:
+    """For each node of a tree, the weight of the branch behind each neighbour.
+
+    branches[v][i] is the total weight of the component of the tree minus v
+    that holds adj[v][i]: a subtree sum below v, or the complement of v's
+    own subtree towards the root. One rooted pass computes every sum.
+    """
+    parent = [-1] * len(adj)
+    order = [0]
+    for v in order:  # breadth-first; the list grows while it is read
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    below = list(weight)
+    for v in reversed(order[1:]):
+        below[parent[v]] += below[v]
+    total = below[0]
+    return [
+        [below[u] if parent[u] == v else total - below[v] for u in adj[v]]
+        for v in range(len(adj))
+    ]
+
+
+def _halves(weights: list[int]) -> tuple[list[int], list[int]]:
+    """Indices into `weights` in two groups of nearly equal total weight.
+
+    Heaviest first, each goes to the lighter group (the first on a tie);
+    equal weights keep index order. Positive weights leave neither group
+    empty when there are two or more.
+    """
+    groups: tuple[list[int], list[int]] = ([], [])
+    totals = [0, 0]
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        side = 0 if totals[0] <= totals[1] else 1
+        groups[side].append(i)
+        totals[side] += weights[i]
+    return groups
+
+
+def _behind(adj: list[list[int]], at: int, starts: list[int]) -> list[int]:
+    """Tree nodes reached from `starts`, neighbours of `at`, avoiding `at`."""
+    seen = {at, *starts}
+    stack = list(starts)
+    reached = []
+    while stack:
+        x = stack.pop()
+        reached.append(x)
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return reached
+
+
 def _build_cut_split(
-    g: Graph, to_parent: tuple[int, ...], k: int, comps: list[tuple[int, ...]]
+    g: Graph, to_parent: tuple[int, ...], k: int, dec: BlockCutDecomposition
 ) -> CertNode:
+    comps = connected_components(g)
     if len(comps) > 1:
-        first = set(comps[0])
-        e1 = [e for e in g.edges if e[0] in first]
-        e2 = [e for e in g.edges if e[0] not in first]
+        comp_of = [0] * g.n
+        for ci, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = ci
+        sizes = [0] * len(comps)
+        for u, _ in g.edges:
+            sizes[comp_of[u]] += 1
+        groups = [set(side) for side in _halves(sizes)]
+        sides = [[e for e in g.edges if comp_of[e[0]] in group] for group in groups]
         shared: tuple[int, ...] = ()
     else:
-        dec = biconnected_decomposition(g)
-        units: list[tuple[tuple[int, ...], tuple[Edge, ...]]] = [
-            (b.vertices, b.edges) for b in dec.blocks
-        ] + [(e, (e,)) for e in dec.bridges]
-        cuts = set(dec.cut_vertices)
-        leaves = [u for u in units if len(set(u[0]) & cuts) == 1]
-        assert leaves, "connected non-2-connected graph must have a leaf unit"
-        vertices, edges = min(leaves)
-        cut = next(iter(set(vertices) & cuts))
-        e1 = list(edges)
-        removed = set(edges)
-        e2 = [e for e in g.edges if e not in removed]
+        # block-cut tree: units (blocks and bridges) first, then cut vertices
+        units = [(b.vertices, b.edges) for b in dec.blocks] + [
+            (e, (e,)) for e in dec.bridges
+        ]
+        node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}
+        adj: list[list[int]] = [[] for _ in range(len(units) + len(node_of))]
+        for ui, (vertices, _) in enumerate(units):
+            for v in vertices:
+                if v in node_of:
+                    adj[ui].append(node_of[v])
+                    adj[node_of[v]].append(ui)
+        weight = [len(edges) for _, edges in units] + [0] * len(node_of)
+        branches = _branch_weights(adj, weight)
+        cut = min(dec.cut_vertices, key=lambda c: (max(branches[node_of[c]]), c))
+        at = node_of[cut]
+        sides = []
+        for group in _halves(branches[at]):
+            reached = _behind(adj, at, [adj[at][i] for i in group])
+            sides.append([e for ui in reached if ui < len(units) for e in units[ui][1]])
         shared = (cut,)
-    node_children = (
-        _child(g, e1, k),
-        _child(g, e2, k),
-    )
     return CertNode(
         kind=CUT_SPLIT,
         graph=g,
         to_parent=to_parent,
-        children=node_children,
+        children=tuple(_child(g, edges, k) for edges in sides),
         shared_vertices=shared,
     )
 
 
 def _build_big_face_split(
-    g: Graph,
-    to_parent: tuple[int, ...],
-    k: int,
-    emb: OuterplaneEmbedding,
-    face: tuple[int, ...],
+    g: Graph, to_parent: tuple[int, ...], k: int, dual: WeakDualForest
 ) -> CertNode:
-    dual = weak_dual(emb)
     faces = dual.faces
-    face_index = next(
-        i for i, f in enumerate(faces) if f.vertices == face
-    )
     adj = dual.adjacency()
+    # the child across a face edge holds sum(size - 1) + 1 edges of its faces
+    branches = _branch_weights(adj, [f.size - 1 for f in faces])
+    at = min(
+        (i for i, f in enumerate(faces) if f.size >= k + 1),
+        key=lambda i: (max(branches[i], default=0), faces[i].vertices),
+    )
+    face = faces[at].vertices
     across: dict[Edge, int] = {}
     for (a, b), shared in zip(dual.edges, dual.shared_edges):
-        if a == face_index:
+        if a == at:
             across[shared] = b
-        elif b == face_index:
+        elif b == at:
             across[shared] = a
     children = []
     for i in range(len(face)):
         e = edge_key(face[i], face[(i + 1) % len(face)])
-        edges = [e]
+        edges = {e}
         if e in across:
-            # collect the subtree of faces hanging on the far side of e
-            stack = [across[e]]
-            seen = {face_index, across[e]}
-            while stack:
-                fi = stack.pop()
-                edges.extend(faces[fi].boundary_edges())
-                for nb in adj[fi]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        children.append(_child(g, sorted(set(edges)), k))
+            for fi in _behind(adj, at, [across[e]]):
+                edges.update(faces[fi].boundary_edges())
+        children.append(_child(g, sorted(edges), k))
     return CertNode(
         kind=BIG_FACE_SPLIT,
         graph=g,
@@ -266,7 +345,8 @@ def _build_terminal_peel(
     g: Graph, to_parent: tuple[int, ...], k: int, emb: OuterplaneEmbedding
 ) -> CertNode:
     found = find_reducible_face(emb)
-    assert found is not None, "caller guarantees a (4+)-face exists"
+    if found is None:
+        raise CoverageError("no reducible face although a (4+)-face exists")
     face_obj, _ = found
     size = face_obj.size
     if not 4 <= size <= k - 1:
@@ -280,7 +360,8 @@ def _build_terminal_peel(
     non_terminal = [
         at for at, bi in enumerate(ring_blocks) if not partition.blocks[bi].terminal
     ]
-    assert len(non_terminal) <= 1, "reducible face guarantee violated"
+    if len(non_terminal) > 1:
+        raise CoverageError(f"reducible face has {len(non_terminal)} non-terminal blocks")
     skip = non_terminal[0] if non_terminal else 0
     # rotate so the skipped edge joins the last and first face vertices
     ring = ring[skip + 1 :] + ring[: skip + 1]
@@ -292,12 +373,15 @@ def _build_terminal_peel(
         partition.blocks[owner[edge_key(ring[i], ring[i + 1])]]
         for i in range(size - 1)
     ]
-    assert all(b.terminal for b in peel)
-    assert len({b.edges for b in peel}) == size - 1, "peel blocks must be distinct"
     peel_edges: set[Edge] = set()
     for b in peel:
         peel_edges.update(b.edges)
-    assert closing not in peel_edges
+    if (
+        not all(b.terminal for b in peel)
+        or len({b.edges for b in peel}) != size - 1
+        or closing in peel_edges
+    ):
+        raise CoverageError("peel needs distinct terminal blocks that avoid the closing edge")
 
     remaining = [e for e in g.edges if e not in peel_edges]
     child_rest = _child(g, remaining, k)

@@ -3,7 +3,8 @@
 Subcommands: construct, bound, oracle, certify, analyze. All machine
 output is exact integers or integer pairs; identical invocations produce
 byte-identical files. Exit codes: 0 success, 1 verification or bound
-failure, 2 invalid input, 3 resource refusal.
+failure, 2 invalid input, 3 resource refusal (including an input too deep
+for the recursion limit).
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .construct import build_chain
 from .oracle import DEFAULT_ORACLE_CAP, OracleCapError, OracleCheckError, exact_ex
 from .certify import (
     ContainsForbiddenCycleError,
+    CoverageError,
     build_certificate,
     certificate_to_json,
     verify_certificate,
@@ -318,8 +320,14 @@ def main(argv: list[str] | None = None) -> int:
     except OracleCapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except RecursionError as exc:
+        print(f"refused: input needs deeper recursion than Python allows ({exc})", file=sys.stderr)
+        return EXIT_REFUSED
     except OracleCheckError as exc:
         print(f"oracle check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except CoverageError as exc:
+        print(f"certificate construction failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except ContainsForbiddenCycleError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -77,15 +77,23 @@ class Graph:
 def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Validated graph with canonical sorted edge tuple.
 
-    Raises LoopEdgeError, DuplicateEdgeError or VertexRangeError; each
-    failure mode is named distinctly so callers can react precisely.
+    Vertex ids and the count must be plain ints: floats, strings and bools
+    are rejected, not coerced. Raises GraphError for those and for entries
+    that are not pairs, else LoopEdgeError, DuplicateEdgeError or
+    VertexRangeError; each failure mode is named distinctly so callers can
+    react precisely.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise GraphError(f"vertex count must be a non-negative integer, got {n!r}")
     seen: set[Edge] = set()
     out: list[Edge] = []
     for pair in edge_list:
-        u, v = int(pair[0]), int(pair[1])
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise GraphError(f"edge entry {pair!r} is not a pair of vertex ids") from None
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(f"edge ({u!r}, {v!r}) has a vertex id that is not an integer")
         if u == v:
             raise LoopEdgeError(f"loop edge ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -371,7 +379,7 @@ def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
     try:
         return make_graph(data["n"], data["edges"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
 
 

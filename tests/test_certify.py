@@ -1,5 +1,7 @@
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from opturan.certify import (
     EDGELESS,
     MAXIMAL_LEAF,
     TERMINAL_PEEL,
+    _branch_weights,
+    _halves,
 )
 
 from helpers import rand_ckfree_subgraph
@@ -25,6 +29,16 @@ def certify(g_or_emb, k):
     cert = op.build_certificate(emb, k)
     report = op.verify_certificate(cert, k)
     return cert, report
+
+
+def depth(node):
+    """Nodes on the longest root-to-leaf path."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((child, d + 1) for child in node.children)
+    return deepest
 
 
 def node_kinds(node, bag=None):
@@ -232,3 +246,78 @@ class TestCompleteness:
             _, report = certify(g, k)
             if report.verdict:
                 assert op.bound_holds(g.e, k, g.n).holds
+
+
+class TestBalancedSplits:
+    @staticmethod
+    def limit(n):
+        return 2 * math.ceil(math.log2(n)) + 4
+
+    def test_chain_5_64_is_shallow(self):
+        emb = op.build_chain(5, 64)
+        cert, report = certify(emb, 5)
+        assert report.verdict and report.root_slack == 0
+        assert depth(cert.root) <= self.limit(emb.graph.n)
+
+    def test_path_5000_certifies_shallow(self):
+        n = 5000
+        cert, report = certify(op.make_graph(n, [(i, i + 1) for i in range(n - 1)]), 5)
+        assert report.verdict
+        assert report.root_slack == 5 * (5 * n - 6) - (n - 1) * 14
+        assert depth(cert.root) <= self.limit(n)
+
+    def test_random_tree_2000_is_shallow(self):
+        rng = random.Random(34)
+        n = 2000
+        g = op.make_graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+        cert, report = certify(g, 6)
+        assert report.verdict
+        assert depth(cert.root) <= self.limit(n)
+
+    def test_disconnected_components_are_halved(self):
+        # 8 disjoint triangles (maximal leaves at k=4), halved three times
+        g = op.make_graph(24, [(3 * c + a, 3 * c + b) for c in range(8) for a, b in ((0, 1), (1, 2), (0, 2))])
+        cert, report = certify(g, 4)
+        assert report.verdict
+        assert [c.e for c in cert.root.children] == [12, 12]
+        assert depth(cert.root) == 4
+
+    def test_cut_split_at_the_centre(self):
+        # a path 0-1-...-8: the middle vertex 4 leaves branches of 4 edges each
+        cert, _ = certify(op.make_graph(9, [(i, i + 1) for i in range(8)]), 5)
+        assert cert.root.kind == CUT_SPLIT
+        assert cert.root.shared_vertices == (4,)
+        assert [c.e for c in cert.root.children] == [4, 4]
+
+    def test_big_face_split_at_the_centre(self):
+        # three hexagons in a row, k=5: the middle one, not the least one
+        # (0..5), leaves the lightest largest child
+        g = op.make_graph(14, [(i, i + 1) for i in range(13)] + [(0, 13), (0, 5), (6, 11)])
+        cert, report = certify(g, 5)
+        assert report.verdict and report.root_slack == 5 * (5 * 14 - 6) - 16 * 14
+        assert cert.root.kind == BIG_FACE_SPLIT
+        assert cert.root.face == (0, 5, 6, 11, 12, 13)
+        assert [c.e for c in cert.root.children] == [6, 1, 6, 1, 1, 1]
+
+    def test_branch_weights(self):
+        # path 0-1-2-3 with weights 1, 2, 3, 4
+        adj = [[1], [0, 2], [1, 3], [2]]
+        assert _branch_weights(adj, [1, 2, 3, 4]) == [[9], [1, 7], [3, 4], [6]]
+
+    def test_halves(self):
+        assert _halves([5, 3, 3, 1]) == ([0, 3], [1, 2])
+        assert _halves([2, 2]) == ([0], [1])
+        assert _halves([1, 4, 1, 1, 1]) == ([1], [0, 2, 3, 4])
+
+
+def test_least_face_certificate_still_verifies():
+    """A certificate from the builder that split at the least big face and
+    peeled one leaf block per cut split: the verifier accepts any valid
+    decomposition, not only the one the builder now records."""
+    text = (Path(__file__).parent / "data" / "chain_k5_m4_least_face.cert.json").read_text()
+    cert = op.certificate_from_json(text)
+    assert cert.graph == op.build_chain(5, 4).graph
+    report = op.verify_certificate(cert, 5)
+    assert report.verdict and report.root_slack == 0
+    rebuilt = op.certificate_to_json(op.build_certificate(op.build_chain(5, 4), 5))
+    assert rebuilt != text.strip()

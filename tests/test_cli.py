@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 import opturan as op
-from opturan import oracle as oracle_module
+from opturan import cli as cli_module, oracle as oracle_module
+from opturan.certify import CoverageError
 from opturan.cli import main
 from opturan.turan import BoundValue
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -184,7 +187,41 @@ class TestCertify:
             assert code == 2 and "invalid input" in err, text
 
 
+    def test_coverage_error_exit1(self, tmp_path, capsys, monkeypatch):
+        def no_step(emb, k):
+            raise CoverageError("no decomposition step applies")
+
+        monkeypatch.setattr(cli_module, "build_certificate", no_step)
+        graph_path = tmp_path / "fan4.json"
+        graph_path.write_text(op.graph_to_json(op.fan(4).graph))
+        code, out, err = run(capsys, "certify", "-k", "5", "--in", str(graph_path))
+        assert (code, out) == (1, "")
+        assert err == "certificate construction failed: no decomposition step applies\n"
+
+    def test_too_deep_input_is_a_refusal(self, tmp_path):
+        """A 400-gon with a pendant edge at every vertex: one cut split per pendant."""
+        n = 400
+        edges = [[i, (i + 1) % n] for i in range(n)] + [[i, n + i] for i in range(n)]
+        graph_path = tmp_path / "ladder.json"
+        graph_path.write_text(json.dumps({"n": 2 * n, "edges": edges}))
+        done = subprocess.run(
+            [sys.executable, "-m", "opturan", "certify", "-k", "5", "--in", str(graph_path)],
+            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("refused: ")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+
 class TestAnalyze:
+    def test_non_integer_vertex_ids_exit2(self, tmp_path, capsys):
+        graph_path = tmp_path / "ids.json"
+        graph_path.write_text('{"n": 3, "edges": [[0, 1.7], ["1", 2]]}')
+        code, out, err = run(capsys, "analyze", "--in", str(graph_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid input: ")
+
     def test_gadget(self, tmp_path, capsys):
         graph_path = tmp_path / "h5.json"
         graph_path.write_text(op.graph_to_json(op.build_H(5).graph))

@@ -33,6 +33,21 @@ class TestMakeGraph:
         g = op.make_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert g.e == 4
 
+    def test_non_integer_ids_rejected(self):
+        for pair in [(0, 1.0), (0, 1.7), ("1", 2), (True, 2), (0, None)]:
+            with pytest.raises(op.GraphError):
+                op.make_graph(3, [pair])
+
+    def test_non_pair_entries_rejected(self):
+        for entry in [(0,), (0, 1, 2), 5, "01x"]:
+            with pytest.raises(op.GraphError):
+                op.make_graph(3, [entry])
+
+    def test_bool_or_float_count_rejected(self):
+        for n in [True, 3.0, "3"]:
+            with pytest.raises(op.GraphError):
+                op.make_graph(n, [])
+
     def test_canonical_order(self):
         a = op.make_graph(3, [(2, 1), (0, 2)])
         b = op.make_graph(3, [(0, 2), (1, 2)])

@@ -5,6 +5,10 @@ random, drops chords, glues the polygons together at cut vertices (with some
 pendant bridges), and relabels every vertex at random. It therefore knows the
 answer recognition must give: each block's boundary is its polygon, written
 in least rotation/reflection, and its chords are the kept diagonals.
+
+A second generator, also free of opturan, glues k-cycle-free parts into
+hosts for the certificate property: trees, blocks on fewer than k vertices,
+and polygons whose faces all exceed k.
 """
 
 from __future__ import annotations
@@ -201,3 +205,62 @@ def test_nesting_check_matches_pairwise_definition(pairs):
     if found is not None:
         (a, b), (c, d) = found
         assert a < c < b < d
+
+
+def big_face_chords(rng: random.Random, p: int, min_face: int) -> list[tuple[int, int]]:
+    """Non-crossing chords of the convex p-gon leaving every face >= min_face vertices."""
+    chords = []
+    todo = [list(range(p))]
+    while todo:
+        face = todo.pop()
+        s = len(face)
+        if s < 2 * min_face - 2 or rng.random() < 0.3:
+            continue
+        j = rng.randint(min_face - 1, s - min_face + 1)  # faces of j+1 and s-j+1
+        at = rng.randrange(s)
+        face = face[at:] + face[:at]
+        chords.append((face[0], face[j]))
+        todo += [face[: j + 1], face[j:] + face[:1]]
+    return chords
+
+
+def random_ckfree_host(seed: int, size: int, k: int) -> tuple[int, list[tuple[int, int]]]:
+    """A connected k-cycle-free outerplanar graph on about `size` vertices.
+
+    Each part has no k-cycle: a tree has no cycle, a block on fewer than k
+    vertices has only shorter ones, and in a block whose faces all have at
+    least k+1 vertices a cycle bounds a tree of f faces, so its length is at
+    least (k+1) + (f-1)(k-1). Gluing parts at one vertex adds no cycle.
+    """
+    rng = random.Random(seed)
+    n, edges = 1, []
+    while n < size:
+        kind = rng.choice(("tree", "small", "polygon"))
+        if kind == "tree":
+            p = rng.randint(2, 20)
+            part = [(rng.randrange(i), i) for i in range(1, p)]
+        elif kind == "small" and k >= 4:
+            p = rng.randint(3, k - 1)
+            part = [(i, (i + 1) % p) for i in range(p)]
+            part += [c for c in triangulation_chords(rng, p) if rng.random() < 0.5]
+        else:
+            p = rng.randint(k + 1, 5 * k)
+            part = [(i, (i + 1) % p) for i in range(p)] + big_face_chords(rng, p, k + 1)
+        anchor = rng.randrange(n)
+        ids = [anchor] + list(range(n, n + p - 1))  # part vertex 0 is glued
+        edges += [(ids[u], ids[v]) for u, v in part]
+        n += p - 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+@LARGE
+@given(seeds, sizes, st.integers(3, 8))
+def test_certificate_build_then_verify(seed, size, k):
+    n, edges = random_ckfree_host(seed, size, k)
+    g = op.make_graph(n, edges)
+    cert = op.build_certificate(op.recognize_outerplanar(g), k)
+    report = op.verify_certificate(cert, k)
+    assert report.verdict, report.failures[:3]
+    assert report.root_slack == (2 * k - 5) * (k * n - k - 1) - g.e * (k * k - 2 * k - 1)

@@ -1,8 +1,9 @@
 """Byte- and tuple-level pins of outputs that must not drift.
 
-The digests and cycle tuples were recorded from the quadratic recognition
-and cycle-region code that the linear versions replaced; both must keep
-producing exactly these results.
+The embedding digest and the cycle tuples were recorded from the quadratic
+recognition and cycle-region code that the linear versions replaced; both
+must keep producing exactly these results. The certificate digest was
+recorded when the builder began to choose balanced splits.
 """
 
 import hashlib
@@ -23,7 +24,7 @@ def sha256(text: str) -> str:
 def test_certificate_json_digest_chain_5_16():
     cert = op.build_certificate(op.build_chain(5, 16), 5)
     assert sha256(op.certificate_to_json(cert)) == (
-        "398c33db6a5ad3d240cc2bf4ebb3b0d66bbb0b95d68d275362e687cce69cde54"
+        "da6b7367da4b33841d82428b563590977038ac8e22755880b78e93ee415cc9f1"
     )
 
 
