@@ -4,28 +4,38 @@ Given an outerplane graph with no k-cycle, the builder produces a tree of
 decomposition steps, each step shrinking the graph while preserving
 outerplanarity and k-cycle-freeness, bottoming out in leaves whose edge
 counts are bounded directly. An independent verifier replays every step:
-it re-checks each node's graph, the exactness of the split bookkeeping,
-and the chained integer inequalities that together establish
+it re-checks each node's graph, the split bookkeeping identities, and the
+chained integer inequalities that together establish
 
     e * (k^2 - 2k - 1) <= (2k - 5) * (k*n - k - 1)
 
-at the root. Certificates embed every child graph, so the verifier trusts
-nothing the builder computed beyond the selections it recorded.
+at the root. A certificate stores the certified graph and, per node, only
+its kind and the selection that fixes the step. The root decomposes the
+certified graph without its isolated vertices (the graph itself when it
+has no edge), and each child graph follows from its parent's graph and
+selection through one derivation per kind, which the builder and the
+verifier both call. A derived child keeps the parent's vertices that its
+edges touch, relabelled 0.. in increasing order. A selection that does
+not fit its graph makes the derivation raise SelectionError.
 
-Node kinds and their bookkeeping:
+Node kinds, their selections and their bookkeeping:
 
   edgeless        e = 0 leaf (n >= 2).
   base            n = 2 leaf, e <= 1.
-  cut_split       graph disconnected or with a cut vertex; two children
-                  overlapping in at most one vertex: n1+n2 <= n+1, e1+e2 = e.
-  big_face_split  an inner face of size L >= k+1; one child per face edge
-                  (the edge plus everything hanging across it):
+  cut_split       `cut`, a cut vertex (None when the graph is
+                  disconnected), and `side`, the least vertex of each part
+                  of g - cut (each component) that goes to child 0; child 1
+                  takes the other parts, and each part keeps its edges to
+                  the cut: n1+n2 <= n+1, e1+e2 = e.
+  big_face_split  `face`, an inner face of size L >= k+1; one child per
+                  face edge (the edge plus everything hanging across it):
                   sum(n_i) = n+L, sum(e_i) = e.
-  terminal_peel   an inner face of size 4 <= L <= k-1 with L-1 terminal
-                  blocks covering all but one face edge; children are the
-                  rest of the graph and the peeled part with the free face
-                  edge contracted: n'+n* = n+1, e'+e* = e, no parallel
-                  edges collapse.
+  terminal_peel   `face` = v1..vL, an inner face of size 4 <= L <= k-1
+                  whose edges v1v2 .. v(L-1)vL lie in L-1 distinct terminal
+                  triangular blocks; the children are the rest of the graph
+                  and the peel (those blocks) with vL merged into v1, which
+                  contracts the free edge v1vL: n'+n* = n+1, e'+e* = e, no
+                  parallel edges collapse.
   maximal_leaf    2-connected, all faces triangular: e = 2n-3 and n <= k-1
                   (an edge-maximal graph on more vertices would contain a
                   k-cycle).
@@ -59,6 +69,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import (
     BlockCutDecomposition,
@@ -74,11 +85,10 @@ from .graph import (
 )
 from .embedding import (
     EmbeddingInvariantError,
+    Face,
     NotOuterplanarError,
     OuterplaneEmbedding,
     canonical_cycle,
-    contract_outer_edge,
-    contraction_vertex_map,
     cycle_length_set,
     inner_faces,
     is_edge_maximal,
@@ -101,6 +111,9 @@ TERMINAL_PEEL = "terminal_peel"
 MAXIMAL_LEAF = "maximal_leaf"
 
 _KINDS = {EDGELESS, BASE, CUT_SPLIT, BIG_FACE_SPLIT, TERMINAL_PEEL, MAXIMAL_LEAF}
+_LEAVES = {EDGELESS, BASE, MAXIMAL_LEAF}
+_NODE_KEYS = {"kind", "children", "cut", "side", "face"}
+FORMAT = 2
 
 
 class ContainsForbiddenCycleError(ValueError):
@@ -115,31 +128,27 @@ class CoverageError(RuntimeError):
     """No decomposition step applies; unreachable for valid inputs."""
 
 
+class SelectionError(CoverageError):
+    """A recorded selection does not fit its node's graph.
+
+    The verifier reports it as an audit failure; in the builder it means a
+    step was chosen that does not apply, hence a CoverageError.
+    """
+
+
 @dataclass(frozen=True)
 class CertNode:
-    """One decomposition step over its own dense-id subgraph.
+    """One decomposition step: its kind, its selection and its children.
 
-    to_parent maps this node's vertex ids to ids of the parent node's graph
-    (for the root: to the certified graph). For a contraction child the map
-    sends the merged vertex to the smaller endpoint of the contracted pair.
+    The node's graph is not stored; it is derived from the parent's graph
+    and selection. Only the selection fields of the node's kind are set.
     """
 
     kind: str
-    graph: Graph
-    to_parent: tuple[int, ...]
     children: tuple["CertNode", ...] = ()
-    face: tuple[int, ...] | None = None  # node-local ids, cyclic order
-    peel_blocks: tuple[tuple[Edge, ...], ...] | None = None  # node-local ids
-    closing_edge: Edge | None = None  # node-local ids
-    shared_vertices: tuple[int, ...] | None = None  # node-local ids
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def e(self) -> int:
-        return self.graph.e
+    cut: int | None = None  # cut_split; None splits a disconnected graph
+    side: tuple[int, ...] | None = None  # cut_split: least vertex of each child-0 part
+    face: tuple[int, ...] | None = None  # big_face_split, terminal_peel: cyclic order
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,109 @@ class Certificate:
     k: int
     graph: Graph  # the certified graph, isolated vertices included
     root: CertNode
+
+
+def _root_graph(g: Graph) -> Graph:
+    """The graph the root node decomposes: g without its isolated vertices."""
+    return subgraph_on_edges(g, g.edges)[0] if g.e else g
+
+
+# ---------------------------------------------------------------------------
+# Derivation of child graphs, shared by the builder and the verifier
+# ---------------------------------------------------------------------------
+
+
+def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Graph]:
+    """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest.
+
+    With cut None the parts are g's components. Each part keeps its edges
+    to the cut.
+    """
+    if cut is not None and not 0 <= cut < g.n:
+        raise SelectionError(f"cut {cut} is not a vertex of the node graph")
+    if not side or len(set(side)) < len(side) or not all(0 <= v < g.n and v != cut for v in side):
+        raise SelectionError(f"side {list(side)} must name distinct vertices other than the cut")
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        if cut != u and cut != v:
+            adj[u].append(v)
+            adj[v].append(u)
+    reached = set(side)  # the parts of g - cut that hold side
+    stack = list(side)
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    sides: tuple[list[Edge], list[Edge]] = ([], [])
+    for u, v in g.edges:
+        sides[(v if u == cut else u) not in reached].append((u, v))
+    if not (sides[0] and sides[1]):
+        raise SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
+    return [subgraph_on_edges(g, edges)[0] for edges in sides]
+
+
+def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -> list[Graph]:
+    """One child per edge of `face`: the edge plus everything across it.
+
+    What lies across a face edge are the components of g minus the face's
+    vertices that touch the edge's two ends and no other face vertex, with
+    their edges to those ends. `faces` are g's inner faces.
+    """
+    if not face or canonical_cycle(face) not in {f.vertices for f in faces}:
+        raise SelectionError("recorded face is not an inner face of the node graph")
+    size = len(face)
+    pos = {v: i for i, v in enumerate(face)}
+    sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
+    adj = g.adjacency()
+    seen = set(pos)
+    for start in range(g.n):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, edges, ends = [start], [], set()
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in pos:
+                    ends.add(pos[y])
+                    edges.append(edge_key(x, y))
+                else:
+                    if x < y:
+                        edges.append((x, y))
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        i, j = min(ends, default=0), max(ends, default=0)
+        if len(ends) != 2 or j - i not in (1, size - 1):
+            raise SelectionError(f"the part at vertex {start} does not hang across one face edge")
+        sides[i if j == i + 1 else j].extend(edges)
+    return [subgraph_on_edges(g, edges)[0] for edges in sides]
+
+
+def _peel_children(g: Graph, emb: OuterplaneEmbedding, face: tuple[int, ...]) -> list[Graph]:
+    """The rest of g, and the blocks of face edges 0..L-2 with face[-1] merged into face[0]."""
+    if not face or canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
+        raise SelectionError("recorded face is not an inner face of the node graph")
+    partition = classify_terminal(triangular_blocks(emb), emb)
+    owner = partition.block_of_edge()
+    blocks = [
+        partition.blocks[owner[edge_key(face[i], face[i + 1])]] for i in range(len(face) - 1)
+    ]
+    if not all(b.terminal for b in blocks):
+        raise SelectionError("a peeled face edge lies in a non-terminal block")
+    if len({b.edges for b in blocks}) != len(blocks):
+        raise SelectionError("two peeled face edges lie in the same block")
+    peel = {e for b in blocks for e in b.edges}
+    v1, vl = face[0], face[-1]
+    if edge_key(v1, vl) in peel:
+        raise SelectionError("the peel holds the closing edge")
+    merged = {edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in peel}
+    if len(merged) < len(peel):
+        collapsed = len(peel) - len(merged)
+        raise SelectionError(f"merging {vl} into {v1} collapses {collapsed} parallel edges")
+    rest = [e for e in g.edges if e not in peel]
+    return [subgraph_on_edges(g, rest)[0], subgraph_on_edges(g, merged)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -163,47 +275,45 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
         raise ValueError(f"certification needs n >= 2, got n={g.n}")
     if k in cycle_length_set(emb):
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
-    if g.e == 0:
-        root = CertNode(kind=EDGELESS, graph=g, to_parent=tuple(range(g.n)))
-        return Certificate(k=k, graph=g, root=root)
-    live = sorted({v for e in g.edges for v in e})
-    if len(live) < g.n:
-        stripped, mapping = subgraph_on_edges(g, g.edges)
-        root = _build(stripped, mapping, k)
-    else:
-        root = _build(g, tuple(range(g.n)), k)
+    root = _build(_root_graph(g), k) if g.e else CertNode(kind=EDGELESS)
     return Certificate(k=k, graph=g, root=root)
 
 
-def _build(g: Graph, to_parent: tuple[int, ...], k: int) -> CertNode:
+def _build(g: Graph, k: int) -> CertNode:
     if g.e == 0:
         raise CoverageError("recursion reached an edgeless graph")
     if g.n == 2:
-        return CertNode(kind=BASE, graph=g, to_parent=to_parent)
+        return CertNode(kind=BASE)
 
     dec = biconnected_decomposition(g)
     if dec.isolated:
         raise CoverageError("recursion reached a graph with isolated vertices")
     if len(dec.blocks) + len(dec.bridges) > 1:
-        return _build_cut_split(g, to_parent, k, dec)
+        cut, side = _select_cut(g, dec)
+        children = _cut_children(g, cut, side)
+        return CertNode(
+            kind=CUT_SPLIT, children=tuple(_build(c, k) for c in children), cut=cut, side=side
+        )
 
     emb = recognize_outerplanar(g)
     dual = weak_dual(emb)
     if any(f.size >= k + 1 for f in dual.faces):
-        return _build_big_face_split(g, to_parent, k, dual)
+        face = _select_big_face(dual, k)
+        children = _big_face_children(g, dual.faces, face)
+        return CertNode(
+            kind=BIG_FACE_SPLIT, children=tuple(_build(c, k) for c in children), face=face
+        )
     if any(f.size >= 4 for f in dual.faces):
-        return _build_terminal_peel(g, to_parent, k, emb)
-    leaf = CertNode(kind=MAXIMAL_LEAF, graph=g, to_parent=to_parent)
+        face = _select_peel(emb, k)
+        children = _peel_children(g, emb, face)
+        return CertNode(
+            kind=TERMINAL_PEEL, children=tuple(_build(c, k) for c in children), face=face
+        )
     if not (is_edge_maximal(emb) and g.n <= k - 1):
         raise CoverageError(
             f"maximal leaf conditions failed at n={g.n}, e={g.e}, k={k}"
         )
-    return leaf
-
-
-def _child(g: Graph, edges: list[Edge], k: int) -> CertNode:
-    sub, mapping = subgraph_on_edges(g, edges)
-    return _build(sub, mapping, k)
+    return CertNode(kind=MAXIMAL_LEAF)
 
 
 def _branch_weights(adj: list[list[int]], weight: list[int]) -> list[list[int]]:
@@ -261,9 +371,10 @@ def _behind(adj: list[list[int]], at: int, starts: list[int]) -> list[int]:
     return reached
 
 
-def _build_cut_split(
-    g: Graph, to_parent: tuple[int, ...], k: int, dec: BlockCutDecomposition
-) -> CertNode:
+def _select_cut(
+    g: Graph, dec: BlockCutDecomposition
+) -> tuple[int | None, tuple[int, ...]]:
+    """The most balanced cut split as (cut, side); the first half goes to child 0."""
     comps = connected_components(g)
     if len(comps) > 1:
         comp_of = [0] * g.n
@@ -273,140 +384,57 @@ def _build_cut_split(
         sizes = [0] * len(comps)
         for u, _ in g.edges:
             sizes[comp_of[u]] += 1
-        groups = [set(side) for side in _halves(sizes)]
-        sides = [[e for e in g.edges if comp_of[e[0]] in group] for group in groups]
-        shared: tuple[int, ...] = ()
-    else:
-        # block-cut tree: units (blocks and bridges) first, then cut vertices
-        units = [(b.vertices, b.edges) for b in dec.blocks] + [
-            (e, (e,)) for e in dec.bridges
-        ]
-        node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}
-        adj: list[list[int]] = [[] for _ in range(len(units) + len(node_of))]
-        for ui, (vertices, _) in enumerate(units):
-            for v in vertices:
-                if v in node_of:
-                    adj[ui].append(node_of[v])
-                    adj[node_of[v]].append(ui)
-        weight = [len(edges) for _, edges in units] + [0] * len(node_of)
-        branches = _branch_weights(adj, weight)
-        cut = min(dec.cut_vertices, key=lambda c: (max(branches[node_of[c]]), c))
-        at = node_of[cut]
-        sides = []
-        for group in _halves(branches[at]):
-            reached = _behind(adj, at, [adj[at][i] for i in group])
-            sides.append([e for ui in reached if ui < len(units) for e in units[ui][1]])
-        shared = (cut,)
-    return CertNode(
-        kind=CUT_SPLIT,
-        graph=g,
-        to_parent=to_parent,
-        children=tuple(_child(g, edges, k) for edges in sides),
-        shared_vertices=shared,
-    )
+        return None, tuple(sorted(comps[ci][0] for ci in _halves(sizes)[0]))
+    # block-cut tree: units (blocks and bridges) first, then cut vertices
+    units = [b.vertices for b in dec.blocks] + list(dec.bridges)
+    node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}
+    adj: list[list[int]] = [[] for _ in range(len(units) + len(node_of))]
+    for ui, vertices in enumerate(units):
+        for v in vertices:
+            if v in node_of:
+                adj[ui].append(node_of[v])
+                adj[node_of[v]].append(ui)
+    weight = [len(b.edges) for b in dec.blocks] + [1] * len(dec.bridges) + [0] * len(node_of)
+    branches = _branch_weights(adj, weight)
+    cut = min(dec.cut_vertices, key=lambda c: (max(branches[node_of[c]]), c))
+    at = node_of[cut]
+    side = []
+    for i in _halves(branches[at])[0]:
+        part = _behind(adj, at, [adj[at][i]])
+        side.append(min(v for ui in part if ui < len(units) for v in units[ui] if v != cut))
+    return cut, tuple(sorted(side))
 
 
-def _build_big_face_split(
-    g: Graph, to_parent: tuple[int, ...], k: int, dual: WeakDualForest
-) -> CertNode:
+def _select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
+    """The face of size >= k+1 whose largest child has the fewest edges."""
     faces = dual.faces
-    adj = dual.adjacency()
     # the child across a face edge holds sum(size - 1) + 1 edges of its faces
-    branches = _branch_weights(adj, [f.size - 1 for f in faces])
+    branches = _branch_weights(dual.adjacency(), [f.size - 1 for f in faces])
     at = min(
         (i for i, f in enumerate(faces) if f.size >= k + 1),
         key=lambda i: (max(branches[i], default=0), faces[i].vertices),
     )
-    face = faces[at].vertices
-    across: dict[Edge, int] = {}
-    for (a, b), shared in zip(dual.edges, dual.shared_edges):
-        if a == at:
-            across[shared] = b
-        elif b == at:
-            across[shared] = a
-    children = []
-    for i in range(len(face)):
-        e = edge_key(face[i], face[(i + 1) % len(face)])
-        edges = {e}
-        if e in across:
-            for fi in _behind(adj, at, [across[e]]):
-                edges.update(faces[fi].boundary_edges())
-        children.append(_child(g, sorted(edges), k))
-    return CertNode(
-        kind=BIG_FACE_SPLIT,
-        graph=g,
-        to_parent=to_parent,
-        children=tuple(children),
-        face=face,
-    )
+    return faces[at].vertices
 
 
-def _build_terminal_peel(
-    g: Graph, to_parent: tuple[int, ...], k: int, emb: OuterplaneEmbedding
-) -> CertNode:
+def _select_peel(emb: OuterplaneEmbedding, k: int) -> tuple[int, ...]:
+    """The reducible face, rotated so that its edge in a non-terminal block
+    (if any) joins the last vertex to the first, and face[0] < face[-1]."""
     found = find_reducible_face(emb)
     if found is None:
         raise CoverageError("no reducible face although a (4+)-face exists")
-    face_obj, _ = found
+    face_obj, terminal = found
     size = face_obj.size
     if not 4 <= size <= k - 1:
         raise CoverageError(f"reducible face size {size} outside 4..{k - 1}")
-    partition = classify_terminal(triangular_blocks(emb), emb)
-    owner = partition.block_of_edge()
     ring = list(face_obj.vertices)
-    ring_blocks = [
-        owner[edge_key(ring[i], ring[(i + 1) % size])] for i in range(size)
-    ]
-    non_terminal = [
-        at for at, bi in enumerate(ring_blocks) if not partition.blocks[bi].terminal
-    ]
-    if len(non_terminal) > 1:
-        raise CoverageError(f"reducible face has {len(non_terminal)} non-terminal blocks")
-    skip = non_terminal[0] if non_terminal else 0
-    # rotate so the skipped edge joins the last and first face vertices
+    held = {e for b in terminal for e in b.edges}
+    free = [i for i in range(size) if edge_key(ring[i], ring[(i + 1) % size]) not in held]
+    skip = free[0] if free else 0
     ring = ring[skip + 1 :] + ring[: skip + 1]
     if ring[0] > ring[-1]:
         ring.reverse()  # same closing edge, and v1 < vL for determinism
-    v1, vl = ring[0], ring[-1]
-    closing = edge_key(v1, vl)
-    peel = [
-        partition.blocks[owner[edge_key(ring[i], ring[i + 1])]]
-        for i in range(size - 1)
-    ]
-    peel_edges: set[Edge] = set()
-    for b in peel:
-        peel_edges.update(b.edges)
-    if (
-        not all(b.terminal for b in peel)
-        or len({b.edges for b in peel}) != size - 1
-        or closing in peel_edges
-    ):
-        raise CoverageError("peel needs distinct terminal blocks that avoid the closing edge")
-
-    remaining = [e for e in g.edges if e not in peel_edges]
-    child_rest = _child(g, remaining, k)
-
-    sub, sub_map = subgraph_on_edges(g, sorted(peel_edges | {closing}))
-    back = {pv: i for i, pv in enumerate(sub_map)}
-    contraction = contract_outer_edge(
-        recognize_outerplanar(sub), back[v1], back[vl]
-    )
-    if contraction.collapsed_parallel_edges:
-        raise CoverageError("peel contraction collapsed parallel edges")
-    inner_map = contraction_vertex_map(sub.n, back[v1], back[vl])
-    star_map = tuple(sub_map[i] for i in inner_map)
-    star_graph = contraction.embedding.graph
-    child_star = _build(star_graph, star_map, k)
-
-    return CertNode(
-        kind=TERMINAL_PEEL,
-        graph=g,
-        to_parent=to_parent,
-        children=(child_rest, child_star),
-        face=tuple(ring),
-        peel_blocks=tuple(b.edges for b in peel),
-        closing_edge=closing,
-    )
+    return tuple(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -469,31 +497,24 @@ class _Audit:
 def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     """Independent audit of a certificate; never raises on bad content.
 
-    Re-checks every node: graph validity, outerplanarity, absence of
-    k-cycles (via the exhaustive search, not the face spectrum), the split
-    bookkeeping identities, the leaf conditions, and the integer inequality
-    chain. Failures are pinpointed by node path.
+    Derives every node's graph from the certified graph and the recorded
+    selections, and re-checks every node: outerplanarity, absence of
+    k-cycles (via the exhaustive search, not the face spectrum), whether
+    its selection fits its graph, the split bookkeeping identities, the
+    leaf conditions, and the integer inequality chain. Failures are
+    pinpointed by node path.
     """
     audit = _Audit(k)
     if k != cert.k:
         audit.fail("root", f"certificate was built for k={cert.k}, audited with k={k}")
     if cert.graph.n < 2:
         audit.fail("root", f"certified graph has n={cert.graph.n} < 2")
-    root_live = sorted({v for e in cert.graph.edges for v in e})
-    mapped = [cert.root.to_parent[i] for i in range(cert.root.graph.n)]
-    if cert.root.kind == EDGELESS:
-        if cert.root.graph != cert.graph:
-            audit.fail("root", "edgeless root must embed the certified graph")
-    elif sorted(mapped) != root_live:
-        audit.fail("root", "root must cover exactly the non-isolated vertices")
+    try:
+        make_graph(cert.graph.n, cert.graph.edges)
+    except GraphError as exc:
+        audit.fail("root", f"invalid certified graph: {exc}")
     else:
-        root_edges = {
-            edge_key(cert.root.to_parent[u], cert.root.to_parent[v])
-            for u, v in cert.root.graph.edges
-        }
-        if root_edges != set(cert.graph.edges):
-            audit.fail("root", "root edges must equal the certified graph's edges")
-    _verify_node(cert.root, k, "root", audit)
+        _verify_node(cert.root, _root_graph(cert.graph), k, "root", audit)
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
@@ -507,29 +528,11 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     )
 
 
-def _mapped_edges(node: CertNode) -> set[Edge]:
-    return {
-        edge_key(node.to_parent[u], node.to_parent[v]) for u, v in node.graph.edges
-    }
-
-
-def _mapped_vertices(node: CertNode) -> set[int]:
-    return set(node.to_parent)
-
-
-def _verify_node(node: CertNode, k: int, path: str, audit: _Audit) -> None:
-    g = node.graph
+def _verify_node(node: CertNode, g: Graph, k: int, path: str, audit: _Audit) -> None:
     if node.kind not in _KINDS:
         audit.fail(path, f"unknown node kind {node.kind!r}")
         return
-    try:
-        make_graph(g.n, g.edges)
-    except GraphError as exc:
-        audit.fail(path, f"invalid node graph: {exc}")
-        return
-    if len(node.to_parent) != g.n:
-        audit.fail(path, "vertex map length does not match the node graph")
-        return
+    before = len(audit.failures)
     emb: OuterplaneEmbedding | None
     try:
         emb = recognize_outerplanar(g)
@@ -542,23 +545,19 @@ def _verify_node(node: CertNode, k: int, path: str, audit: _Audit) -> None:
     lhs = g.e * audit.den
     rhs = audit.rhs(g.n)
     note = ""
-    ok = True
+    children: list[Graph] = []
 
+    if node.kind in _LEAVES and node.children:
+        audit.fail(path, "leaf node must not have children")
     if node.kind == EDGELESS:
         if g.e != 0:
             audit.fail(path, "edgeless node has edges")
         if g.n < 2:
             audit.fail(path, "edgeless node needs n >= 2")
-        if node.children:
-            audit.fail(path, "leaf node must not have children")
     elif node.kind == BASE:
         if g.n != 2 or g.e > 1:
             audit.fail(path, f"base leaf requires n=2, e<=1; got n={g.n}, e={g.e}")
-        if node.children:
-            audit.fail(path, "leaf node must not have children")
     elif node.kind == MAXIMAL_LEAF:
-        if node.children:
-            audit.fail(path, "leaf node must not have children")
         if emb is not None:
             try:
                 if not is_edge_maximal(emb):
@@ -570,19 +569,17 @@ def _verify_node(node: CertNode, k: int, path: str, audit: _Audit) -> None:
         if g.n > k - 1:
             audit.fail(path, f"maximal leaf has n={g.n} > k-1={k - 1}")
         note = "e = 2n-3 leaf"
-    elif node.kind == CUT_SPLIT:
-        ok = _verify_cut_split(node, k, path, audit)
-        note = "split at a cut"
-    elif node.kind == BIG_FACE_SPLIT:
-        ok = _verify_big_face_split(node, k, path, audit, emb)
-        note = f"face of size {len(node.face or ())}"
-    elif node.kind == TERMINAL_PEEL:
-        ok = _verify_terminal_peel(node, k, path, audit, emb)
-        note = f"peel around a {len(node.face or ())}-face"
+    else:
+        children = _verify_split(node, g, emb, k, path, audit)
+        size = len(node.face or ())
+        note = {
+            CUT_SPLIT: "split at a cut",
+            BIG_FACE_SPLIT: f"face of size {size}",
+            TERMINAL_PEEL: f"peel around a {size}-face",
+        }[node.kind]
 
     if lhs > rhs:
         audit.fail(path, f"inequality fails: {lhs} > {rhs}")
-        ok = False
     audit.entries.append(
         AuditEntry(
             path=path,
@@ -592,216 +589,79 @@ def _verify_node(node: CertNode, k: int, path: str, audit: _Audit) -> None:
             lhs=lhs,
             rhs=rhs,
             slack=rhs - lhs,
-            ok=ok and lhs <= rhs,
+            ok=len(audit.failures) == before,
             note=note,
         )
     )
-    for i, child in enumerate(node.children):
-        _verify_node(child, k, f"{path}.{i}", audit)
+    for i, (child, child_graph) in enumerate(zip(node.children, children)):
+        _verify_node(child, child_graph, k, f"{path}.{i}", audit)
 
 
-def _check_partition(node: CertNode, path: str, audit: _Audit) -> bool:
-    """Children's mapped edge sets must partition the node's edges."""
-    counted: list[Edge] = []
-    for child in node.children:
-        counted.extend(_mapped_edges(child))
-    if len(counted) != len(set(counted)):
-        audit.fail(path, "children share an edge")
-        return False
-    if set(counted) != node.graph.edge_set():
-        audit.fail(path, "children edges do not cover the node's edges exactly")
-        return False
-    return True
+def _verify_split(
+    node: CertNode, g: Graph, emb: OuterplaneEmbedding | None, k: int, path: str, audit: _Audit
+) -> list[Graph]:
+    """A split node's derived children after its bookkeeping checks.
 
-
-def _verify_cut_split(node: CertNode, k: int, path: str, audit: _Audit) -> bool:
-    if len(node.children) != 2:
-        audit.fail(path, "cut split needs exactly two children")
-        return False
-    a, b = node.children
-    ok = _check_partition(node, path, audit)
-    va, vb = _mapped_vertices(a), _mapped_vertices(b)
-    overlap = va & vb
-    shared = set(node.shared_vertices or ())
-    if overlap != shared:
-        audit.fail(path, f"recorded shared vertices {shared} != actual {overlap}")
-        ok = False
-    if len(overlap) > 1:
-        audit.fail(path, "children overlap in more than one vertex")
-        ok = False
-    if va | vb != set(range(node.n)):
-        audit.fail(path, "children do not cover the node's vertices")
-        ok = False
-    if a.n < 2 or b.n < 2:
-        audit.fail(path, "cut split children must have at least 2 vertices")
-        ok = False
-    if a.n + b.n != node.n + len(overlap):
-        audit.fail(path, "vertex bookkeeping broken")
-        ok = False
-    if a.n + b.n > node.n + 1:
-        audit.fail(path, f"n1+n2 = {a.n + b.n} exceeds n+1 = {node.n + 1}")
-        ok = False
-    if a.e + b.e != node.e:
-        audit.fail(path, f"e1+e2 = {a.e + b.e} differs from e = {node.e}")
-        ok = False
-    # chain: sum of child bounds <= (2k-5)(k(n+1)-2k-2) < (2k-5)(kn-k-1)
-    mid = audit.coeff * (k * (node.n + 1) - 2 * k - 2)
-    child_rhs = audit.rhs(a.n) + audit.rhs(b.n)
-    if child_rhs > mid:
-        audit.fail(path, f"children bounds {child_rhs} exceed chain value {mid}")
-        ok = False
-    if mid >= audit.rhs(node.n):
-        audit.fail(path, "chain value must be strictly below the node bound")
-        ok = False
-    return ok
-
-
-def _verify_big_face_split(
-    node: CertNode, k: int, path: str, audit: _Audit, emb: OuterplaneEmbedding | None
-) -> bool:
-    face = node.face
-    if face is None:
-        audit.fail(path, "big face split lacks its face")
-        return False
+    Returns no children when they cannot be derived: the selection does not
+    fit, the node graph has no embedding, or the recorded tree has another
+    number of children.
+    """
+    face = node.face or ()
     size = len(face)
-    if size < k + 1:
-        audit.fail(path, f"face of size {size} is below k+1 = {k + 1}")
-        return False
-    if emb is None:
-        return False
-    if canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
-        audit.fail(path, "recorded face is not an inner face of the node graph")
-        return False
-    if len(node.children) != size:
-        audit.fail(path, f"expected {size} children, found {len(node.children)}")
-        return False
-    ok = _check_partition(node, path, audit)
-    mapped = [_mapped_vertices(c) for c in node.children]
-    for i, child in enumerate(node.children):
-        e_i = edge_key(face[i], face[(i + 1) % size])
-        if e_i not in _mapped_edges(child):
-            audit.fail(path, f"child {i} does not contain its face edge {e_i}")
-            ok = False
-    for i in range(size):
-        j = (i + 1) % size
-        expect = {face[j]}
-        if mapped[i] & mapped[j] != expect:
-            audit.fail(path, f"children {i},{j} overlap {mapped[i] & mapped[j]} != {expect}")
-            ok = False
-        for j2 in range(i + 2, size):
-            if (i, j2) == (0, size - 1):
-                continue
-            if mapped[i] & mapped[j2]:
-                audit.fail(path, f"non-consecutive children {i},{j2} overlap")
-                ok = False
-    total_n = sum(c.n for c in node.children)
-    if total_n != node.n + size:
-        audit.fail(path, f"sum n_i = {total_n} differs from n+L = {node.n + size}")
-        ok = False
-    if sum(c.e for c in node.children) != node.e:
-        audit.fail(path, "sum e_i differs from e")
-        ok = False
-    mid = audit.coeff * (k * (node.n + size) - k * size - size)
-    child_rhs = sum(audit.rhs(c.n) for c in node.children)
-    if child_rhs != mid:
-        audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
-        ok = False
-    if mid > audit.rhs(node.n):
-        audit.fail(path, "chain value exceeds the node bound (face too small?)")
-        ok = False
-    return ok
+    try:
+        if node.kind == CUT_SPLIT:
+            if node.side is None:
+                raise SelectionError("cut split lacks its side")
+            children = _cut_children(g, node.cut, node.side)
+        elif emb is None:
+            return []  # not outerplanar, reported above
+        elif node.kind == BIG_FACE_SPLIT:
+            if size < k + 1:
+                raise SelectionError(f"face of size {size} is below k+1 = {k + 1}")
+            children = _big_face_children(g, inner_faces(emb), face)
+        else:
+            if not 4 <= size <= k - 1:
+                raise SelectionError(f"face size {size} outside 4..{k - 1}")
+            children = _peel_children(g, emb, face)
+    except SelectionError as exc:
+        audit.fail(path, str(exc))
+        return []
+    if len(children) != len(node.children):
+        audit.fail(path, f"expected {len(children)} children, found {len(node.children)}")
+        return []
 
+    n_sum = sum(c.n for c in children)
+    e_sum = sum(c.e for c in children)
+    child_rhs = sum(audit.rhs(c.n) for c in children)
+    if e_sum != g.e:
+        audit.fail(path, f"children hold {e_sum} edges, the node {g.e}")
+    if node.kind == BIG_FACE_SPLIT:
+        if n_sum != g.n + size:
+            audit.fail(path, f"sum n_i = {n_sum} differs from n+L = {g.n + size}")
+        mid = audit.coeff * (k * (g.n + size) - k * size - size)
+        if child_rhs != mid:
+            audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
+        if mid > audit.rhs(g.n):
+            audit.fail(path, "chain value exceeds the node bound (face too small?)")
+        return children
 
-def _verify_terminal_peel(
-    node: CertNode, k: int, path: str, audit: _Audit, emb: OuterplaneEmbedding | None
-) -> bool:
-    face, peel, closing = node.face, node.peel_blocks, node.closing_edge
-    if face is None or peel is None or closing is None:
-        audit.fail(path, "terminal peel lacks face/blocks/closing data")
-        return False
-    size = len(face)
-    if not 4 <= size <= k - 1:
-        audit.fail(path, f"face size {size} outside 4..{k - 1}")
-        return False
-    if emb is None:
-        return False
-    if canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
-        audit.fail(path, "recorded face is not an inner face of the node graph")
-        return False
-    if closing != edge_key(face[0], face[-1]):
-        audit.fail(path, "closing edge must join the first and last face vertices")
-        return False
-    if len(peel) != size - 1:
-        audit.fail(path, f"expected {size - 1} peel blocks, found {len(peel)}")
-        return False
-    partition = classify_terminal(triangular_blocks(emb), emb)
-    owner = partition.block_of_edge()
-    ok = True
-    peel_edges: set[Edge] = set()
-    for i, recorded in enumerate(peel):
-        e_i = edge_key(face[i], face[i + 1])
-        block = partition.blocks[owner[e_i]]
-        if not block.terminal:
-            audit.fail(path, f"block carrying face edge {e_i} is not terminal")
-            ok = False
-        if tuple(sorted(recorded)) != block.edges:
-            audit.fail(path, f"recorded peel block {i} differs from the actual block")
-            ok = False
-        peel_edges.update(recorded)
-    if len(peel_edges) != sum(len(b) for b in peel):
-        audit.fail(path, "peel blocks overlap")
-        ok = False
-    if closing in peel_edges:
-        audit.fail(path, "closing edge must not belong to the peel")
-        ok = False
-    if len(node.children) != 2:
-        audit.fail(path, "terminal peel needs exactly two children")
-        return False
-    rest, star = node.children
-    expected_rest = node.graph.edge_set() - peel_edges
-    if _mapped_edges(rest) != expected_rest:
-        audit.fail(path, "first child must hold exactly the unpeeled edges")
-        ok = False
-    v1, vl = face[0], face[-1]
-    merged: dict[int, int] = {vl: v1}
-    expected_star: set[Edge] = set()
-    collapsed = 0
-    for u, v in sorted(peel_edges | {closing}):
-        mu, mv = merged.get(u, u), merged.get(v, v)
-        if mu == mv:
-            continue  # the contracted pair itself
-        key = edge_key(mu, mv)
-        if key in expected_star:
-            collapsed += 1
-        expected_star.add(key)
-    if collapsed:
-        audit.fail(path, f"contraction would collapse {collapsed} parallel edges")
-        ok = False
-    if _mapped_edges(star) != expected_star:
-        audit.fail(path, "second child must be the peel with its free edge contracted")
-        ok = False
-    peel_vertices = {v for e in peel_edges for v in e} | {v1, vl}
-    if _mapped_vertices(rest) != (set(range(node.n)) - peel_vertices) | {v1, vl}:
-        audit.fail(path, "first child vertex set is not the complement plus the pair")
-        ok = False
-    if rest.n + star.n != node.n + 1:
-        audit.fail(path, f"n'+n* = {rest.n + star.n} differs from n+1 = {node.n + 1}")
-        ok = False
-    if rest.e + star.e != node.e:
-        audit.fail(path, f"e'+e* = {rest.e + star.e} differs from e = {node.e}")
-        ok = False
-    if star.n >= k - 1:
-        audit.fail(path, f"contracted peel has n* = {star.n} >= k-1 = {k - 1}")
-        ok = False
-    mid = audit.coeff * (k * (node.n + 1) - 2 * k - 2)
-    child_rhs = audit.rhs(rest.n) + audit.rhs(star.n)
-    if child_rhs != mid:
-        audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
-        ok = False
-    if mid >= audit.rhs(node.n):
+    # cut split and peel: two children on at most n+1 vertices
+    mid = audit.coeff * (k * (g.n + 1) - 2 * k - 2)
+    if node.kind == CUT_SPLIT:
+        if n_sum > g.n + 1:
+            audit.fail(path, f"n1+n2 = {n_sum} exceeds n+1 = {g.n + 1}")
+        if child_rhs > mid:
+            audit.fail(path, f"children bounds {child_rhs} exceed chain value {mid}")
+    else:
+        if n_sum != g.n + 1:
+            audit.fail(path, f"n'+n* = {n_sum} differs from n+1 = {g.n + 1}")
+        if children[1].n >= k - 1:
+            audit.fail(path, f"contracted peel has n* = {children[1].n} >= k-1 = {k - 1}")
+        if child_rhs != mid:
+            audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
+    if mid >= audit.rhs(g.n):
         audit.fail(path, "chain value must be strictly below the node bound")
-        ok = False
-    return ok
+    return children
 
 
 # ---------------------------------------------------------------------------
@@ -810,28 +670,19 @@ def _verify_terminal_peel(
 
 
 def _node_to_dict(node: CertNode) -> dict:
-    out: dict = {
-        "kind": node.kind,
-        "n": node.n,
-        "e": node.e,
-        "edges": [list(e) for e in node.graph.edges],
-        "to_parent": list(node.to_parent),
-        "children": [_node_to_dict(c) for c in node.children],
-    }
+    out: dict = {"kind": node.kind, "children": [_node_to_dict(c) for c in node.children]}
+    if node.side is not None:
+        out["cut"] = node.cut
+        out["side"] = list(node.side)
     if node.face is not None:
         out["face"] = list(node.face)
-    if node.peel_blocks is not None:
-        out["peel_blocks"] = [[list(e) for e in blk] for blk in node.peel_blocks]
-    if node.closing_edge is not None:
-        out["closing_edge"] = list(node.closing_edge)
-    if node.shared_vertices is not None:
-        out["shared_vertices"] = list(node.shared_vertices)
     return out
 
 
 def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(
         {
+            "format": FORMAT,
             "k": cert.k,
             "graph": {"n": cert.graph.n, "edges": [list(e) for e in cert.graph.edges]},
             "root": _node_to_dict(cert.root),
@@ -841,46 +692,49 @@ def certificate_to_json(cert: Certificate) -> str:
     )
 
 
-def _node_from_dict(data: dict) -> CertNode:
-    try:
-        kind = data["kind"]
-        n = int(data["n"])
-        edges = [tuple(int(x) for x in e) for e in data["edges"]]
-        graph = Graph(n, tuple(edge_key(u, v) for u, v in edges))
-        if int(data["e"]) != graph.e:
-            raise CertificateFormatError("edge count disagrees with edge list")
-        node = CertNode(
-            kind=kind,
-            graph=graph,
-            to_parent=tuple(int(x) for x in data["to_parent"]),
-            children=tuple(_node_from_dict(c) for c in data["children"]),
-            face=tuple(int(x) for x in data["face"]) if "face" in data else None,
-            peel_blocks=tuple(
-                tuple(edge_key(int(e[0]), int(e[1])) for e in blk)
-                for blk in data["peel_blocks"]
-            )
-            if "peel_blocks" in data
-            else None,
-            closing_edge=edge_key(int(data["closing_edge"][0]), int(data["closing_edge"][1]))
-            if "closing_edge" in data
-            else None,
-            shared_vertices=tuple(int(x) for x in data["shared_vertices"])
-            if "shared_vertices" in data
-            else None,
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise CertificateFormatError(f"malformed certificate node: {exc}") from exc
-    return node
+def _int(value: object) -> int:
+    if type(value) is not int:
+        raise CertificateFormatError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _ints(value: object) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise CertificateFormatError(f"expected a list of integers, got {value!r}")
+    return tuple(_int(x) for x in value)
+
+
+def _node_from_dict(data: object) -> CertNode:
+    if not (
+        isinstance(data, dict)
+        and {"kind", "children"} <= set(data) <= _NODE_KEYS
+        and ("cut" in data) == ("side" in data)
+        and isinstance(data["kind"], str)
+        and isinstance(data["children"], list)
+    ):
+        raise CertificateFormatError(f"malformed certificate node: {data!r:.80}")
+    cut = data.get("cut")
+    return CertNode(
+        kind=data["kind"],
+        children=tuple(_node_from_dict(c) for c in data["children"]),
+        cut=None if cut is None else _int(cut),
+        side=_ints(data["side"]) if "side" in data else None,
+        face=_ints(data["face"]) if "face" in data else None,
+    )
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """Read a format-2 certificate; any other document is a CertificateFormatError."""
     try:
         data = json.loads(text)
-        k = int(data["k"])
-        graph = make_graph(data["graph"]["n"], data["graph"]["edges"])
-        root = _node_from_dict(data["root"])
-    except CertificateFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, GraphError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise CertificateFormatError(f"malformed certificate: {exc}") from exc
-    return Certificate(k=k, graph=graph, root=root)
+    if not isinstance(data, dict) or set(data) != {"format", "k", "graph", "root"}:
+        raise CertificateFormatError("not a certificate: expected keys format, k, graph, root")
+    if type(data["format"]) is not int or data["format"] != FORMAT:
+        raise CertificateFormatError(f"unsupported certificate format {data['format']!r}")
+    try:
+        graph = make_graph(data["graph"]["n"], data["graph"]["edges"])
+    except (KeyError, TypeError, GraphError) as exc:
+        raise CertificateFormatError(f"malformed certified graph: {exc}") from exc
+    return Certificate(k=_int(data["k"]), graph=graph, root=_node_from_dict(data["root"]))

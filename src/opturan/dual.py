@@ -80,17 +80,18 @@ class FaceBlockIncidence:
     edges: tuple[tuple[int, int], ...]  # (face index, block index)
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _assert_forest(node_count: int, edges: list[tuple[int, int]], what: str) -> None:
     parent = list(range(node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             raise EmbeddingInvariantError(f"{what} contains a cycle")
         parent[ra] = rb
@@ -128,22 +129,15 @@ def triangular_blocks(emb: OuterplaneEmbedding) -> BlockPartition:
     dual = weak_dual(emb)
     tri = [fi for fi, f in enumerate(dual.faces) if f.size == 3]
     tri_set = set(tri)
-    parent = {fi: fi for fi in tri}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), shared in zip(dual.edges, dual.shared_edges):
+    parent = list(range(len(dual.faces)))
+    for a, b in dual.edges:
         if a in tri_set and b in tri_set:
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[ra] = rb
     groups: dict[int, list[int]] = defaultdict(list)
     for fi in tri:
-        groups[find(fi)].append(fi)
+        groups[_find(parent, fi)].append(fi)
 
     blocks: list[TriangularBlock] = []
     covered: set[Edge] = set()

@@ -462,12 +462,6 @@ def contract_outer_edge(emb: OuterplaneEmbedding, u: int, v: int) -> EdgeContrac
     )
 
 
-def contraction_vertex_map(n: int, u: int, v: int) -> tuple[int, ...]:
-    """to-parent map matching contract_outer_edge's dense relabelling."""
-    lo, hi = edge_key(u, v)
-    return tuple(w for w in range(n) if w != hi)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -66,13 +66,6 @@ class Graph:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Validated graph with canonical sorted edge tuple.
@@ -106,16 +99,14 @@ def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(sorted(out)))
 
 
-def subgraph_on_edges(
-    g: Graph, edges: Iterable[Edge], extra_vertices: Iterable[int] = ()
-) -> tuple[Graph, tuple[int, ...]]:
-    """Dense re-labelled subgraph spanned by `edges` (plus extra vertices).
+def subgraph_on_edges(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
+    """Dense re-labelled subgraph spanned by `edges`.
 
     Returns (subgraph, to_parent) where to_parent[i] is the vertex of `g`
     that local id i stands for.
     """
     edges = [edge_key(u, v) for u, v in edges]
-    verts = sorted({v for e in edges for v in e} | set(extra_vertices))
+    verts = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(verts)}
     sub = make_graph(len(verts), [(index[u], index[v]) for u, v in edges])
     return sub, tuple(verts)

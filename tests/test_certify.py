@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -41,6 +42,11 @@ def depth(node):
     return deepest
 
 
+def children_of(report, path="root"):
+    """Audit entries of the children of the node at `path`, in order."""
+    return [e for e in report.entries if e.path.rpartition(".")[0] == path]
+
+
 def node_kinds(node, bag=None):
     bag = [] if bag is None else bag
     bag.append(node.kind)
@@ -68,7 +74,7 @@ class TestBuilder:
         assert root.kind == BIG_FACE_SPLIT
         assert len(root.children) == 6
         assert all(c.kind == MAXIMAL_LEAF for c in root.children)
-        assert sum(c.n for c in root.children) == 18 + 6
+        assert sum(c.n for c in children_of(report)) == 18 + 6
         assert report.verdict and report.root_slack == 0
         root_entry = report.entries[0]
         assert root_entry.lhs == root_entry.rhs == 420
@@ -94,7 +100,7 @@ class TestBuilder:
         g = op.make_graph(6, [(0, 1), (1, 2)])
         cert, report = certify(g, 5)
         assert cert.graph.n == 6
-        assert cert.root.n == 3  # only the live part is decomposed
+        assert report.entries[0].n == 3  # only the live part is decomposed
         assert report.verdict
 
     def test_terminal_peel_appears(self):
@@ -121,20 +127,14 @@ class TestBuilder:
             n = rng.randint(6, 12)
             k = rng.choice([6, 7, 8])
             g = rand_ckfree_subgraph(rng, n, k)
-            cert, report = certify(g, k)
+            _, report = certify(g, k)
             assert report.verdict, report.failures[:3]
-
-            def check(node):
-                nonlocal peels
+            for node in report.entries:
                 if node.kind == TERMINAL_PEEL:
                     peels += 1
-                    rest, star = node.children
+                    rest, star = children_of(report, node.path)
                     assert rest.n + star.n == node.n + 1
                     assert rest.e + star.e == node.e
-                for child in node.children:
-                    check(child)
-
-            check(cert.root)
         assert peels > 20
 
 
@@ -156,14 +156,6 @@ class TestVerifier:
         data = json.loads(op.certificate_to_json(cert))
         f5 = op.fan(5).graph
         data["graph"] = {"n": 5, "edges": [list(e) for e in f5.edges]}
-        data["root"].update(
-            {
-                "n": 5,
-                "e": 7,
-                "edges": [list(e) for e in f5.edges],
-                "to_parent": [0, 1, 2, 3, 4],
-            }
-        )
         bad = op.certificate_from_json(json.dumps(data))
         report = op.verify_certificate(bad, 5)
         assert not report.verdict
@@ -175,10 +167,13 @@ class TestVerifier:
             op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4
         )
         data = json.loads(op.certificate_to_json(cert))
-        data["root"]["children"][0]["edges"] = [[0, 1]]
-        data["root"]["children"][0]["to_parent"] = [0, 2]
+        assert (data["root"]["cut"], data["root"]["side"]) == (1, [0])
+        # cut at an end of the path: its only part holds side, child 1 gets no edge
+        data["root"]["cut"] = 2
         bad = op.certificate_from_json(json.dumps(data))
-        assert not op.verify_certificate(bad, 4).verdict
+        report = op.verify_certificate(bad, 4)
+        assert not report.verdict
+        assert report.failures == ("root: cut 2 with side [0] leaves a child without edges",)
 
     def test_wrong_k_flagged(self):
         cert = op.build_certificate(op.fan(4), 6)
@@ -190,6 +185,14 @@ class TestVerifier:
             op.certificate_from_json("{}")
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json('{"k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
+        with pytest.raises(op.CertificateFormatError):
+            op.certificate_from_json('{"format": 2, "k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
+
+    def test_format_1_is_rejected(self):
+        data = json.loads(op.certificate_to_json(op.build_certificate(op.fan(4), 5)))
+        data["format"] = 1
+        with pytest.raises(op.CertificateFormatError, match="unsupported certificate format 1"):
+            op.certificate_from_json(json.dumps(data))
 
     def test_roundtrip(self):
         cert, _ = certify(op.build_chain(4, 1), 4)
@@ -214,6 +217,87 @@ class TestVerifier:
         assert not report.verdict
         assert report.failures == ("root: every node checks out but the root bound fails",)
         assert report.format_lines()[-1].startswith("verdict=false")
+
+
+PATH9 = op.make_graph(9, [(i, i + 1) for i in range(8)])
+CHAIN51 = op.build_chain(5, 1).graph
+LADDER = op.make_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5), (3, 5)])
+HEXAGON_WITH_PENDANT = op.make_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+BASE_LEAF = {"kind": "base", "children": []}
+
+
+BAD_SIDE = "must name distinct vertices other than the cut"
+NOT_A_FACE = "recorded face is not an inner face of the node graph"
+
+
+def _set(key, value):
+    return lambda root: root.__setitem__(key, value)
+
+
+def _pop_child(root):
+    root["children"].pop()
+
+
+def _add_child(root):
+    root["children"].append(BASE_LEAF)
+
+
+class TestSelections:
+    """Each selection that does not fit its graph is one audit failure at its node."""
+
+    CASES = [
+        # (graph, k, change to the root node's JSON, the one failure)
+        (PATH9, 5, _set("cut", -1), "cut -1 is not a vertex of the node graph"),
+        (PATH9, 5, _set("cut", 9), "cut 9 is not a vertex of the node graph"),
+        (PATH9, 5, _set("side", [10**6]), "side [1000000] " + BAD_SIDE),
+        (PATH9, 5, _set("side", [0, 0]), "side [0, 0] " + BAD_SIDE),
+        (PATH9, 5, _set("side", [4]), "side [4] " + BAD_SIDE),
+        (PATH9, 5, _set("side", []), "side [] " + BAD_SIDE),
+        (PATH9, 5, _add_child, "expected 2 children, found 3"),
+        (CHAIN51, 5, _set("face", [0, 1, 2, 3, 4, 99]), NOT_A_FACE),
+        (CHAIN51, 5, _set("face", [0, 1, 2, 3, 4, 4]), NOT_A_FACE),
+        (CHAIN51, 5, _set("face", [0, 1, 2]), "face of size 3 is below k+1 = 6"),
+        (CHAIN51, 5, _pop_child, "expected 6 children, found 5"),
+        (LADDER, 5, _set("face", [1, 0, 3, 2]), "a peeled face edge lies in a non-terminal block"),
+        (LADDER, 5, _set("face", [0, 1, 2, 4, 5, 3]), "face size 6 outside 4..4"),
+        (op.fan(4).graph, 5, _add_child, "leaf node must not have children"),
+        (op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'"),
+    ]
+
+    @pytest.mark.parametrize("graph, k, change, failure", CASES, ids=[case[3] for case in CASES])
+    def test_failure_not_exception(self, graph, k, change, failure):
+        cert = op.build_certificate(op.recognize_outerplanar(graph), k)
+        data = json.loads(op.certificate_to_json(cert))
+        change(data["root"])
+        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), k)
+        assert report.failures == (f"root: {failure}",)
+
+    def test_big_face_split_needs_every_part_across_one_edge(self):
+        # the pendant edge hangs at one face vertex, not across a face edge
+        data = {
+            "format": 2,
+            "k": 5,
+            "graph": json.loads(op.graph_to_json(HEXAGON_WITH_PENDANT)),
+            "root": {"kind": "big_face_split", "face": list(range(6)), "children": [BASE_LEAF] * 6},
+        }
+        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
+        assert report.failures == ("root: the part at vertex 6 does not hang across one face edge",)
+
+    def test_cut_split_without_side(self):
+        cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4)
+        bad = dataclasses.replace(cert, root=dataclasses.replace(cert.root, side=None))
+        assert op.verify_certificate(bad, 4).failures == ("root: cut split lacks its side",)
+        text = op.certificate_to_json(cert).replace(',"side":[0]', "")
+        with pytest.raises(op.CertificateFormatError):
+            op.certificate_from_json(text)
+
+    def test_rotated_face_still_verifies(self):
+        cert = op.build_certificate(op.build_chain(5, 1), 5)
+        data = json.loads(op.certificate_to_json(cert))
+        face = data["root"]["face"]
+        data["root"]["face"] = face[2:] + face[:2]
+        data["root"]["children"] = data["root"]["children"][2:] + data["root"]["children"][:2]
+        assert op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5).verdict
 
 
 class TestCompleteness:
@@ -265,6 +349,10 @@ class TestBalancedSplits:
         assert report.verdict
         assert report.root_slack == 5 * (5 * n - 6) - (n - 1) * 14
         assert depth(cert.root) <= self.limit(n)
+        # selections only: the size grows like the certified graph's edge list
+        small, _ = certify(op.make_graph(500, [(i, i + 1) for i in range(499)]), 5)
+        ratio = len(op.certificate_to_json(cert)) / len(op.certificate_to_json(small))
+        assert ratio < 11
 
     def test_random_tree_2000_is_shallow(self):
         rng = random.Random(34)
@@ -279,15 +367,15 @@ class TestBalancedSplits:
         g = op.make_graph(24, [(3 * c + a, 3 * c + b) for c in range(8) for a, b in ((0, 1), (1, 2), (0, 2))])
         cert, report = certify(g, 4)
         assert report.verdict
-        assert [c.e for c in cert.root.children] == [12, 12]
+        assert [c.e for c in children_of(report)] == [12, 12]
         assert depth(cert.root) == 4
 
     def test_cut_split_at_the_centre(self):
         # a path 0-1-...-8: the middle vertex 4 leaves branches of 4 edges each
-        cert, _ = certify(op.make_graph(9, [(i, i + 1) for i in range(8)]), 5)
+        cert, report = certify(op.make_graph(9, [(i, i + 1) for i in range(8)]), 5)
         assert cert.root.kind == CUT_SPLIT
-        assert cert.root.shared_vertices == (4,)
-        assert [c.e for c in cert.root.children] == [4, 4]
+        assert cert.root.cut == 4
+        assert [c.e for c in children_of(report)] == [4, 4]
 
     def test_big_face_split_at_the_centre(self):
         # three hexagons in a row, k=5: the middle one, not the least one
@@ -297,7 +385,7 @@ class TestBalancedSplits:
         assert report.verdict and report.root_slack == 5 * (5 * 14 - 6) - 16 * 14
         assert cert.root.kind == BIG_FACE_SPLIT
         assert cert.root.face == (0, 5, 6, 11, 12, 13)
-        assert [c.e for c in cert.root.children] == [6, 1, 6, 1, 1, 1]
+        assert [c.e for c in children_of(report)] == [6, 1, 6, 1, 1, 1]
 
     def test_branch_weights(self):
         # path 0-1-2-3 with weights 1, 2, 3, 4

@@ -199,8 +199,8 @@ class TestCertify:
         assert err == "certificate construction failed: no decomposition step applies\n"
 
     def test_too_deep_input_is_a_refusal(self, tmp_path):
-        """A 400-gon with a pendant edge at every vertex: one cut split per pendant."""
-        n = 400
+        """A 600-gon with a pendant edge at every vertex: one cut split per pendant."""
+        n = 600
         edges = [[i, (i + 1) % n] for i in range(n)] + [[i, n + i] for i in range(n)]
         graph_path = tmp_path / "ladder.json"
         graph_path.write_text(json.dumps({"n": 2 * n, "edges": edges}))

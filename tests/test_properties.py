@@ -264,3 +264,89 @@ def test_certificate_build_then_verify(seed, size, k):
     report = op.verify_certificate(cert, k)
     assert report.verdict, report.failures[:3]
     assert report.root_slack == (2 * k - 5) * (k * n - k - 1) - g.e * (k * k - 2 * k - 1)
+    text = op.certificate_to_json(cert)
+    again = op.certificate_from_json(text)
+    assert op.certificate_to_json(again) == text
+    assert op.verify_certificate(again, k).format_lines() == report.format_lines()
+
+
+def assert_rejected(text: str, k: int) -> None:
+    """A corrupted certificate is a format error or fails its audit, nothing else."""
+    try:
+        cert = op.certificate_from_json(text)
+    except op.CertificateFormatError:
+        return
+    assert not op.verify_certificate(cert, k).verdict
+
+
+# format 1 stored each node's graph and vertex map; this fan(4) certificate
+# at k=5 has a root map cut short, on which the format-1 verifier raised
+# IndexError. Format 2 has no second reader, so it is a format error.
+V1_FAN4_SHORT_MAP = (
+    '{"graph":{"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]],"n":4},"k":5,"root":{"children":[],'
+    '"e":5,"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]],"kind":"maximal_leaf","n":4,"to_parent":[0]}}'
+)
+
+
+def test_format_1_certificate_is_rejected():
+    with pytest.raises(op.CertificateFormatError):
+        op.certificate_from_json(V1_FAN4_SHORT_MAP)
+    assert_rejected(V1_FAN4_SHORT_MAP, 5)
+
+
+SPLITS = ("cut_split", "big_face_split", "terminal_peel")
+KINDS = SPLITS + ("edgeless", "base", "maximal_leaf")
+WRONG_VALUES = ("7", 1.5, {}, True, [None])
+
+
+def corrupt(doc: dict, how: str, data) -> None:
+    """Break one thing in a certificate document, in place."""
+    nodes, stack = [], [doc["root"]]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1]["children"])
+    splits = [node for node in nodes if node["kind"] in SPLITS]
+    if how == "drop_key":
+        holder = data.draw(st.sampled_from([doc] + nodes))
+        del holder[data.draw(st.sampled_from(sorted(holder)))]
+    elif how == "retype_key":
+        holder = data.draw(st.sampled_from([doc] + nodes))
+        holder[data.draw(st.sampled_from(sorted(holder)))] = data.draw(st.sampled_from(WRONG_VALUES))
+    elif how in ("out_of_range", "repeat_vertex"):
+        node = data.draw(st.sampled_from(splits))
+        key = "face" if "face" in node else data.draw(st.sampled_from(["cut", "side"]))
+        bad = data.draw(st.sampled_from([-1, 10**6]))
+        if how == "repeat_vertex":
+            key = "face" if "face" in node else "side"
+            node[key].append(node[key][-1])
+        elif key == "cut":
+            node["cut"] = bad
+        else:
+            node[key][data.draw(st.integers(0, len(node[key]) - 1))] = bad
+    elif how == "swap_kind":
+        node = data.draw(st.sampled_from(nodes))
+        others = SPLITS if node["kind"] not in SPLITS else KINDS
+        node["kind"] = data.draw(st.sampled_from([kind for kind in others if kind != node["kind"]]))
+    elif how == "add_child":
+        data.draw(st.sampled_from(nodes))["children"].append({"kind": "base", "children": []})
+    else:  # remove_child
+        node = data.draw(st.sampled_from(splits))
+        node["children"].pop(data.draw(st.integers(0, len(node["children"]) - 1)))
+
+
+@LARGE
+@given(
+    seeds,
+    st.integers(20, 150),
+    st.integers(3, 8),
+    st.sampled_from(
+        ["drop_key", "retype_key", "out_of_range", "repeat_vertex", "swap_kind", "add_child", "remove_child"]
+    ),
+    st.data(),
+)
+def test_corrupted_certificates_are_rejected(seed, size, k, how, data):
+    n, edges = random_ckfree_host(seed, size, k)
+    cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(n, edges)), k)
+    doc = json.loads(op.certificate_to_json(cert))
+    corrupt(doc, how, data)
+    assert_rejected(json.dumps(doc), k)

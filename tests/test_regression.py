@@ -3,7 +3,8 @@
 The embedding digest and the cycle tuples were recorded from the quadratic
 recognition and cycle-region code that the linear versions replaced; both
 must keep producing exactly these results. The certificate digest was
-recorded when the builder began to choose balanced splits.
+recorded when certificates began to store only the selections (format 2);
+the splits are those the balanced builder chose before.
 """
 
 import hashlib
@@ -24,7 +25,7 @@ def sha256(text: str) -> str:
 def test_certificate_json_digest_chain_5_16():
     cert = op.build_certificate(op.build_chain(5, 16), 5)
     assert sha256(op.certificate_to_json(cert)) == (
-        "da6b7367da4b33841d82428b563590977038ac8e22755880b78e93ee415cc9f1"
+        "6341cc917905df4ac4281c071195b5b5665d946e093d1a29d245e7d82cca0773"
     )
 
 

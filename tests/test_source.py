@@ -1,6 +1,9 @@
 """Guards on the package source itself."""
 
 import ast
+import dataclasses
+import importlib
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opturan"
@@ -16,3 +19,26 @@ def test_no_assert_statements():
     ]
     assert len(list(PACKAGE.glob("*.py"))) >= 9
     assert found == []
+
+
+def _bench_layers():
+    path = PACKAGE.parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_targets_resolve():
+    """`bench/run.py --trace 1` wraps these functions and walks certificate trees."""
+    layers = _bench_layers()
+    missing = [
+        f"{module}.{name}"
+        for module, name in layers.LAYERS.values()
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
+    from opturan.certify import CertNode, Certificate
+
+    assert {"kind", "children"} <= {f.name for f in dataclasses.fields(CertNode)}
+    assert "root" in {f.name for f in dataclasses.fields(Certificate)}
