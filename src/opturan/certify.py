@@ -4,8 +4,8 @@ Given an outerplane graph with no k-cycle, the builder produces a tree of
 decomposition steps, each step shrinking the graph while preserving
 outerplanarity and k-cycle-freeness, bottoming out in leaves whose edge
 counts are bounded directly. An independent verifier replays every step:
-it re-checks each node's graph, the split bookkeeping identities, and the
-chained integer inequalities that together establish
+it checks the graphs, the split bookkeeping identities, and the chained
+integer inequalities that together establish
 
     e * (k^2 - 2k - 1) <= (2k - 5) * (k*n - k - 1)
 
@@ -17,6 +17,26 @@ selection through one derivation per kind, which the builder and the
 verifier both call. A derived child keeps the parent's vertices that its
 edges touch, relabelled 0.. in increasing order. A selection that does
 not fit its graph makes the derivation raise SelectionError.
+
+Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
+derived child but one is a subgraph of its parent: both sides of a cut
+split, every child of a big-face split, and the rest of a peel keep only
+parent edges. Restricting the parent's outerplane embedding to a child's
+edges is then the child's embedding (restrict_embedding), with no
+recognition, and a child whose parent is outerplanar and k-cycle-free is
+both. Only the peel, where vL is merged into v1, is not a subgraph; it has
+n* <= k-2 vertices, so it has no k-cycle, and it is recognised afresh.
+
+Work model. The caller's embedding serves the root, and the builder reads
+each subgraph child's embedding off its parent's, all children of a node
+in one pass over the parent; it recognises only the contracted peels, in
+O(k log k) each. The verifier gives the full checks, recognition and the
+exhaustive k-cycle search (which never looks at faces), only to the root
+and to each peel; a peel has fewer than k vertices, so its search is
+skipped. Every other node
+passes both checks by heredity, since its edges are the parent edges that
+the verifier's own derivation kept. Below a root that is not outerplanar
+there is no embedding to inherit, so each node there gets the full checks.
 
 Node kinds, their selections and their bookkeeping:
 
@@ -76,7 +96,6 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
-    biconnected_decomposition,
     connected_components,
     edge_key,
     has_cycle_of_length,
@@ -93,6 +112,7 @@ from .embedding import (
     inner_faces,
     is_edge_maximal,
     recognize_outerplanar,
+    restrict_embedding,
 )
 from .dual import (
     WeakDualForest,
@@ -158,9 +178,13 @@ class Certificate:
     root: CertNode
 
 
-def _root_graph(g: Graph) -> Graph:
+# a child graph and its vertex map into the parent; None for the contracted peel
+Derived = tuple[Graph, tuple[int, ...] | None]
+
+
+def _root_graph(g: Graph) -> Derived:
     """The graph the root node decomposes: g without its isolated vertices."""
-    return subgraph_on_edges(g, g.edges)[0] if g.e else g
+    return subgraph_on_edges(g, g.edges) if g.e else (g, tuple(range(g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +192,7 @@ def _root_graph(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Graph]:
+def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Derived]:
     """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest.
 
     With cut None the parts are g's components. Each part keeps its edges
@@ -195,10 +219,10 @@ def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Grap
         sides[(v if u == cut else u) not in reached].append((u, v))
     if not (sides[0] and sides[1]):
         raise SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
-    return [subgraph_on_edges(g, edges)[0] for edges in sides]
+    return [subgraph_on_edges(g, edges) for edges in sides]
 
 
-def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -> list[Graph]:
+def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -> list[Derived]:
     """One child per edge of `face`: the edge plus everything across it.
 
     What lies across a face edge are the components of g minus the face's
@@ -233,11 +257,15 @@ def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -
         if len(ends) != 2 or j - i not in (1, size - 1):
             raise SelectionError(f"the part at vertex {start} does not hang across one face edge")
         sides[i if j == i + 1 else j].extend(edges)
-    return [subgraph_on_edges(g, edges)[0] for edges in sides]
+    return [subgraph_on_edges(g, edges) for edges in sides]
 
 
-def _peel_children(g: Graph, emb: OuterplaneEmbedding, face: tuple[int, ...]) -> list[Graph]:
-    """The rest of g, and the blocks of face edges 0..L-2 with face[-1] merged into face[0]."""
+def _peel_children(g: Graph, emb: OuterplaneEmbedding, face: tuple[int, ...]) -> list[Derived]:
+    """The rest of g, and the blocks of face edges 0..L-2 with face[-1] merged into face[0].
+
+    The rest is a subgraph of g. The peel is not (its edges at face[0] need
+    not be edges of g), so it comes without a vertex map.
+    """
     if not face or canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
         raise SelectionError("recorded face is not an inner face of the node graph")
     partition = classify_terminal(triangular_blocks(emb), emb)
@@ -258,7 +286,7 @@ def _peel_children(g: Graph, emb: OuterplaneEmbedding, face: tuple[int, ...]) ->
         collapsed = len(peel) - len(merged)
         raise SelectionError(f"merging {vl} into {v1} collapses {collapsed} parallel edges")
     rest = [e for e in g.edges if e not in peel]
-    return [subgraph_on_edges(g, rest)[0], subgraph_on_edges(g, merged)[0]]
+    return [subgraph_on_edges(g, rest), (subgraph_on_edges(g, merged)[0], None)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,45 +303,66 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
         raise ValueError(f"certification needs n >= 2, got n={g.n}")
     if k in cycle_length_set(emb):
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
-    root = _build(_root_graph(g), k) if g.e else CertNode(kind=EDGELESS)
-    return Certificate(k=k, graph=g, root=root)
+    if not g.e:
+        return Certificate(k=k, graph=g, root=CertNode(kind=EDGELESS))
+    root, to_parent = _root_graph(g)
+    root_emb = emb if root.n == g.n else restrict_embedding(emb, [(root, to_parent)])[0]
+    return Certificate(k=k, graph=g, root=_build(root, root_emb, k))
 
 
-def _build(g: Graph, k: int) -> CertNode:
+def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
+    """The decomposition of g; emb is g's embedding, derived from the parent's."""
     if g.e == 0:
         raise CoverageError("recursion reached an edgeless graph")
     if g.n == 2:
         return CertNode(kind=BASE)
 
-    dec = biconnected_decomposition(g)
-    if dec.isolated:
+    if emb.isolated:
         raise CoverageError("recursion reached a graph with isolated vertices")
-    if len(dec.blocks) + len(dec.bridges) > 1:
-        cut, side = _select_cut(g, dec)
-        children = _cut_children(g, cut, side)
+    if len(emb.blocks) + len(emb.bridges) > 1:
+        cut, side = _select_cut(g, emb.decomposition())
+        children = _embedded(emb, _cut_children(g, cut, side))
         return CertNode(
-            kind=CUT_SPLIT, children=tuple(_build(c, k) for c in children), cut=cut, side=side
+            kind=CUT_SPLIT, children=tuple(_build(c, e, k) for c, e in children), cut=cut, side=side
         )
 
-    emb = recognize_outerplanar(g)
     dual = weak_dual(emb)
     if any(f.size >= k + 1 for f in dual.faces):
         face = _select_big_face(dual, k)
-        children = _big_face_children(g, dual.faces, face)
+        children = _embedded(emb, _big_face_children(g, dual.faces, face))
         return CertNode(
-            kind=BIG_FACE_SPLIT, children=tuple(_build(c, k) for c in children), face=face
+            kind=BIG_FACE_SPLIT, children=tuple(_build(c, e, k) for c, e in children), face=face
         )
     if any(f.size >= 4 for f in dual.faces):
         face = _select_peel(emb, k)
-        children = _peel_children(g, emb, face)
+        children = _embedded(emb, _peel_children(g, emb, face))
         return CertNode(
-            kind=TERMINAL_PEEL, children=tuple(_build(c, k) for c in children), face=face
+            kind=TERMINAL_PEEL, children=tuple(_build(c, e, k) for c, e in children), face=face
         )
     if not (is_edge_maximal(emb) and g.n <= k - 1):
         raise CoverageError(
             f"maximal leaf conditions failed at n={g.n}, e={g.e}, k={k}"
         )
     return CertNode(kind=MAXIMAL_LEAF)
+
+
+def _embedded(
+    emb: OuterplaneEmbedding, children: list[Derived]
+) -> list[tuple[Graph, OuterplaneEmbedding]]:
+    """Each child with its embedding: read off emb, or recognised for the contracted peel."""
+    return [
+        (c, e if e is not None else recognize_outerplanar(c))
+        for (c, _), e in zip(children, _restricted(emb, children))
+    ]
+
+
+def _restricted(
+    emb: OuterplaneEmbedding, children: list[Derived]
+) -> list[OuterplaneEmbedding | None]:
+    """Each child's embedding read off its parent's, emb, all in one pass
+    over emb; None for the contracted peel, which has no map into the parent."""
+    found = iter(restrict_embedding(emb, [(c, m) for c, m in children if m is not None]))
+    return [next(found) if m is not None else None for _, m in children]
 
 
 def _branch_weights(adj: list[list[int]], weight: list[int]) -> list[list[int]]:
@@ -498,10 +547,13 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     """Independent audit of a certificate; never raises on bad content.
 
     Derives every node's graph from the certified graph and the recorded
-    selections, and re-checks every node: outerplanarity, absence of
-    k-cycles (via the exhaustive search, not the face spectrum), whether
-    its selection fits its graph, the split bookkeeping identities, the
-    leaf conditions, and the integer inequality chain. Failures are
+    selections. It recognises the root's graph and searches it exhaustively
+    for a k-cycle (not via the face spectrum). Children that are subgraphs
+    of their parent inherit both properties and their embedding (see the
+    module docstring); each contracted peel is recognised afresh, and
+    searched if it has k or more vertices. At every node it checks whether
+    the selection fits the graph, the split bookkeeping identities, the
+    leaf conditions and the integer inequality chain. Failures are
     pinpointed by node path.
     """
     audit = _Audit(k)
@@ -514,7 +566,7 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     except GraphError as exc:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
-        _verify_node(cert.root, _root_graph(cert.graph), k, "root", audit)
+        _verify_node(cert.root, _root_graph(cert.graph)[0], None, k, "root", audit)
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
@@ -528,24 +580,30 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     )
 
 
-def _verify_node(node: CertNode, g: Graph, k: int, path: str, audit: _Audit) -> None:
+def _verify_node(
+    node: CertNode, g: Graph, emb: OuterplaneEmbedding | None, k: int, path: str, audit: _Audit
+) -> None:
+    """Audit one node and its subtree.
+
+    `emb` is g's embedding read off the parent's, which vouches for g by
+    heredity; None means g is checked in full: recognised and searched.
+    """
     if node.kind not in _KINDS:
         audit.fail(path, f"unknown node kind {node.kind!r}")
         return
     before = len(audit.failures)
-    emb: OuterplaneEmbedding | None
-    try:
-        emb = recognize_outerplanar(g)
-    except (NotOuterplanarError, EmbeddingInvariantError) as exc:
-        audit.fail(path, f"node graph is not outerplanar: {exc}")
-        emb = None
-    if g.n >= k and has_cycle_of_length(g, k):
-        audit.fail(path, f"node graph contains a cycle of length {k}")
+    if emb is None:
+        try:
+            emb = recognize_outerplanar(g)
+        except (NotOuterplanarError, EmbeddingInvariantError) as exc:
+            audit.fail(path, f"node graph is not outerplanar: {exc}")
+        if g.n >= k and has_cycle_of_length(g, k):
+            audit.fail(path, f"node graph contains a cycle of length {k}")
 
     lhs = g.e * audit.den
     rhs = audit.rhs(g.n)
     note = ""
-    children: list[Graph] = []
+    children: list[Derived] = []
 
     if node.kind in _LEAVES and node.children:
         audit.fail(path, "leaf node must not have children")
@@ -593,13 +651,30 @@ def _verify_node(node: CertNode, g: Graph, k: int, path: str, audit: _Audit) -> 
             note=note,
         )
     )
-    for i, (child, child_graph) in enumerate(zip(node.children, children)):
-        _verify_node(child, child_graph, k, f"{path}.{i}", audit)
+    derived = zip(node.children, children, _inherited(emb, children))
+    for i, (child, (child_graph, _), child_emb) in enumerate(derived):
+        _verify_node(child, child_graph, child_emb, k, f"{path}.{i}", audit)
+
+
+def _inherited(
+    emb: OuterplaneEmbedding | None, children: list[Derived]
+) -> list[OuterplaneEmbedding | None]:
+    """Each child's embedding read off its parent's, or None to check it in full.
+
+    None for the contracted peel, and for every child when the parent has
+    no embedding or the restriction fails.
+    """
+    if emb is not None:
+        try:
+            return _restricted(emb, children)
+        except EmbeddingInvariantError:
+            pass
+    return [None] * len(children)
 
 
 def _verify_split(
     node: CertNode, g: Graph, emb: OuterplaneEmbedding | None, k: int, path: str, audit: _Audit
-) -> list[Graph]:
+) -> list[Derived]:
     """A split node's derived children after its bookkeeping checks.
 
     Returns no children when they cannot be derived: the selection does not
@@ -630,9 +705,9 @@ def _verify_split(
         audit.fail(path, f"expected {len(children)} children, found {len(node.children)}")
         return []
 
-    n_sum = sum(c.n for c in children)
-    e_sum = sum(c.e for c in children)
-    child_rhs = sum(audit.rhs(c.n) for c in children)
+    n_sum = sum(c.n for c, _ in children)
+    e_sum = sum(c.e for c, _ in children)
+    child_rhs = sum(audit.rhs(c.n) for c, _ in children)
     if e_sum != g.e:
         audit.fail(path, f"children hold {e_sum} edges, the node {g.e}")
     if node.kind == BIG_FACE_SPLIT:
@@ -655,8 +730,8 @@ def _verify_split(
     else:
         if n_sum != g.n + 1:
             audit.fail(path, f"n'+n* = {n_sum} differs from n+1 = {g.n + 1}")
-        if children[1].n >= k - 1:
-            audit.fail(path, f"contracted peel has n* = {children[1].n} >= k-1 = {k - 1}")
+        if children[1][0].n >= k - 1:
+            audit.fail(path, f"contracted peel has n* = {children[1][0].n} >= k-1 = {k - 1}")
         if child_rhs != mid:
             audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
     if mid >= audit.rhs(g.n):
@@ -724,11 +799,20 @@ def _node_from_dict(data: object) -> CertNode:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Read a format-2 certificate; any other document is a CertificateFormatError."""
+    """Read a format-2 certificate; any other document is a CertificateFormatError.
+
+    That includes a document nested deeper than Python's recursion limit
+    lets the JSON parser or the node reader follow.
+    """
     try:
-        data = json.loads(text)
+        return _certificate_from_data(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CertificateFormatError(f"malformed certificate: {exc}") from exc
+    except RecursionError:
+        raise CertificateFormatError("certificate is nested too deeply to read") from None
+
+
+def _certificate_from_data(data: object) -> Certificate:
     if not isinstance(data, dict) or set(data) != {"format", "k", "graph", "root"}:
         raise CertificateFormatError("not a certificate: expected keys format, k, graph, root")
     if type(data["format"]) is not int or data["format"] != FORMAT:

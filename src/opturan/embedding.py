@@ -13,7 +13,12 @@ the eliminations in reverse reconstructs the unique boundary cycle or proves
 no boundary order exists. A block with e edges costs O(e log e): degree-2
 vertices come from a lazy min-heap, each replay step relinks a cycle in O(1),
 and one stack scan over sorted chords (shared with validate_embedding) rules
-out crossings.
+out crossings, once per block.
+
+A subgraph needs no recognition: restricting an outerplane embedding to some
+of its edges keeps every vertex on the outer face and every chord uncrossed,
+so each block of the subgraph is bounded by its vertices in the parent's
+cyclic order (restrict_embedding).
 
 Faces are read off each block by a single monotone stack scan over chord
 endpoints in cycle order; no geometry is ever computed. The cycle spectrum
@@ -29,13 +34,15 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import (
+    BlockCutDecomposition,
     Edge,
     Graph,
     GraphError,
     biconnected_decomposition,
+    block_cut_decomposition,
     edge_key,
     make_graph,
 )
@@ -109,9 +116,24 @@ class OuterplaneEmbedding:
     bridges: tuple[Edge, ...]
     isolated: tuple[int, ...]
 
+    def decomposition(self) -> BlockCutDecomposition:
+        """The graph's blocks, bridges and cut vertices, read off the embedding;
+        equal to biconnected_decomposition(self.graph)."""
+        comps = [b.cycle_edges() + b.chord_edges() for b in self.blocks]
+        comps += [(e,) for e in self.bridges]
+        return block_cut_decomposition(self.graph.n, comps, self.isolated)
+
 
 def validate_embedding(emb: OuterplaneEmbedding) -> None:
     """Check the embedding invariants, raising EmbeddingInvariantError."""
+    _validate_parts(emb)
+    for block in emb.blocks:
+        if (crossing := _crossing_chords(block.chords)) is not None:
+            raise EmbeddingInvariantError("chords %s and %s cross" % crossing)
+
+
+def _validate_parts(emb: OuterplaneEmbedding) -> None:
+    """Every invariant but non-crossing chords: cycles, positions, edge cover."""
     claimed: list[Edge] = list(emb.bridges)
     for block in emb.blocks:
         p = len(block.outer)
@@ -124,8 +146,6 @@ def validate_embedding(emb: OuterplaneEmbedding) -> None:
                 raise EmbeddingInvariantError(f"chord positions ({i}, {j}) out of order")
             if j - i == 1 or (i == 0 and j == p - 1):
                 raise EmbeddingInvariantError(f"chord ({i}, {j}) duplicates a cycle edge")
-        if (crossing := _crossing_chords(block.chords)) is not None:
-            raise EmbeddingInvariantError("chords %s and %s cross" % crossing)
         claimed.extend(block.cycle_edges())
         claimed.extend(block.chord_edges())
     if len(claimed) != len(set(claimed)):
@@ -157,7 +177,7 @@ def recognize_outerplanar(g: Graph) -> OuterplaneEmbedding:
     emb = OuterplaneEmbedding(
         graph=g, blocks=tuple(blocks), bridges=dec.bridges, isolated=dec.isolated
     )
-    validate_embedding(emb)
+    _validate_parts(emb)  # _embed_block has ruled out crossing chords
     return emb
 
 
@@ -230,6 +250,125 @@ def _crossing_chords(chords: Iterable[Edge]) -> tuple[Edge, Edge] | None:
             return stack[-1], (c, d)
         stack.append((c, d))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Restriction to subgraphs
+# ---------------------------------------------------------------------------
+
+
+def restrict_embedding(
+    parent: OuterplaneEmbedding, subgraphs: Sequence[tuple[Graph, Sequence[int]]]
+) -> list[OuterplaneEmbedding]:
+    """The embeddings of subgraphs, read off the parent's cyclic orders.
+
+    Each subgraph comes as (sub, to_parent): `sub` is spanned by parent
+    edges, and to_parent[i] is the parent vertex of its vertex i, increasing
+    in i (as subgraph_on_edges gives). A parent block whose edges all
+    survive carries over relabelled: the relabelling is increasing, so its
+    boundary stays canonical and its chord positions stay. A block that
+    lost edges is decomposed on the edges it kept, and each piece is bounded
+    by its vertices in the parent's cyclic order. Each result equals
+    recognize_outerplanar(sub), with no recognition. The parent's edge map
+    is built once for all the subgraphs and dropped on return. Raises
+    EmbeddingInvariantError if an edge of a subgraph is no parent edge or a
+    derived boundary pair is not an edge.
+    """
+    block_of = dict.fromkeys(parent.graph.edges, -1)  # edge -> block index, -1 for a bridge
+    for at, block in enumerate(parent.blocks):
+        for edge in block.cycle_edges() + block.chord_edges():
+            block_of[edge] = at
+    positions = [{v: i for i, v in enumerate(b.outer)} for b in parent.blocks]
+    return [_restrict(parent, block_of, positions, sub, to_parent) for sub, to_parent in subgraphs]
+
+
+def _restrict(
+    parent: OuterplaneEmbedding,
+    block_of: dict[Edge, int],
+    positions: list[dict[int, int]],
+    sub: Graph,
+    to_parent: Sequence[int],
+) -> OuterplaneEmbedding:
+    """One subgraph's embedding for restrict_embedding."""
+    kept: dict[int, tuple[dict[int, int], list[Edge]]] = {}  # block -> (labels, pairs)
+    bridges: list[Edge] = []
+    for a, b in sub.edges:
+        u, v = to_parent[a], to_parent[b]
+        at = block_of.get((u, v))
+        if at is None:
+            raise EmbeddingInvariantError(f"edge ({a}, {b}) maps to no parent edge")
+        if at < 0:
+            bridges.append((a, b))
+            continue
+        i, j = positions[at][u], positions[at][v]
+        labels, pairs = kept.setdefault(at, ({}, []))
+        labels[i], labels[j] = a, b
+        pairs.append((i, j) if i < j else (j, i))
+    blocks: list[BlockEmbedding] = []
+    for at, (labels, pairs) in kept.items():
+        block = parent.blocks[at]
+        if len(pairs) == len(block.outer) + len(block.chords):
+            outer = tuple(labels[i] for i in range(len(block.outer)))
+            blocks.append(BlockEmbedding(outer=outer, chords=block.chords))
+        else:
+            _restrict_block(labels, pairs, blocks, bridges)
+    touched = [False] * sub.n
+    for a, b in sub.edges:
+        touched[a] = touched[b] = True
+    return OuterplaneEmbedding(
+        graph=sub,
+        blocks=tuple(sorted(blocks, key=lambda b: b.outer)),
+        bridges=tuple(sorted(bridges)),
+        isolated=tuple(v for v in range(sub.n) if not touched[v]),
+    )
+
+
+def _restrict_block(
+    labels: dict[int, int],
+    pairs: list[Edge],
+    blocks: list[BlockEmbedding],
+    bridges: list[Edge],
+) -> None:
+    """Blocks and bridges of the edges one parent block kept, appended.
+
+    `pairs` are the kept edges as position pairs on the parent block's
+    cycle and `labels` maps those positions to subgraph vertices. A local
+    decomposition on the kept edges finds the pieces; each is bounded by
+    its vertices in the parent's cyclic order.
+    """
+    ring = sorted(labels)
+    rank = {i: r for r, i in enumerate(ring)}
+    local = Graph(len(ring), tuple(sorted((rank[i], rank[j]) for i, j in pairs)))
+    dec = biconnected_decomposition(local)
+    for piece in dec.blocks:  # piece vertices are sorted ranks: parent cyclic order
+        block = _ring_block(
+            [labels[ring[r]] for r in piece.vertices],
+            [(labels[ring[r]], labels[ring[s]]) for r, s in piece.edges],
+        )
+        if block is None:
+            raise EmbeddingInvariantError("a boundary pair of a kept block is not an edge")
+        blocks.append(block)
+    bridges.extend(edge_key(labels[ring[r]], labels[ring[s]]) for r, s in dec.bridges)
+
+
+def _ring_block(ring: Sequence[int], edges: Sequence[Edge]) -> BlockEmbedding | None:
+    """The block bounded by `ring` in this cyclic order, with `edges` as its
+    boundary and chords; None if a boundary pair is not among `edges`.
+
+    `edges` are distinct pairs of ring vertices and the ring has at least
+    three of them, so the boundary is whole exactly when it holds p edges.
+    """
+    outer = canonical_cycle(ring)
+    at = {v: i for i, v in enumerate(outer)}
+    p = len(outer)
+    chords = []
+    for u, v in edges:
+        i, j = edge_key(at[u], at[v])
+        if 1 < j - i < p - 1:
+            chords.append((i, j))
+    if len(edges) - len(chords) != p:
+        return None
+    return BlockEmbedding(outer=outer, chords=tuple(sorted(chords)))
 
 
 # ---------------------------------------------------------------------------

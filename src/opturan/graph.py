@@ -100,15 +100,18 @@ def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
 
 
 def subgraph_on_edges(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
-    """Dense re-labelled subgraph spanned by `edges`.
+    """Dense re-labelled subgraph spanned by `edges`, distinct edges of g.
 
     Returns (subgraph, to_parent) where to_parent[i] is the vertex of `g`
-    that local id i stands for.
+    that local id i stands for. The edges come from a graph that is already
+    valid, so the subgraph is built directly, not through make_graph:
+    to_parent is increasing, and relabelling by its inverse keeps every
+    pair simple, distinct and in range.
     """
-    edges = [edge_key(u, v) for u, v in edges]
+    edges = list(edges)
     verts = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(verts)}
-    sub = make_graph(len(verts), [(index[u], index[v]) for u, v in edges])
+    sub = Graph(len(verts), tuple(sorted(edge_key(index[u], index[v]) for u, v in edges)))
     return sub, tuple(verts)
 
 
@@ -147,7 +150,6 @@ def biconnected_decomposition(g: Graph) -> BlockCutDecomposition:
     parent = [-1] * n
     timer = 1
     comps: list[list[Edge]] = []
-    cuts: set[int] = set()
     estack: list[Edge] = []
 
     for root in range(n):
@@ -155,7 +157,6 @@ def biconnected_decomposition(g: Graph) -> BlockCutDecomposition:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
         frames: list[list[int]] = [[root, 0]]
         while frames:
             u, i = frames[-1]
@@ -164,8 +165,6 @@ def biconnected_decomposition(g: Graph) -> BlockCutDecomposition:
                 w = adj[u][i]
                 if disc[w] == 0:
                     parent[w] = u
-                    if u == root:
-                        root_children += 1
                     estack.append(edge_key(u, w))
                     disc[w] = low[w] = timer
                     timer += 1
@@ -189,25 +188,40 @@ def biconnected_decomposition(g: Graph) -> BlockCutDecomposition:
                             if e == key:
                                 break
                         comps.append(comp)
-                        if p != root or root_children > 1:
-                            cuts.add(p)
         if estack:
             raise RuntimeError("edge stack not drained after a DFS tree")
 
+    return block_cut_decomposition(n, comps, tuple(v for v in range(n) if not adj[v]))
+
+
+def block_cut_decomposition(
+    n: int, comps: Iterable[Sequence[Edge]], isolated: tuple[int, ...]
+) -> BlockCutDecomposition:
+    """The decomposition whose biconnected components are `comps`, in canonical order.
+
+    A one-edge component is a bridge. Blocks are ordered by their sorted
+    vertices, and the cut vertices are the vertices (of 0..n-1) that lie in
+    two or more components, blocks and bridges alike.
+    """
     blocks: list[GraphBlock] = []
     bridges: list[Edge] = []
+    count = [0] * n
     for comp in comps:
         if len(comp) == 1:
+            u, v = comp[0]
+            count[u] += 1
+            count[v] += 1
             bridges.append(comp[0])
-        else:
-            verts = tuple(sorted({v for e in comp for v in e}))
-            blocks.append(GraphBlock(verts, tuple(sorted(comp))))
+            continue
+        verts = sorted({v for e in comp for v in e})
+        for v in verts:
+            count[v] += 1
+        blocks.append(GraphBlock(tuple(verts), tuple(sorted(comp))))
     blocks.sort(key=lambda b: b.vertices)
-    isolated = tuple(v for v in range(n) if not adj[v])
     return BlockCutDecomposition(
         blocks=tuple(blocks),
         bridges=tuple(sorted(bridges)),
-        cut_vertices=tuple(sorted(cuts)),
+        cut_vertices=tuple(v for v in range(n) if count[v] > 1),
         isolated=isolated,
     )
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 import math
 import random
 from pathlib import Path
@@ -396,6 +397,78 @@ class TestBalancedSplits:
         assert _halves([5, 3, 3, 1]) == ([0, 3], [1, 2])
         assert _halves([2, 2]) == ([0], [1])
         assert _halves([1, 4, 1, 1, 1]) == ([1], [0, 2, 3, 4])
+
+
+def ladder(m):
+    """P2 x Pm: m-1 square faces in a row, so at k=5 every step is a peel."""
+    rungs = [(i, i + m) for i in range(m)]
+    rails = [(i, i + 1) for i in range(m - 1)] + [(i + m, i + m + 1) for i in range(m - 1)]
+    return op.make_graph(2 * m, rungs + rails)
+
+
+class TestWorkModel:
+    """Children inherit outerplanarity and k-cycle-freeness from their parents;
+    only the root and the contracted peels are recognised, and only the root
+    is searched."""
+
+    def test_recognition_only_at_the_root_and_the_peels(self, monkeypatch):
+        import opturan.certify as certify_module
+
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(certify_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(certify_module, name, wrapper)
+
+        counted("recognize_outerplanar")
+        counted("has_cycle_of_length")
+        for g, peels in ((ladder(12), 11), (CHAIN51, 0), (HEXAGON_WITH_PENDANT, 0)):
+            calls.clear()
+            cert = op.build_certificate(op.recognize_outerplanar(g), 5)
+            # the builder recognises each contracted peel, and nothing else
+            assert calls == Counter(recognize_outerplanar=peels)
+            assert node_kinds(cert.root).count(TERMINAL_PEEL) == peels
+            calls.clear()
+            assert op.verify_certificate(cert, 5).verdict
+            assert calls == Counter(recognize_outerplanar=1 + peels, has_cycle_of_length=1)
+
+    def test_graph_that_is_not_outerplanar_fails_without_exception(self):
+        # K4 on 0..3 with a pendant edge 3-4, recorded as a cut split at 3
+        k4_pendant = op.make_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+        leaf = {"kind": "maximal_leaf", "children": []}
+        data = {
+            "format": 2,
+            "k": 5,
+            "graph": json.loads(op.graph_to_json(k4_pendant)),
+            "root": {"kind": "cut_split", "cut": 3, "side": [0], "children": [leaf, BASE_LEAF]},
+        }
+        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
+        assert not report.verdict
+        not_outerplanar = (
+            "node graph is not outerplanar: "
+            "2-connected block with no degree-2 vertex cannot be outerplanar"
+        )
+        # below a root without an embedding, the children are checked in full
+        assert report.failures == (
+            f"root: {not_outerplanar}",
+            "root: inequality fails: 98 > 95",
+            f"root.0: {not_outerplanar}",
+            "root.0: maximal leaf has e=6, expected 5",
+            "root.0: inequality fails: 84 > 70",
+        )
+
+    def test_deeply_nested_document_is_a_format_error(self):
+        split = '{"kind":"cut_split","cut":0,"side":[1],"children":['
+        leaf = '{"kind":"base","children":[]}'
+        root = split * 600 + leaf + ("," + leaf + "]}") * 600
+        text = '{"format":2,"k":5,"graph":{"n":2,"edges":[[0,1]]},"root":' + root + "}"
+        with pytest.raises(op.CertificateFormatError, match="nested too deeply"):
+            op.certificate_from_json(text)
 
 
 def test_least_face_certificate_still_verifies():

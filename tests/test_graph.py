@@ -3,7 +3,7 @@ import random
 import pytest
 
 import opturan as op
-from opturan.graph import _cycle_region, find_cycle_in_edges
+from opturan.graph import _cycle_region, find_cycle_in_edges, subgraph_on_edges
 
 from helpers import all_graphs, brute_cycle_lengths, rand_subgraph, rand_triangulation
 
@@ -53,6 +53,19 @@ class TestMakeGraph:
         b = op.make_graph(3, [(0, 2), (1, 2)])
         assert a == b
         assert a.edges == ((0, 2), (1, 2))
+
+
+def test_subgraph_on_edges_equals_make_graph():
+    """Built without make_graph, the subgraph is still the validated graph."""
+    rng = random.Random(41)
+    for _ in range(200):
+        g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(3, 30)).graph, 0.8)
+        picked = [e[:: rng.choice((1, -1))] for e in g.edges if rng.random() < 0.6] or [g.edges[0]]
+        rng.shuffle(picked)
+        sub, to_parent = subgraph_on_edges(g, picked)
+        assert list(to_parent) == sorted({v for e in picked for v in e})
+        index = {v: i for i, v in enumerate(to_parent)}
+        assert sub == op.make_graph(len(to_parent), [(index[u], index[v]) for u, v in picked])
 
 
 class TestBiconnectedDecomposition:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 
@@ -23,12 +24,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 import opturan as op  # noqa: E402
+import opturan.certify as certify_module  # noqa: E402
 from opturan.embedding import (  # noqa: E402
     EmbeddingInvariantError,
     NotOuterplanarError,
     _crossing_chords,
+    restrict_embedding,
 )
-from opturan.graph import find_cycle_in_edges  # noqa: E402
+from opturan.graph import find_cycle_in_edges, subgraph_on_edges  # noqa: E402
 
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -255,6 +258,63 @@ def random_ckfree_host(seed: int, size: int, k: int) -> tuple[int, list[tuple[in
     return n, [(perm[u], perm[v]) for u, v in edges]
 
 
+HOSTS = st.sampled_from(["outerplanar", "ckfree"])
+
+
+@LARGE
+@given(seeds, st.integers(20, 300), HOSTS, st.integers(3, 8), seeds)
+def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_seed):
+    """Reading subgraphs' embeddings off their parent's gives what recognition
+    gives, and the block-cut view read off an embedding is the decomposition's."""
+    if host == "outerplanar":
+        g = sample_graph(random_outerplanar(seed, size))
+    else:
+        g = op.make_graph(*random_ckfree_host(seed, size, k))
+    emb = op.recognize_outerplanar(g)
+    rng = random.Random(subset_seed)
+    subgraphs = []
+    for keep in (rng.random(), 1 - rng.random() ** 4, 1.0):
+        subset = [e for e in g.edges if rng.random() < keep] or [g.edges[0]]
+        subgraphs.append(subgraph_on_edges(g, subset))
+    for (sub, _), derived in zip(subgraphs, restrict_embedding(emb, subgraphs), strict=True):
+        assert derived == op.recognize_outerplanar(sub)
+        assert derived.decomposition() == op.biconnected_decomposition(sub)
+
+
+@LARGE
+@given(seeds, st.integers(20, 200), st.integers(3, 8))
+def test_builder_node_embeddings_equal_recognition(seed, size, k):
+    """Every node graph the builder derives is the validated graph, and its
+    derived embedding (the contracted peels' included) is recognition's."""
+    nodes = []
+    build = certify_module._build
+
+    def record(g, emb, k):
+        nodes.append((g, emb))
+        return build(g, emb, k)
+
+    n, edges = random_ckfree_host(seed, size, k)
+    with mock.patch.object(certify_module, "_build", record):
+        op.build_certificate(op.recognize_outerplanar(op.make_graph(n, edges)), k)
+    for g, emb in nodes:
+        assert g == op.make_graph(g.n, g.edges)
+        assert emb == op.recognize_outerplanar(g)
+
+
+def reference_verify(cert: op.Certificate, k: int) -> op.AuditReport:
+    """The verifier without heredity: every node recognised and searched in full.
+
+    With no embedding read off a parent's, each node takes the full checks
+    that the verifier gives the root, as it did before heredity.
+    """
+
+    def no_heredity(*args):
+        raise EmbeddingInvariantError("heredity switched off")
+
+    with mock.patch.object(certify_module, "restrict_embedding", no_heredity):
+        return op.verify_certificate(cert, k)
+
+
 @LARGE
 @given(seeds, sizes, st.integers(3, 8))
 def test_certificate_build_then_verify(seed, size, k):
@@ -264,6 +324,7 @@ def test_certificate_build_then_verify(seed, size, k):
     report = op.verify_certificate(cert, k)
     assert report.verdict, report.failures[:3]
     assert report.root_slack == (2 * k - 5) * (k * n - k - 1) - g.e * (k * k - 2 * k - 1)
+    assert reference_verify(cert, k).format_lines() == report.format_lines()
     text = op.certificate_to_json(cert)
     again = op.certificate_from_json(text)
     assert op.certificate_to_json(again) == text
@@ -271,12 +332,19 @@ def test_certificate_build_then_verify(seed, size, k):
 
 
 def assert_rejected(text: str, k: int) -> None:
-    """A corrupted certificate is a format error or fails its audit, nothing else."""
+    """A corrupted certificate is a format error or fails its audit, nothing else.
+
+    The full per-node checks reject it too, and every failure the verifier
+    reports is one they report.
+    """
     try:
         cert = op.certificate_from_json(text)
     except op.CertificateFormatError:
         return
-    assert not op.verify_certificate(cert, k).verdict
+    report = op.verify_certificate(cert, k)
+    reference = reference_verify(cert, k)
+    assert not report.verdict and not reference.verdict
+    assert set(report.failures) <= set(reference.failures)
 
 
 # format 1 stored each node's graph and vertex map; this fan(4) certificate
