@@ -30,10 +30,11 @@ n* <= k-2 vertices, so it has no k-cycle, and it is recognised afresh.
 Work model. The caller's embedding serves the root, and the builder reads
 each subgraph child's embedding off its parent's, all children of a node
 in one pass over the parent; it recognises only the contracted peels, in
-O(k log k) each. The verifier gives the full checks, recognition and the
-exhaustive k-cycle search (which never looks at faces), only to the root
-and to each peel; a peel has fewer than k vertices, so its search is
-skipped. Every other node
+O(k log k) each. A 2-connected node builds its weak dual once, and its
+faces, block partition, terminal flags and peel are all read off it. The
+verifier gives the full checks, recognition and the exhaustive k-cycle
+search (which never looks at faces), only to the root and to each peel; a
+peel has fewer than k vertices, so its search is skipped. Every other node
 passes both checks by heredity, since its edges are the parent edges that
 the verifier's own derivation kept. Below a root that is not outerplanar
 there is no embedding to inherit, so each node there gets the full checks.
@@ -109,12 +110,12 @@ from .embedding import (
     OuterplaneEmbedding,
     canonical_cycle,
     cycle_length_set,
-    inner_faces,
     is_edge_maximal,
     recognize_outerplanar,
     restrict_embedding,
 )
 from .dual import (
+    BlockPartition,
     WeakDualForest,
     classify_terminal,
     find_reducible_face,
@@ -260,15 +261,17 @@ def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -
     return [subgraph_on_edges(g, edges) for edges in sides]
 
 
-def _peel_children(g: Graph, emb: OuterplaneEmbedding, face: tuple[int, ...]) -> list[Derived]:
+def _peel_children(
+    g: Graph, faces: Sequence[Face], partition: BlockPartition, face: tuple[int, ...]
+) -> list[Derived]:
     """The rest of g, and the blocks of face edges 0..L-2 with face[-1] merged into face[0].
 
-    The rest is a subgraph of g. The peel is not (its edges at face[0] need
-    not be edges of g), so it comes without a vertex map.
+    `faces` are g's inner faces and `partition` their triangular blocks,
+    terminal flags set. The rest is a subgraph of g. The peel is not (its
+    edges at face[0] need not be edges of g), so it comes without a vertex map.
     """
-    if not face or canonical_cycle(face) not in {f.vertices for f in inner_faces(emb)}:
+    if not face or canonical_cycle(face) not in {f.vertices for f in faces}:
         raise SelectionError("recorded face is not an inner face of the node graph")
-    partition = classify_terminal(triangular_blocks(emb), emb)
     owner = partition.block_of_edge()
     blocks = [
         partition.blocks[owner[edge_key(face[i], face[i + 1])]] for i in range(len(face) - 1)
@@ -301,7 +304,7 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
     g = emb.graph
     if g.n < 2:
         raise ValueError(f"certification needs n >= 2, got n={g.n}")
-    if k in cycle_length_set(emb):
+    if k in cycle_length_set(emb, k):
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
     if not g.e:
         return Certificate(k=k, graph=g, root=CertNode(kind=EDGELESS))
@@ -334,8 +337,9 @@ def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
             kind=BIG_FACE_SPLIT, children=tuple(_build(c, e, k) for c, e in children), face=face
         )
     if any(f.size >= 4 for f in dual.faces):
-        face = _select_peel(emb, k)
-        children = _embedded(emb, _peel_children(g, emb, face))
+        partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
+        face = _select_peel(dual, partition, k)
+        children = _embedded(emb, _peel_children(g, dual.faces, partition, face))
         return CertNode(
             kind=TERMINAL_PEEL, children=tuple(_build(c, e, k) for c, e in children), face=face
         )
@@ -466,10 +470,10 @@ def _select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     return faces[at].vertices
 
 
-def _select_peel(emb: OuterplaneEmbedding, k: int) -> tuple[int, ...]:
+def _select_peel(dual: WeakDualForest, partition: BlockPartition, k: int) -> tuple[int, ...]:
     """The reducible face, rotated so that its edge in a non-terminal block
     (if any) joins the last vertex to the first, and face[0] < face[-1]."""
-    found = find_reducible_face(emb)
+    found = find_reducible_face(dual, partition)
     if found is None:
         raise CoverageError("no reducible face although a (4+)-face exists")
     face_obj, terminal = found
@@ -693,11 +697,13 @@ def _verify_split(
         elif node.kind == BIG_FACE_SPLIT:
             if size < k + 1:
                 raise SelectionError(f"face of size {size} is below k+1 = {k + 1}")
-            children = _big_face_children(g, inner_faces(emb), face)
+            children = _big_face_children(g, weak_dual(emb).faces, face)
         else:
             if not 4 <= size <= k - 1:
                 raise SelectionError(f"face size {size} outside 4..{k - 1}")
-            children = _peel_children(g, emb, face)
+            dual = weak_dual(emb)
+            partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
+            children = _peel_children(g, dual.faces, partition, face)
     except SelectionError as exc:
         audit.fail(path, str(exc))
         return []

@@ -21,7 +21,6 @@ from .embedding import (
     cycle_length_set,
     embedding_to_dot,
     embedding_to_json,
-    inner_faces,
     recognize_outerplanar,
 )
 from .dual import (
@@ -263,13 +262,12 @@ def _cmd_certify(cfg: RunConfig) -> int:
 def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
     g = _load_graph(cfg.input_path)
     emb = recognize_outerplanar(g)
-    faces = inner_faces(emb)
     dual = weak_dual(emb)
-    partition = classify_terminal(triangular_blocks(emb), emb)
+    partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
     spectrum = sorted(cycle_length_set(emb))
     print(f"n={g.n} e={g.e}")
-    sizes = ",".join(str(f.size) for f in faces)
-    print(f"inner_faces={len(faces)} sizes=[{sizes}]")
+    sizes = ",".join(str(f.size) for f in dual.faces)
+    print(f"inner_faces={len(dual.faces)} sizes=[{sizes}]")
     print(f"weak_dual_nodes={len(dual.faces)} weak_dual_edges={len(dual.edges)}")
     trivial = sum(1 for b in partition.blocks if b.trivial)
     terminal = sum(1 for b in partition.blocks if b.terminal)
@@ -278,7 +276,7 @@ def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
         f"trivial={trivial} nontrivial={len(partition.blocks) - trivial} "
         f"terminal={terminal}"
     )
-    found = find_reducible_face(emb)
+    found = find_reducible_face(dual, partition)
     if found is None:
         print("reducible_face=none")
     else:
@@ -293,7 +291,7 @@ def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
         base.mkdir(parents=True, exist_ok=True)
         (base / "embedding.dot").write_text(embedding_to_dot(emb))
         (base / "weak_dual.dot").write_text(weak_dual_to_dot(dual))
-        (base / "incidence.dot").write_text(incidence_to_dot(face_block_incidence(emb)))
+        (base / "incidence.dot").write_text(incidence_to_dot(face_block_incidence(dual, partition)))
         print(f"wrote DOT files to {base}")
     return EXIT_OK
 

@@ -12,6 +12,8 @@ least L-1 of the blocks carrying its edges are terminal. One always exists
 when any (4+)-face does: in the bipartite face/block incidence forest,
 deleting terminal block nodes leaves every surviving block node with degree
 >= 2, so some (4+)-face node has at most one surviving neighbour.
+
+Everything after weak_dual reads its faces off a dual the caller built once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Edge
 from .embedding import (
@@ -62,6 +65,11 @@ class BlockPartition:
     blocks: tuple[TriangularBlock, ...]
 
     def block_of_edge(self) -> dict[Edge, int]:
+        """Edge -> index of the block that owns it, built once per partition."""
+        return self._owner
+
+    @cached_property
+    def _owner(self) -> dict[Edge, int]:
         owner: dict[Edge, int] = {}
         for bi, block in enumerate(self.blocks):
             for e in block.edges:
@@ -119,14 +127,13 @@ def weak_dual(emb: OuterplaneEmbedding) -> WeakDualForest:
     return WeakDualForest(faces=faces, edges=tuple(dual_edges), shared_edges=tuple(shared))
 
 
-def triangular_blocks(emb: OuterplaneEmbedding) -> BlockPartition:
-    """Partition of the edge set into triangular blocks.
+def triangular_blocks(dual: WeakDualForest, edges: tuple[Edge, ...]) -> BlockPartition:
+    """Partition of the graph's edges into triangular blocks.
 
     Non-trivial blocks are unions of triangle faces over connected components
     of the triangles-only part of the weak dual; every edge bordering no
-    triangle becomes its own trivial block.
+    triangle becomes its own trivial block. `edges` are all the graph's edges.
     """
-    dual = weak_dual(emb)
     tri = [fi for fi, f in enumerate(dual.faces) if f.size == 3]
     tri_set = set(tri)
     parent = list(range(len(dual.faces)))
@@ -142,32 +149,29 @@ def triangular_blocks(emb: OuterplaneEmbedding) -> BlockPartition:
     blocks: list[TriangularBlock] = []
     covered: set[Edge] = set()
     for members in groups.values():
-        edges: set[Edge] = set()
+        block_edges: set[Edge] = set()
         for fi in members:
-            edges.update(dual.faces[fi].boundary_edges())
-        verts = tuple(sorted({v for e in edges for v in e}))
+            block_edges.update(dual.faces[fi].boundary_edges())
+        verts = tuple(sorted({v for e in block_edges for v in e}))
         blocks.append(
-            TriangularBlock(edges=tuple(sorted(edges)), vertices=verts, trivial=False)
+            TriangularBlock(edges=tuple(sorted(block_edges)), vertices=verts, trivial=False)
         )
-        covered.update(edges)
-    for e in emb.graph.edges:
+        covered.update(block_edges)
+    for e in edges:
         if e not in covered:
             blocks.append(TriangularBlock(edges=(e,), vertices=e, trivial=True))
     blocks.sort(key=lambda b: b.edges)
     partition = BlockPartition(tuple(blocks))
-    owner = partition.block_of_edge()
-    if set(owner) != emb.graph.edge_set():
+    if partition.block_of_edge().keys() != set(edges):
         raise EmbeddingInvariantError("triangular blocks do not cover the edge set")
     return partition
 
 
-def classify_terminal(
-    partition: BlockPartition, emb: OuterplaneEmbedding
-) -> BlockPartition:
+def classify_terminal(partition: BlockPartition, dual: WeakDualForest) -> BlockPartition:
     """Set each block's terminal flag: shares edges with <= 1 face of size >= 4."""
     owner = partition.block_of_edge()
     touched: dict[int, set[int]] = defaultdict(set)
-    for fi, face in enumerate(inner_faces(emb)):
+    for fi, face in enumerate(dual.faces):
         if face.size < 4:
             continue
         for e in face.boundary_edges():
@@ -179,11 +183,11 @@ def classify_terminal(
     return BlockPartition(blocks)
 
 
-def face_block_incidence(emb: OuterplaneEmbedding) -> FaceBlockIncidence:
-    """The bipartite (4+)-face / block incidence graph; always a forest."""
-    partition = classify_terminal(triangular_blocks(emb), emb)
+def face_block_incidence(dual: WeakDualForest, partition: BlockPartition) -> FaceBlockIncidence:
+    """The bipartite (4+)-face / block incidence graph of the dual's classified
+    partition; always a forest."""
     owner = partition.block_of_edge()
-    big_faces = [f for f in inner_faces(emb) if f.size >= 4]
+    big_faces = [f for f in dual.faces if f.size >= 4]
     pairs: set[tuple[int, int]] = set()
     for fi, face in enumerate(big_faces):
         for e in face.boundary_edges():
@@ -201,15 +205,16 @@ def face_block_incidence(emb: OuterplaneEmbedding) -> FaceBlockIncidence:
 
 
 def find_reducible_face(
-    emb: OuterplaneEmbedding,
+    dual: WeakDualForest, partition: BlockPartition
 ) -> tuple[Face, tuple[TriangularBlock, ...]] | None:
     """A (4+)-inner-face whose surrounding blocks are terminal up to one.
 
-    Returns (face, terminal blocks around it), or None when every inner face
-    is a triangle. Among qualifying faces the lexicographically least
-    boundary wins, for reproducible output.
+    `partition` is the dual's block partition, terminal flags set. Returns
+    (face, terminal blocks around it), or None when every inner face is a
+    triangle. Among qualifying faces the lexicographically least boundary
+    wins, for reproducible output.
     """
-    inc = face_block_incidence(emb)
+    inc = face_block_incidence(dual, partition)
     if not inc.faces:
         return None
     non_terminal_deg = [0] * len(inc.faces)

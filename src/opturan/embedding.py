@@ -483,20 +483,22 @@ def path_length_set(emb: OuterplaneEmbedding, u: int, v: int) -> frozenset[int]:
     return frozenset(lengths)
 
 
-def cycle_length_set(emb: OuterplaneEmbedding) -> frozenset[int]:
-    """Exact set of cycle lengths present in the embedded graph.
+def cycle_length_set(emb: OuterplaneEmbedding, limit: int | None = None) -> frozenset[int]:
+    """Exact set of cycle lengths present in the embedded graph, up to `limit` if given.
 
     Per block: every cycle is the outer boundary of a connected set of inner
     faces, connected sets of faces form subtrees of the face-adjacency tree,
     and such a boundary has length 2 + sum(face size - 2). Subset sums are
-    swept bottom-up with bitmask arithmetic.
+    swept bottom-up with bitmask arithmetic, each cut at the limit: a face
+    adds at least 1, so a sum past the limit never comes back within it.
     """
+    mask = -1 if limit is None else (1 << max(limit - 1, 0)) - 1  # bit s: length s + 2
     lengths: set[int] = set()
     for block in emb.blocks:
         faces = _scan_faces(len(block.outer), block.chords)
         weights = [len(f) - 2 for f in faces]
         adj = _face_adjacency(faces)
-        reach = _subtree_sums(adj, weights)
+        reach = _subtree_sums(adj, weights, mask)
         lengths.update(s + 2 for s in reach)
     return frozenset(lengths)
 
@@ -520,37 +522,35 @@ def _face_adjacency(faces: list[list[int]]) -> list[list[int]]:
     return adj
 
 
-def _subtree_sums(adj: list[list[int]], weights: list[int]) -> set[int]:
-    """All values sum(weights over S) for S a connected subtree of the tree."""
+def _sumset(a: int, b: int, limit: int) -> int:
+    """Bitmask of {x + y : x in a, y in b}, cut to the bits of `limit`."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= b * low  # b shifted left by the length `low` stands for
+        a ^= low
+    return out & limit
+
+
+def _subtree_sums(adj: list[list[int]], weights: list[int], mask: int) -> set[int]:
+    """All values sum(weights over S) for S a connected subtree of the tree
+    `adj`, cut to the bits of `mask` (-1 keeps them all); weights are positive."""
     total: int = 0
-    order: list[int] = []
     parent = [-1] * len(adj)
-    seen = [False] * len(adj)
-    for root in range(len(adj)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    stack.append(w)
+    seen = [True] + [False] * (len(adj) - 1)
+    order = [0]
+    for v in order:  # breadth-first from face 0; the list grows while it is read
+        for w in adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                order.append(w)
     rooted_sums = [0] * len(adj)
     for v in reversed(order):
-        bits = 1 << weights[v]
+        bits = (1 << weights[v]) & mask
         for w in adj[v]:
             if parent[w] == v:
-                child = rooted_sums[w]
-                extra = 0
-                while child:
-                    lsb = child & -child
-                    extra |= bits << (lsb.bit_length() - 1)
-                    child ^= lsb
-                bits |= extra
+                bits |= _sumset(rooted_sums[w], bits, mask)
         rooted_sums[v] = bits
         total |= bits
     return {at for at, bit in enumerate(bin(total)[:1:-1]) if bit == "1"}

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import Edge, Graph, find_cycle_in_edges, make_graph
-from .embedding import BlockEmbedding, OuterplaneEmbedding
+from .embedding import BlockEmbedding, OuterplaneEmbedding, _sumset
 from .turan import upper_bound
 
 DEFAULT_ORACLE_CAP = 64
@@ -112,16 +112,6 @@ class OracleResult:
 # closed[d]: mask -> (count, open mask, whether edge (i, i+d) is added)
 _Open = dict[int, tuple[int, tuple[int, int, int] | None]]
 _Closed = dict[int, tuple[int, int, bool]]
-
-
-def _sumset(a: int, b: int, limit: int) -> int:
-    """Bitmask of {x + y : x in a, y in b}, cut to the bits of `limit`."""
-    out = 0
-    while a:
-        low = a & -a
-        out |= b * low  # b shifted left by the length `low` stands for
-        a ^= low
-    return out & limit
 
 
 def _pareto(states: dict) -> dict:

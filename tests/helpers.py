@@ -115,6 +115,13 @@ def rand_subgraph(rng: random.Random, g: op.Graph, keep: float) -> op.Graph:
     return op.make_graph(g.n, edges)
 
 
+def ladder(m: int) -> op.Graph:
+    """P2 x Pm: m-1 square faces in a row, so at k=5 every step is a peel."""
+    rungs = [(i, i + m) for i in range(m)]
+    rails = [(i, i + 1) for i in range(m - 1)] + [(i + m, i + m + 1) for i in range(m - 1)]
+    return op.make_graph(2 * m, rungs + rails)
+
+
 def rand_ckfree_subgraph(rng: random.Random, n: int, k: int) -> op.Graph:
     """Random subgraph of a random triangulation with all k-cycles destroyed."""
     g = rand_subgraph(rng, rand_triangulation(rng, n).graph, keep=0.85)

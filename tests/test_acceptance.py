@@ -141,8 +141,8 @@ def test_criterion_5_structure_propositions():
         for u, v in probe:
             assert op.path_length_set(emb, u, v) == frozenset(range(1, n))
         assert op.cycle_length_set(emb) == frozenset(range(3, n + 1))
-        op.weak_dual(emb)  # acyclicity asserted internally
-        part = op.triangular_blocks(emb)
+        dual = op.weak_dual(emb)  # acyclicity asserted internally
+        part = op.triangular_blocks(dual, emb.graph.edges)
         assert sorted(e for b in part.blocks for e in b.edges) == list(emb.graph.edges)
 
     # subgraph embeddings exercise the (4+)-face machinery
@@ -151,16 +151,16 @@ def test_criterion_5_structure_propositions():
         g = rand_subgraph(rng, t.graph, 0.7)
         emb = op.recognize_outerplanar(g)
         op.is_edge_maximal(emb)  # never disagrees on non-maximal inputs either
-        op.weak_dual(emb)
-        part = op.triangular_blocks(emb)
+        dual = op.weak_dual(emb)
+        part = op.triangular_blocks(dual, g.edges)
         assert sorted(e for b in part.blocks for e in b.edges) == list(g.edges)
         has_big = any(f.size >= 4 for f in op.inner_faces(emb))
-        got = op.find_reducible_face(emb)
+        got = op.find_reducible_face(dual, op.classify_terminal(part, dual))
         assert (got is not None) == has_big
         if got is not None:
             checked_faces += 1
             face, _ = got
-            classified = op.classify_terminal(part, emb)
+            classified = op.classify_terminal(part, dual)
             owner = classified.block_of_edge()
             ring = face.vertices
             terminal = sum(

@@ -19,7 +19,7 @@ from opturan.certify import (
     _halves,
 )
 
-from helpers import rand_ckfree_subgraph
+from helpers import ladder, rand_ckfree_subgraph
 
 
 def certify(g_or_emb, k):
@@ -399,13 +399,6 @@ class TestBalancedSplits:
         assert _halves([1, 4, 1, 1, 1]) == ([1], [0, 2, 3, 4])
 
 
-def ladder(m):
-    """P2 x Pm: m-1 square faces in a row, so at k=5 every step is a peel."""
-    rungs = [(i, i + m) for i in range(m)]
-    rails = [(i, i + 1) for i in range(m - 1)] + [(i + m, i + m + 1) for i in range(m - 1)]
-    return op.make_graph(2 * m, rungs + rails)
-
-
 class TestWorkModel:
     """Children inherit outerplanarity and k-cycle-freeness from their parents;
     only the root and the contracted peels are recognised, and only the root
@@ -436,6 +429,58 @@ class TestWorkModel:
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
             assert calls == Counter(recognize_outerplanar=1 + peels, has_cycle_of_length=1)
+
+    def test_one_weak_dual_per_node(self, monkeypatch):
+        """Every 2-connected node with n > 2 (a big-face split, a peel or a
+        maximal leaf) builds its weak dual once, and each peel classifies one
+        partition; nothing that is handed the dual rebuilds faces from the
+        embedding. The only other face scan is the maximal leaf's edge-maximality check."""
+        import opturan.certify as certify_module
+        import opturan.dual as dual_module
+        import opturan.embedding as embedding_module
+
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module in (certify_module, dual_module, embedding_module):
+            for name in (
+                "inner_faces",
+                "weak_dual",
+                "triangular_blocks",
+                "classify_terminal",
+                "find_reducible_face",
+            ):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for g, peels in ((ladder(12), 11), (CHAIN51, 0)):
+            calls.clear()
+            cert = op.build_certificate(op.recognize_outerplanar(g), 5)
+            kinds = node_kinds(cert.root)
+            assert kinds.count(TERMINAL_PEEL) == peels
+            leaves = kinds.count(MAXIMAL_LEAF)
+            duals = kinds.count(BIG_FACE_SPLIT) + peels + leaves
+            assert calls == Counter(
+                inner_faces=duals + leaves,
+                weak_dual=duals,
+                triangular_blocks=peels,
+                classify_terminal=peels,
+                find_reducible_face=peels,
+            )
+            calls.clear()
+            assert op.verify_certificate(cert, 5).verdict
+            duals = kinds.count(BIG_FACE_SPLIT) + peels
+            assert calls == Counter(
+                inner_faces=duals + leaves,
+                weak_dual=duals,
+                triangular_blocks=peels,
+                classify_terminal=peels,
+            )
 
     def test_graph_that_is_not_outerplanar_fails_without_exception(self):
         # K4 on 0..3 with a pendant edge 3-4, recorded as a cut split at 3

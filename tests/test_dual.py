@@ -11,6 +11,17 @@ def C(n):
     return op.make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def blocks(emb):
+    """emb's triangular blocks, read off its weak dual."""
+    return op.triangular_blocks(op.weak_dual(emb), emb.graph.edges)
+
+
+def classified(emb):
+    """emb's weak dual and its triangular blocks with terminal flags set."""
+    dual = op.weak_dual(emb)
+    return dual, op.classify_terminal(op.triangular_blocks(dual, emb.graph.edges), dual)
+
+
 def glued_squares():
     # two 4-cycles sharing the edge (2, 3)
     return op.recognize_outerplanar(
@@ -56,12 +67,12 @@ class TestWeakDual:
 
 class TestTriangularBlocks:
     def test_c4_trivial_blocks(self):
-        part = op.triangular_blocks(op.recognize_outerplanar(C(4)))
+        part = blocks(op.recognize_outerplanar(C(4)))
         assert len(part.blocks) == 4
         assert all(b.trivial for b in part.blocks)
 
     def test_build_h5_partition(self):
-        part = op.triangular_blocks(op.build_H(5))
+        part = blocks(op.build_H(5))
         nontrivial = [b for b in part.blocks if not b.trivial]
         trivial = [b for b in part.blocks if b.trivial]
         assert len(nontrivial) == 5 and len(trivial) == 1
@@ -69,7 +80,7 @@ class TestTriangularBlocks:
         assert trivial[0].edges == ((0, 5),)
 
     def test_fan6_single_block(self):
-        part = op.triangular_blocks(op.fan(6))
+        part = blocks(op.fan(6))
         assert len(part.blocks) == 1
         assert part.blocks[0].edges == op.fan(6).graph.edges
 
@@ -78,7 +89,7 @@ class TestTriangularBlocks:
         for _ in range(150):
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(3, 12)).graph, 0.7)
             emb = op.recognize_outerplanar(g)
-            part = op.triangular_blocks(emb)
+            part = blocks(emb)
             owned = [e for b in part.blocks for e in b.edges]
             assert sorted(owned) == list(g.edges)
             assert len(owned) == len(set(owned))
@@ -88,7 +99,7 @@ class TestTriangularBlocks:
         for _ in range(100):
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(4, 12)).graph, 0.8)
             emb = op.recognize_outerplanar(g)
-            for block in op.triangular_blocks(emb).blocks:
+            for block in blocks(emb).blocks:
                 if block.trivial:
                     assert len(block.edges) == 1 and len(block.vertices) == 2
                 else:
@@ -143,42 +154,40 @@ class TestTriangularBlocks:
                 continue
             emb = op.recognize_outerplanar(g)
             reported = {
-                frozenset(b.edges) for b in op.triangular_blocks(emb).blocks
+                frozenset(b.edges) for b in blocks(emb).blocks
             }
             assert reported == direct_blocks(g), g.edges
 
 
 class TestTerminal:
     def test_build_h5_all_terminal(self):
-        part = op.classify_terminal(op.triangular_blocks(op.build_H(5)), op.build_H(5))
+        _, part = classified(op.build_H(5))
         assert all(b.terminal for b in part.blocks)
 
     def test_glued_squares_middle_not_terminal(self):
-        emb = glued_squares()
-        part = op.classify_terminal(op.triangular_blocks(emb), emb)
+        _, part = classified(glued_squares())
         by_edge = {b.edges[0]: b.terminal for b in part.blocks}
         assert by_edge[(2, 3)] is False
         assert sum(1 for t in by_edge.values() if not t) == 1
 
     def test_lone_square_all_terminal(self):
-        emb = op.recognize_outerplanar(C(4))
-        part = op.classify_terminal(op.triangular_blocks(emb), emb)
+        _, part = classified(op.recognize_outerplanar(C(4)))
         assert all(b.terminal for b in part.blocks)
 
 
 class TestIncidence:
     def test_build_h5_star(self):
-        inc = op.face_block_incidence(op.build_H(5))
+        inc = op.face_block_incidence(*classified(op.build_H(5)))
         assert len(inc.faces) == 1
         assert len(inc.edges) == 6
         assert {fi for fi, _ in inc.edges} == {0}
 
     def test_fan5_empty(self):
-        inc = op.face_block_incidence(op.fan(5))
+        inc = op.face_block_incidence(*classified(op.fan(5)))
         assert inc.faces == () and inc.edges == ()
 
     def test_glued_squares_spine(self):
-        inc = op.face_block_incidence(glued_squares())
+        inc = op.face_block_incidence(*classified(glued_squares()))
         assert len(inc.faces) == 2
         shared = [bi for bi in range(len(inc.blocks)) if inc.blocks[bi].edges == ((2, 3),)]
         (middle,) = shared
@@ -190,21 +199,21 @@ class TestIncidence:
         rng = random.Random(25)
         for _ in range(200):
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(3, 12)).graph, 0.7)
-            op.face_block_incidence(op.recognize_outerplanar(g))  # raises on a cycle
+            op.face_block_incidence(*classified(op.recognize_outerplanar(g)))  # raises on a cycle
 
 
 class TestReducibleFace:
     def test_build_h5(self):
-        face, terminal = op.find_reducible_face(op.build_H(5))
+        face, terminal = op.find_reducible_face(*classified(op.build_H(5)))
         assert face.size == 6
         assert len(terminal) == 6  # >= size - 1 required
 
     def test_c4(self):
-        face, terminal = op.find_reducible_face(op.recognize_outerplanar(C(4)))
+        face, terminal = op.find_reducible_face(*classified(op.recognize_outerplanar(C(4))))
         assert face.size == 4 and len(terminal) == 4
 
     def test_fan7_none(self):
-        assert op.find_reducible_face(op.fan(7)) is None
+        assert op.find_reducible_face(*classified(op.fan(7))) is None
 
     def test_guarantee_property(self):
         rng = random.Random(26)
@@ -213,13 +222,13 @@ class TestReducibleFace:
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(4, 14)).graph, 0.7)
             emb = op.recognize_outerplanar(g)
             has_big = any(f.size >= 4 for f in op.inner_faces(emb))
-            got = op.find_reducible_face(emb)
+            got = op.find_reducible_face(*classified(emb))
             assert (got is not None) == has_big
             if got is None:
                 continue
             found_some += 1
             face, _ = got
-            part = op.classify_terminal(op.triangular_blocks(emb), emb)
+            _, part = classified(emb)
             owner = part.block_of_edge()
             ring = face.vertices
             blocks = [
@@ -235,4 +244,4 @@ def test_dot_exports_smoke():
 
     emb = op.build_H(4)
     assert "f0" in weak_dual_to_dot(op.weak_dual(emb))
-    assert "b0" in incidence_to_dot(op.face_block_incidence(emb))
+    assert "b0" in incidence_to_dot(op.face_block_incidence(*classified(emb)))

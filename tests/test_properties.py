@@ -261,15 +261,27 @@ def random_ckfree_host(seed: int, size: int, k: int) -> tuple[int, list[tuple[in
 HOSTS = st.sampled_from(["outerplanar", "ckfree"])
 
 
+def host_graph(host: str, seed: int, size: int, k: int) -> op.Graph:
+    if host == "outerplanar":
+        return sample_graph(random_outerplanar(seed, size))
+    return op.make_graph(*random_ckfree_host(seed, size, k))
+
+
+@LARGE
+@given(seeds, st.integers(20, 300), HOSTS, st.integers(3, 8))
+def test_bounded_spectrum_is_the_full_spectrum_cut(seed, size, host, k):
+    emb = op.recognize_outerplanar(host_graph(host, seed, size, k))
+    full = op.cycle_length_set(emb)
+    for limit in range(3, 3 * k + 1):
+        assert op.cycle_length_set(emb, limit) == {n for n in full if n <= limit}, limit
+
+
 @LARGE
 @given(seeds, st.integers(20, 300), HOSTS, st.integers(3, 8), seeds)
 def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_seed):
     """Reading subgraphs' embeddings off their parent's gives what recognition
     gives, and the block-cut view read off an embedding is the decomposition's."""
-    if host == "outerplanar":
-        g = sample_graph(random_outerplanar(seed, size))
-    else:
-        g = op.make_graph(*random_ckfree_host(seed, size, k))
+    g = host_graph(host, seed, size, k)
     emb = op.recognize_outerplanar(g)
     rng = random.Random(subset_seed)
     subgraphs = []

@@ -4,7 +4,9 @@ The embedding digest and the cycle tuples were recorded from the quadratic
 recognition and cycle-region code that the linear versions replaced; both
 must keep producing exactly these results. The certificate digest was
 recorded when certificates began to store only the selections (format 2);
-the splits are those the balanced builder chose before.
+the splits are those the balanced builder chose before. The `analyze`
+digests were recorded when every face structure still rebuilt its own
+faces; reading them all off one weak dual must give the same bytes.
 """
 
 import hashlib
@@ -14,8 +16,11 @@ import random
 import pytest
 
 import opturan as op
+from opturan.cli import main
 from opturan.construct import build_chain_graph
 from opturan.graph import find_cycle_in_edges
+
+from helpers import ladder
 
 
 def sha256(text: str) -> str:
@@ -33,6 +38,36 @@ def test_embedding_json_digest_chain_6_24():
     assert sha256(op.embedding_to_json(op.build_chain(6, 24))) == (
         "a21843fad2d5397ae5217089a05ca612215d81f99cbb1fa3a499bf93b63641e6"
     )
+
+
+ANALYZE_HOSTS = {"H5": lambda: op.build_H(5).graph, "ladder12": lambda: ladder(12)}
+
+# sha256 of stdout, embedding.dot, weak_dual.dot and incidence.dot
+ANALYZE_DIGESTS = {
+    "H5": (
+        "6cb5943e48eda294de1c319febdc17942ff3e3f94e4f92113b7ea78521369b10",
+        "6fe1577d605795103a78e9ff066f9634d76db4f9852f2c30bfd944f9efa663b5",
+        "8254406ed7c8cf9886463608ce84d2ee34ad76b54e9ad43d6d356deae69c1cd3",
+        "bc3efed4d45c0e86cde29af1ee2edf82dad4081d1fcd579d68fd96460e2ce3c9",
+    ),
+    "ladder12": (
+        "d8910a7bc4dcf19b9b802277623b18c67ff4cf56d194e224f92bc82c83179bef",
+        "fe78009ee99f69bcded958903dd57a62b00edb627407f2fd64963582321aafd9",
+        "a6ab9a72ee6c175b9295983ea11b2871038818406de5e18637c66f6833a44404",
+        "be51d9617644510f80d76da28a1ec1d343a6557ee619d02af94f20ce1a289683",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_HOSTS))
+def test_analyze_output_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep stdout free of the tmp dir
+    (tmp_path / "g.json").write_text(op.graph_to_json(ANALYZE_HOSTS[name]()))
+    assert main(["analyze", "--in", "g.json", "--dot", "dot"]) == 0
+    texts = [capsys.readouterr().out]
+    for dot in ("embedding.dot", "weak_dual.dot", "incidence.dot"):
+        texts.append((tmp_path / "dot" / dot).read_text())
+    assert tuple(map(sha256, texts)) == ANALYZE_DIGESTS[name]
 
 
 def _cycle(n):
