@@ -45,9 +45,10 @@ Node kinds, their selections and their bookkeeping:
   base            n = 2 leaf, e <= 1.
   cut_split       `cut`, a cut vertex (None when the graph is
                   disconnected), and `side`, the least vertex of each part
-                  of g - cut (each component) that goes to child 0; child 1
-                  takes the other parts, and each part keeps its edges to
-                  the cut: n1+n2 <= n+1, e1+e2 = e.
+                  of g - cut (each component) that goes to child 0 (any
+                  vertex of a part names it); child 1 takes the other
+                  parts, and each part keeps its edges to the cut:
+                  n1+n2 <= n+1, e1+e2 = e.
   big_face_split  `face`, an inner face of size L >= k+1; one child per
                   face edge (the edge plus everything hanging across it):
                   sum(n_i) = n+L, sum(e_i) = e.
@@ -90,14 +91,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 from .graph import (
     BlockCutDecomposition,
     Edge,
     Graph,
     GraphError,
-    connected_components,
     edge_key,
     has_cycle_of_length,
     make_graph,
@@ -193,6 +193,35 @@ def _root_graph(g: Graph) -> Derived:
 # ---------------------------------------------------------------------------
 
 
+def _parts(g: Graph, removed: Container[int]) -> list[tuple[list[int], list[Edge], set[int]]]:
+    """The components of g minus the `removed` vertices, in order of their least vertex.
+
+    Each comes as (its vertices, least first; its edges, those to removed
+    vertices included; the removed vertices it touches).
+    """
+    adj = g.adjacency()
+    seen = [v in removed for v in range(g.n)]
+    parts = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        vertices, edges, touched = [start], [], set()
+        for x in vertices:  # the list grows while it is read
+            for y in adj[x]:
+                if y in removed:
+                    touched.add(y)
+                    edges.append(edge_key(x, y))
+                    continue
+                if x < y:
+                    edges.append((x, y))
+                if not seen[y]:
+                    seen[y] = True
+                    vertices.append(y)
+        parts.append((vertices, edges, touched))
+    return parts
+
+
 def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Derived]:
     """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest.
 
@@ -201,26 +230,21 @@ def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Deri
     """
     if cut is not None and not 0 <= cut < g.n:
         raise SelectionError(f"cut {cut} is not a vertex of the node graph")
-    if not side or len(set(side)) < len(side) or not all(0 <= v < g.n and v != cut for v in side):
+    chosen = set(side)
+    if not side or len(chosen) < len(side) or not all(0 <= v < g.n and v != cut for v in side):
         raise SelectionError(f"side {list(side)} must name distinct vertices other than the cut")
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        if cut != u and cut != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    reached = set(side)  # the parts of g - cut that hold side
-    stack = list(side)
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
     sides: tuple[list[Edge], list[Edge]] = ([], [])
-    for u, v in g.edges:
-        sides[(v if u == cut else u) not in reached].append((u, v))
+    for vertices, edges, _ in _parts(g, () if cut is None else (cut,)):
+        sides[chosen.isdisjoint(vertices)].extend(edges)
     if not (sides[0] and sides[1]):
         raise SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
     return [subgraph_on_edges(g, edges) for edges in sides]
+
+
+def _check_inner_face(faces: Sequence[Face], face: tuple[int, ...]) -> None:
+    """Raise SelectionError unless `face` is one of `faces`, up to rotation and reflection."""
+    if not face or canonical_cycle(face) not in {f.vertices for f in faces}:
+        raise SelectionError("recorded face is not an inner face of the node graph")
 
 
 def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -> list[Derived]:
@@ -230,33 +254,16 @@ def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -
     vertices that touch the edge's two ends and no other face vertex, with
     their edges to those ends. `faces` are g's inner faces.
     """
-    if not face or canonical_cycle(face) not in {f.vertices for f in faces}:
-        raise SelectionError("recorded face is not an inner face of the node graph")
+    _check_inner_face(faces, face)
     size = len(face)
     pos = {v: i for i, v in enumerate(face)}
     sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
-    adj = g.adjacency()
-    seen = set(pos)
-    for start in range(g.n):
-        if start in seen:
-            continue
-        seen.add(start)
-        stack, edges, ends = [start], [], set()
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in pos:
-                    ends.add(pos[y])
-                    edges.append(edge_key(x, y))
-                else:
-                    if x < y:
-                        edges.append((x, y))
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+    for vertices, edges, touched in _parts(g, pos):
+        ends = [pos[v] for v in touched]
         i, j = min(ends, default=0), max(ends, default=0)
         if len(ends) != 2 or j - i not in (1, size - 1):
-            raise SelectionError(f"the part at vertex {start} does not hang across one face edge")
+            least = vertices[0]
+            raise SelectionError(f"the part at vertex {least} does not hang across one face edge")
         sides[i if j == i + 1 else j].extend(edges)
     return [subgraph_on_edges(g, edges) for edges in sides]
 
@@ -270,8 +277,7 @@ def _peel_children(
     terminal flags set. The rest is a subgraph of g. The peel is not (its
     edges at face[0] need not be edges of g), so it comes without a vertex map.
     """
-    if not face or canonical_cycle(face) not in {f.vertices for f in faces}:
-        raise SelectionError("recorded face is not an inner face of the node graph")
+    _check_inner_face(faces, face)
     owner = partition.block_of_edge()
     blocks = [
         partition.blocks[owner[edge_key(face[i], face[i + 1])]] for i in range(len(face) - 1)
@@ -428,16 +434,10 @@ def _select_cut(
     g: Graph, dec: BlockCutDecomposition
 ) -> tuple[int | None, tuple[int, ...]]:
     """The most balanced cut split as (cut, side); the first half goes to child 0."""
-    comps = connected_components(g)
+    comps = _parts(g, ())
     if len(comps) > 1:
-        comp_of = [0] * g.n
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        sizes = [0] * len(comps)
-        for u, _ in g.edges:
-            sizes[comp_of[u]] += 1
-        return None, tuple(sorted(comps[ci][0] for ci in _halves(sizes)[0]))
+        sizes = [len(edges) for _, edges, _ in comps]
+        return None, tuple(sorted(comps[ci][0][0] for ci in _halves(sizes)[0]))
     # block-cut tree: units (blocks and bridges) first, then cut vertices
     units = [b.vertices for b in dec.blocks] + list(dec.bridges)
     node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}

@@ -137,6 +137,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     jobs = getattr(args, "jobs", 1)
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    cap = getattr(args, "cap", DEFAULT_ORACLE_CAP)
+    if cap < 2:
+        raise ValueError(f"--cap must be at least 2, the least vertex count, got {cap}")
     m = getattr(args, "m", 0)
     if m < 0:
         raise ValueError(f"-m must be non-negative, got {m}")
@@ -155,7 +158,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         out=getattr(args, "out", None),
         formats=formats,
         csv=getattr(args, "csv", None),
-        cap=getattr(args, "cap", DEFAULT_ORACLE_CAP),
+        cap=cap,
     )
 
 

@@ -1,7 +1,9 @@
 """Weak dual forests, triangular blocks, and the reducible-face finder.
 
 The weak dual has one node per inner face, with faces adjacent when they
-share an edge; for outerplane embeddings it is always a forest. Triangular
+share an edge; for outerplane embeddings it is always a forest. The edges
+two inner faces share are the chords, so weak_dual reads it off each
+block's face scan (embedding.block_faces), one dual edge per chord. Triangular
 blocks partition the edge set: maximal unions of edge-adjacent triangular
 faces, plus one trivial (single-edge) block for every edge that borders no
 triangular face. A block is terminal when it shares edges with at most one
@@ -28,7 +30,7 @@ from .embedding import (
     EmbeddingInvariantError,
     Face,
     OuterplaneEmbedding,
-    inner_faces,
+    block_faces,
 )
 
 
@@ -106,25 +108,21 @@ def _assert_forest(node_count: int, edges: list[tuple[int, int]], what: str) -> 
 
 
 def weak_dual(emb: OuterplaneEmbedding) -> WeakDualForest:
-    """Face-adjacency forest of the embedding (a tree per 2-connected block)."""
-    faces = tuple(inner_faces(emb))
-    by_edge: dict[Edge, list[int]] = defaultdict(list)
-    for fi, face in enumerate(faces):
-        for e in face.boundary_edges():
-            by_edge[e].append(fi)
-    dual_edges: list[tuple[int, int]] = []
-    shared: list[Edge] = []
-    for e, users in sorted(by_edge.items()):
-        if len(users) == 2:
-            a, b = sorted(users)
-            dual_edges.append((a, b))
-            shared.append(e)
-        elif len(users) > 2:
-            raise EmbeddingInvariantError(f"edge {e} borders {len(users)} inner faces")
-    if len(dual_edges) != len(set(dual_edges)):
-        raise EmbeddingInvariantError("weak dual has a double edge")
+    """Face-adjacency forest of the embedding (a tree per 2-connected block),
+    read off each block's face scan: faces in inner_faces order, dual edges
+    ordered by the chord the two faces share."""
+    faces: list[Face] = []
+    links: list[tuple[Edge, int, int]] = []
+    for block in emb.blocks:
+        faces_here, links_here = block_faces(block)
+        links.extend((chord, len(faces) + a, len(faces) + b) for chord, a, b in links_here)
+        faces.extend(faces_here)
+    links.sort()
+    dual_edges = [(a, b) for _, a, b in links]
     _assert_forest(len(faces), dual_edges, "weak dual")
-    return WeakDualForest(faces=faces, edges=tuple(dual_edges), shared_edges=tuple(shared))
+    return WeakDualForest(
+        faces=tuple(faces), edges=tuple(dual_edges), shared_edges=tuple(e for e, _, _ in links)
+    )
 
 
 def triangular_blocks(dual: WeakDualForest, edges: tuple[Edge, ...]) -> BlockPartition:

@@ -21,11 +21,14 @@ so each block of the subgraph is bounded by its vertices in the parent's
 cyclic order (restrict_embedding).
 
 Faces are read off each block by a single monotone stack scan over chord
-endpoints in cycle order; no geometry is ever computed. The cycle spectrum
-uses the fact that the cycles of an outerplane block correspond exactly to
-the connected subtrees of its face-adjacency tree: a subtree's boundary
-length is 2 + sum over its faces of (size - 2), so a subset-sum sweep over
-the tree yields the full spectrum without enumerating cycles.
+endpoints in cycle order; no geometry is ever computed. The same scan gives
+the block's face-adjacency tree (its weak dual): each chord closes the face
+inside it, and the face on its other side closes later, so the last face
+roots the tree. The cycle spectrum uses the fact that the cycles of an
+outerplane block correspond exactly to the connected subtrees of that tree:
+a subtree's boundary length is 2 + sum over its faces of (size - 2), so a
+subset-sum sweep over the tree yields the full spectrum without enumerating
+cycles.
 """
 
 from __future__ import annotations
@@ -376,15 +379,25 @@ def _ring_block(ring: Sequence[int], edges: Sequence[Edge]) -> BlockEmbedding | 
 # ---------------------------------------------------------------------------
 
 
-def _scan_faces(p: int, chords: tuple[tuple[int, int], ...]) -> list[list[int]]:
-    """Inner faces of one block, as position lists, via a monotone stack scan."""
+def _scan_faces(p: int, chords: tuple[tuple[int, int], ...]) -> tuple[list[list[int]], list[int]]:
+    """Inner faces of one block, as position lists, and its weak dual, via a
+    monotone stack scan.
+
+    Face f < len(chords) is closed by the chord (faces[f][0], faces[f][-1]),
+    and across[f] is the face on the chord's other side: the next face to
+    close at the same end, or else the face that pops the chord's end off
+    the stack. It is always a later face, so the last face, which closes no
+    chord, roots the tree and children come before their parents.
+    """
     ends: dict[int, list[int]] = defaultdict(list)
     for i, j in chords:
         ends[j].append(i)
     for j in ends:
         ends[j].sort(reverse=True)  # nested chords close innermost first
-    stack = [0]
     faces: list[list[int]] = []
+    across = [-1] * len(chords)
+    waiting: list[tuple[int, int]] = []  # (end, face) per chord whose far side is open, by end
+    stack = [0]
     for posn in range(1, p):
         for i in ends.get(posn, ()):
             face = [posn]
@@ -392,12 +405,35 @@ def _scan_faces(p: int, chords: tuple[tuple[int, int], ...]) -> list[list[int]]:
                 face.append(stack.pop())
             if not stack:
                 raise EmbeddingInvariantError("chord start vanished from scan stack")
+            while waiting and waiting[-1][0] > i:  # ends this face pops, or posn itself
+                across[waiting.pop()[1]] = len(faces)
+            waiting.append((posn, len(faces)))
             face.append(i)
             face.reverse()
             faces.append(face)
         stack.append(posn)
+    for _, f in waiting:
+        across[f] = len(faces)
     faces.append(stack)
-    return faces
+    return faces, across
+
+
+def block_faces(block: BlockEmbedding) -> tuple[list[Face], list[tuple[Edge, int, int]]]:
+    """The block's inner faces, sorted by canonical boundary, and its weak
+    dual as (shared chord, a, b) with a < b indices into that list."""
+    outer = block.outer
+    scanned, across = _scan_faces(len(outer), block.chords)
+    canon = [canonical_cycle([outer[i] for i in positions]) for positions in scanned]
+    order = sorted(range(len(canon)), key=canon.__getitem__)
+    rank = [0] * len(order)
+    for r, f in enumerate(order):
+        rank[f] = r
+    links = []
+    for f, other in enumerate(across):
+        a, b = rank[f], rank[other]
+        chord = edge_key(outer[scanned[f][0]], outer[scanned[f][-1]])
+        links.append((chord, a, b) if a < b else (chord, b, a))
+    return [Face(canon[f]) for f in order], links
 
 
 def inner_faces(emb: OuterplaneEmbedding) -> list[Face]:
@@ -406,15 +442,7 @@ def inner_faces(emb: OuterplaneEmbedding) -> list[Face]:
     A block with c chords yields exactly c + 1 faces. Order is deterministic:
     blocks in embedding order, faces sorted by canonical boundary.
     """
-    out: list[Face] = []
-    for block in emb.blocks:
-        faces = _scan_faces(len(block.outer), block.chords)
-        mapped = [
-            Face(canonical_cycle([block.outer[i] for i in positions]))
-            for positions in faces
-        ]
-        out.extend(sorted(mapped, key=lambda f: f.vertices))
-    return out
+    return [face for block in emb.blocks for face in block_faces(block)[0]]
 
 
 def outer_boundary_edges(emb: OuterplaneEmbedding) -> frozenset[Edge]:
@@ -495,31 +523,10 @@ def cycle_length_set(emb: OuterplaneEmbedding, limit: int | None = None) -> froz
     mask = -1 if limit is None else (1 << max(limit - 1, 0)) - 1  # bit s: length s + 2
     lengths: set[int] = set()
     for block in emb.blocks:
-        faces = _scan_faces(len(block.outer), block.chords)
-        weights = [len(f) - 2 for f in faces]
-        adj = _face_adjacency(faces)
-        reach = _subtree_sums(adj, weights, mask)
+        faces, across = _scan_faces(len(block.outer), block.chords)
+        reach = _subtree_sums(across, [len(f) - 2 for f in faces], mask)
         lengths.update(s + 2 for s in reach)
     return frozenset(lengths)
-
-
-def _face_adjacency(faces: list[list[int]]) -> list[list[int]]:
-    """Face-adjacency (weak-dual) lists for one block, via shared position pairs."""
-    owner: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for fi, face in enumerate(faces):
-        p = len(face)
-        for at in range(p):
-            a, b = face[at], face[(at + 1) % p]
-            owner[(a, b) if a < b else (b, a)].append(fi)
-    adj: list[list[int]] = [[] for _ in faces]
-    for users in owner.values():
-        if len(users) == 2:
-            a, b = users
-            adj[a].append(b)
-            adj[b].append(a)
-        elif len(users) > 2:
-            raise EmbeddingInvariantError("an edge borders three inner faces")
-    return adj
 
 
 def _sumset(a: int, b: int, limit: int) -> int:
@@ -532,27 +539,16 @@ def _sumset(a: int, b: int, limit: int) -> int:
     return out & limit
 
 
-def _subtree_sums(adj: list[list[int]], weights: list[int], mask: int) -> set[int]:
-    """All values sum(weights over S) for S a connected subtree of the tree
-    `adj`, cut to the bits of `mask` (-1 keeps them all); weights are positive."""
-    total: int = 0
-    parent = [-1] * len(adj)
-    seen = [True] + [False] * (len(adj) - 1)
-    order = [0]
-    for v in order:  # breadth-first from face 0; the list grows while it is read
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                order.append(w)
-    rooted_sums = [0] * len(adj)
-    for v in reversed(order):
-        bits = (1 << weights[v]) & mask
-        for w in adj[v]:
-            if parent[w] == v:
-                bits |= _sumset(rooted_sums[w], bits, mask)
-        rooted_sums[v] = bits
-        total |= bits
+def _subtree_sums(parent: list[int], weights: list[int], mask: int) -> set[int]:
+    """All values sum(weights over S) for S a connected subtree of the tree in
+    which node f < len(parent) hangs below parent[f] > f, cut to the bits of
+    `mask` (-1 keeps them all); weights are positive."""
+    rooted_sums = [(1 << w) & mask for w in weights]  # subtrees whose top node is f
+    total = 0
+    for f, up in enumerate(parent):  # f's children come before f, so rooted_sums[f] is whole
+        rooted_sums[up] |= _sumset(rooted_sums[f], rooted_sums[up], mask)
+        total |= rooted_sums[f]
+    total |= rooted_sums[-1]
     return {at for at, bit in enumerate(bin(total)[:1:-1]) if bit == "1"}
 
 
@@ -621,18 +617,30 @@ def embedding_to_json(emb: OuterplaneEmbedding) -> str:
     )
 
 
+def _plain_int(value: object) -> int:
+    """`value` if it is an int; floats, strings and bools raise GraphError, as in make_graph."""
+    if type(value) is not int:
+        raise GraphError(f"{value!r} is not an integer")
+    return value
+
+
 def embedding_from_json(text: str) -> OuterplaneEmbedding:
+    """The embedding embedding_to_json wrote. A missing part, or a vertex id
+    or chord position that is not a plain int, raises GraphError; parts that
+    form no outerplane embedding raise EmbeddingInvariantError."""
     data = json.loads(text)
     try:
         blocks = tuple(
             BlockEmbedding(
-                outer=tuple(int(x) for x in b["outer"]),
-                chords=tuple(sorted((int(i), int(j)) for i, j in b["chords"])),
+                outer=tuple(_plain_int(x) for x in b["outer"]),
+                chords=tuple(sorted((_plain_int(i), _plain_int(j)) for i, j in b["chords"])),
             )
             for b in data["blocks"]
         )
-        bridges = tuple(sorted(edge_key(int(u), int(v)) for u, v in data["bridges"]))
-        isolated = tuple(sorted(int(x) for x in data["isolated"]))
+        bridges = tuple(
+            sorted(edge_key(_plain_int(u), _plain_int(v)) for u, v in data["bridges"])
+        )
+        isolated = tuple(sorted(_plain_int(x) for x in data["isolated"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed embedding JSON: {exc}") from exc
     edges: list[Edge] = list(bridges)

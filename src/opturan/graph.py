@@ -462,25 +462,3 @@ def graph_from_text(text: str) -> Graph:
     if not body or ("?" <= min(body) and max(body) <= "~"):
         return graph_from_graph6(stripped)
     return graph_from_json(stripped)
-
-
-def connected_components(g: Graph) -> list[tuple[int, ...]]:
-    """Vertex sets of connected components, each sorted, ordered by minimum."""
-    adj = g.adjacency()
-    seen = [False] * g.n
-    comps: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 
 import opturan as op
 from opturan.embedding import NotOuterplanarError
@@ -76,6 +77,23 @@ def brute_cycle_lengths(g: op.Graph) -> set[int]:
     for s in range(g.n):
         walk(s, [s], {s})
     return lengths
+
+
+def reference_weak_dual(emb: op.OuterplaneEmbedding) -> op.WeakDualForest:
+    """The weak dual by definition: inner faces are adjacent when they share
+    a boundary edge, dual edges ordered by that edge."""
+    faces = tuple(op.inner_faces(emb))
+    by_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for fi, face in enumerate(faces):
+        for e in face.boundary_edges():
+            by_edge[e].append(fi)
+    shared = sorted(e for e, users in by_edge.items() if len(users) == 2)
+    assert all(len(users) <= 2 for users in by_edge.values())
+    return op.WeakDualForest(
+        faces=faces,
+        edges=tuple(tuple(sorted(by_edge[e])) for e in shared),
+        shared_edges=tuple(shared),
+    )
 
 
 def all_graphs(n: int):

@@ -16,6 +16,7 @@ from opturan.certify import (
     MAXIMAL_LEAF,
     TERMINAL_PEEL,
     _branch_weights,
+    _cut_children,
     _halves,
 )
 
@@ -224,6 +225,11 @@ PATH9 = op.make_graph(9, [(i, i + 1) for i in range(8)])
 CHAIN51 = op.build_chain(5, 1).graph
 LADDER = op.make_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (4, 5), (3, 5)])
 HEXAGON_WITH_PENDANT = op.make_graph(7, [(i, (i + 1) % 6) for i in range(6)] + [(0, 6)])
+# 8 disjoint triangles; two triangles and a path of two edges at vertex 0
+TRIANGLES8 = op.make_graph(
+    24, [(3 * c + a, 3 * c + b) for c in range(8) for a, b in ((0, 1), (1, 2), (0, 2))]
+)
+BOUQUET = op.make_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6)])
 BASE_LEAF = {"kind": "base", "children": []}
 
 
@@ -291,6 +297,27 @@ class TestSelections:
         text = op.certificate_to_json(cert).replace(',"side":[0]', "")
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json(text)
+
+    # the root split of each graph, and sides naming other vertices of the same parts
+    SIDES = [
+        (PATH9, 5, 4, (0,), ([3], [1, 2])),
+        (TRIANGLES8, 4, None, (0, 6, 12, 18), ([2, 7, 13, 20], [0, 1, 6, 12, 14, 18])),
+        (BOUQUET, 4, 0, (1, 5), ([2, 6], [1, 2, 6])),
+    ]
+
+    @pytest.mark.parametrize("graph, k, cut, side, others", SIDES)
+    def test_side_may_name_any_vertices_of_its_parts(self, graph, k, cut, side, others):
+        """A part goes to child 0 when side names any of its vertices, not only its least."""
+        cert = op.build_certificate(op.recognize_outerplanar(graph), k)
+        assert (cert.root.cut, cert.root.side) == (cut, side)
+        entries = op.verify_certificate(cert, k).entries
+        data = json.loads(op.certificate_to_json(cert))
+        for other in others:
+            assert _cut_children(graph, cut, tuple(other)) == _cut_children(graph, cut, side)
+            data["root"]["side"] = other
+            report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), k)
+            assert report.verdict
+            assert report.entries == entries
 
     def test_rotated_face_still_verifies(self):
         cert = op.build_certificate(op.build_chain(5, 1), 5)
@@ -434,7 +461,8 @@ class TestWorkModel:
         """Every 2-connected node with n > 2 (a big-face split, a peel or a
         maximal leaf) builds its weak dual once, and each peel classifies one
         partition; nothing that is handed the dual rebuilds faces from the
-        embedding. The only other face scan is the maximal leaf's edge-maximality check."""
+        embedding. The weak dual reads its faces off the block scan, so the
+        only inner_faces call is the maximal leaf's edge-maximality check."""
         import opturan.certify as certify_module
         import opturan.dual as dual_module
         import opturan.embedding as embedding_module
@@ -466,7 +494,7 @@ class TestWorkModel:
             leaves = kinds.count(MAXIMAL_LEAF)
             duals = kinds.count(BIG_FACE_SPLIT) + peels + leaves
             assert calls == Counter(
-                inner_faces=duals + leaves,
+                inner_faces=leaves,
                 weak_dual=duals,
                 triangular_blocks=peels,
                 classify_terminal=peels,
@@ -476,7 +504,7 @@ class TestWorkModel:
             assert op.verify_certificate(cert, 5).verdict
             duals = kinds.count(BIG_FACE_SPLIT) + peels
             assert calls == Counter(
-                inner_faces=duals + leaves,
+                inner_faces=leaves,
                 weak_dual=duals,
                 triangular_blocks=peels,
                 classify_terminal=peels,

@@ -94,6 +94,16 @@ class TestOracle:
         assert code == 3
         assert "cap 64" in err and "1024 (length, apex) pairs" in err
 
+    @pytest.mark.parametrize("cap", ["1", "0", "-5"])
+    def test_cap_below_two_is_invalid_input(self, capsys, cap):
+        code, out, err = run(capsys, "oracle", "-k", "4", "-n", "3", "--cap", cap)
+        assert (code, out) == (2, "")
+        assert "--cap must be at least 2" in err
+
+    def test_cap_of_two_admits_n_two(self, capsys):
+        code, out, _ = run(capsys, "oracle", "-k", "4", "-n", "2", "--cap", "2")
+        assert code == 0 and "n=2 k=4 value=1" in out
+
     def test_jobs_output_byte_identical(self, tmp_path, capsys):
         outs = []
         for jobs in ("1", "2"):

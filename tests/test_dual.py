@@ -4,7 +4,7 @@ import random
 import opturan as op
 from opturan.embedding import NotOuterplanarError
 
-from helpers import rand_subgraph, rand_triangulation
+from helpers import rand_subgraph, rand_triangulation, reference_weak_dual
 
 
 def C(n):
@@ -62,7 +62,14 @@ class TestWeakDual:
                 )
             )
         for emb in cases:
-            op.weak_dual(emb)  # raises if a cycle or double edge shows up
+            op.weak_dual(emb)  # raises if a cycle shows up
+
+    def test_scan_dual_equals_shared_edge_definition(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            t = rand_triangulation(rng, rng.randint(3, 30))
+            for emb in (t, op.recognize_outerplanar(rand_subgraph(rng, t.graph, rng.random()))):
+                assert op.weak_dual(emb) == reference_weak_dual(emb)
 
 
 class TestTriangularBlocks:

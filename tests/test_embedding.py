@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -111,9 +112,8 @@ class TestFaces:
             emb = op.recognize_outerplanar(g)
             for block in emb.blocks:
                 block_edges = len(block.cycle_edges()) + len(block.chords)
-                sizes = sum(
-                    len(f) for f in _scan_faces(len(block.outer), block.chords)
-                )
+                faces, _ = _scan_faces(len(block.outer), block.chords)
+                sizes = sum(len(f) for f in faces)
                 assert sizes + len(block.outer) == 2 * block_edges
 
     def test_face_count_is_chords_plus_one(self):
@@ -255,6 +255,32 @@ class TestSerialization:
         emb = op.recognize_outerplanar(g)
         again = op.embedding_from_json(op.embedding_to_json(emb))
         assert again.graph == g
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("outer", [0, 1, 2.0]),
+            ("outer", [0, 1, "2"]),
+            ("chords", [[0, 2.9]]),
+            ("bridges", [[2, 3.0]]),
+            ("bridges", [[2, True]]),
+            ("isolated", ["4"]),
+            ("isolated", [1.9]),
+        ],
+    )
+    def test_json_ids_must_be_plain_ints(self, key, value):
+        data = {
+            "blocks": [{"outer": [0, 1, 2, 3], "chords": [[0, 2]]}],
+            "bridges": [[3, 4]],
+            "isolated": [5],
+        }
+        op.embedding_from_json(json.dumps(data))  # the unchanged document is valid
+        if key in ("outer", "chords"):
+            data["blocks"][0][key] = value
+        else:
+            data[key] = value
+        with pytest.raises(op.GraphError, match="is not an integer"):
+            op.embedding_from_json(json.dumps(data))
 
     def test_dot_smoke(self):
         text = op.embedding_to_dot(op.fan(4))

@@ -33,6 +33,8 @@ from opturan.embedding import (  # noqa: E402
 )
 from opturan.graph import find_cycle_in_edges, subgraph_on_edges  # noqa: E402
 
+from helpers import reference_weak_dual  # noqa: E402
+
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -274,6 +276,13 @@ def test_bounded_spectrum_is_the_full_spectrum_cut(seed, size, host, k):
     full = op.cycle_length_set(emb)
     for limit in range(3, 3 * k + 1):
         assert op.cycle_length_set(emb, limit) == {n for n in full if n <= limit}, limit
+
+
+@LARGE
+@given(seeds, st.integers(20, 300), HOSTS, st.integers(3, 8))
+def test_scan_dual_equals_shared_edge_definition(seed, size, host, k):
+    emb = op.recognize_outerplanar(host_graph(host, seed, size, k))
+    assert op.weak_dual(emb) == reference_weak_dual(emb)
 
 
 @LARGE
