@@ -16,7 +16,10 @@ has no edge), and each child graph follows from its parent's graph and
 selection through one derivation per kind, which the builder and the
 verifier both call. A derived child keeps the parent's vertices that its
 edges touch, relabelled 0.. in increasing order. A selection that does
-not fit its graph makes the derivation raise SelectionError.
+not fit its graph makes the derivation raise SelectionError. A recorded
+face must be an induced cycle of the node graph, which in an outerplanar
+graph is exactly an inner face; the side of a face edge is the edge plus
+the parts of the graph minus the face's vertices that hang across it.
 
 Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
@@ -30,14 +33,16 @@ n* <= k-2 vertices, so it has no k-cycle, and it is recognised afresh.
 Work model. The caller's embedding serves the root, and the builder reads
 each subgraph child's embedding off its parent's, all children of a node
 in one pass over the parent; it recognises only the contracted peels, in
-O(k log k) each. A 2-connected node builds its weak dual once, and its
-faces, block partition, terminal flags and peel are all read off it. The
-verifier gives the full checks, recognition and the exhaustive k-cycle
-search (which never looks at faces), only to the root and to each peel; a
-peel has fewer than k vertices, so its search is skipped. Every other node
-passes both checks by heredity, since its edges are the parent edges that
-the verifier's own derivation kept. Below a root that is not outerplanar
-there is no embedding to inherit, so each node there gets the full checks.
+O(k log k) each. The builder builds a 2-connected node's weak dual once
+and reads the node's faces and its big face or peel off it; no node builds
+a triangular-block partition. Splits derive their children from the node
+graph alone, so the verifier builds no weak dual. It gives the full
+checks, recognition and the exhaustive k-cycle search (which never looks
+at faces), only to the root and to each peel; a peel has fewer than k
+vertices, so its search is skipped. Every other node passes both checks by
+heredity, since its edges are the parent edges that the verifier's own
+derivation kept. Below a root that is not outerplanar there is no
+embedding to inherit, so each node there gets the full checks.
 
 Node kinds, their selections and their bookkeeping:
 
@@ -53,11 +58,13 @@ Node kinds, their selections and their bookkeeping:
                   face edge (the edge plus everything hanging across it):
                   sum(n_i) = n+L, sum(e_i) = e.
   terminal_peel   `face` = v1..vL, an inner face of size 4 <= L <= k-1
-                  whose edges v1v2 .. v(L-1)vL lie in L-1 distinct terminal
-                  triangular blocks; the children are the rest of the graph
-                  and the peel (those blocks) with vL merged into v1, which
-                  contracts the free edge v1vL: n'+n* = n+1, e'+e* = e, no
-                  parallel edges collapse.
+                  whose edges v1v2 .. v(L-1)vL have sides made only of
+                  triangles (e = 2n-3), which makes them L-1 distinct
+                  terminal triangular blocks; the children are the rest of
+                  the graph (the last side and every part across no face
+                  edge) and the peel (those sides) with vL merged into v1,
+                  which contracts the free edge v1vL: n'+n* = n+1,
+                  e'+e* = e, no parallel edges collapse.
   maximal_leaf    2-connected, all faces triangular: e = 2n-3 and n <= k-1
                   (an edge-maximal graph on more vertices would contain a
                   k-cycle).
@@ -91,7 +98,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Container
 
 from .graph import (
     BlockCutDecomposition,
@@ -105,23 +112,14 @@ from .graph import (
 )
 from .embedding import (
     EmbeddingInvariantError,
-    Face,
     NotOuterplanarError,
     OuterplaneEmbedding,
-    canonical_cycle,
     cycle_length_set,
     is_edge_maximal,
     recognize_outerplanar,
     restrict_embedding,
 )
-from .dual import (
-    BlockPartition,
-    WeakDualForest,
-    classify_terminal,
-    find_reducible_face,
-    triangular_blocks,
-    weak_dual,
-)
+from .dual import WeakDualForest, branch_weights, find_reducible_face, weak_dual
 from .turan import bound_holds
 
 EDGELESS = "edgeless"
@@ -241,60 +239,61 @@ def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Deri
     return [subgraph_on_edges(g, edges) for edges in sides]
 
 
-def _check_inner_face(faces: Sequence[Face], face: tuple[int, ...]) -> None:
-    """Raise SelectionError unless `face` is one of `faces`, up to rotation and reflection."""
-    if not face or canonical_cycle(face) not in {f.vertices for f in faces}:
-        raise SelectionError("recorded face is not an inner face of the node graph")
+def _face_sides(
+    g: Graph, face: tuple[int, ...]
+) -> tuple[list[list[Edge]], list[tuple[int, list[Edge]]]]:
+    """The edges on each side of `face`, and the parts of g across no face edge.
 
-
-def _big_face_children(g: Graph, faces: Sequence[Face], face: tuple[int, ...]) -> list[Derived]:
-    """One child per edge of `face`: the edge plus everything across it.
-
-    What lies across a face edge are the components of g minus the face's
-    vertices that touch the edge's two ends and no other face vertex, with
-    their edges to those ends. `faces` are g's inner faces.
+    Side i holds face edge i, from face[i] to face[i+1], and the components
+    of g minus the face's vertices that touch that edge's two ends and no
+    other face vertex, with their edges to those ends. The other components
+    come as (least vertex, edges), in order of their least vertex. g is
+    outerplanar, so its inner faces are exactly its induced cycles, and
+    `face` is accepted when it is one.
     """
-    _check_inner_face(faces, face)
     size = len(face)
     pos = {v: i for i, v in enumerate(face)}
+    # the edges among the face's vertices, as steps along the face: an
+    # induced cycle has L of them, each of one step (so none is a chord)
+    steps = [(pos[u] - pos[v]) % size for u, v in g.edges if u in pos and v in pos]
+    if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
+        raise SelectionError("recorded face is not an inner face of the node graph")
     sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
+    loose = []
     for vertices, edges, touched in _parts(g, pos):
-        ends = [pos[v] for v in touched]
-        i, j = min(ends, default=0), max(ends, default=0)
-        if len(ends) != 2 or j - i not in (1, size - 1):
-            least = vertices[0]
-            raise SelectionError(f"the part at vertex {least} does not hang across one face edge")
-        sides[i if j == i + 1 else j].extend(edges)
+        ends = sorted(pos[v] for v in touched)
+        if len(ends) == 2 and ends[1] - ends[0] in (1, size - 1):
+            sides[ends[0] if ends[1] == ends[0] + 1 else ends[1]].extend(edges)
+        else:
+            loose.append((vertices[0], edges))
+    return sides, loose
+
+
+def _big_face_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
+    """One child per edge of `face`: the edge plus everything across it."""
+    sides, loose = _face_sides(g, face)
+    if loose:
+        raise SelectionError(f"the part at vertex {loose[0][0]} does not hang across one face edge")
     return [subgraph_on_edges(g, edges) for edges in sides]
 
 
-def _peel_children(
-    g: Graph, faces: Sequence[Face], partition: BlockPartition, face: tuple[int, ...]
-) -> list[Derived]:
-    """The rest of g, and the blocks of face edges 0..L-2 with face[-1] merged into face[0].
+def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
+    """The rest of g, and the sides of face edges 0..L-2 with face[-1] merged into face[0].
 
-    `faces` are g's inner faces and `partition` their triangular blocks,
-    terminal flags set. The rest is a subgraph of g. The peel is not (its
-    edges at face[0] need not be edges of g), so it comes without a vertex map.
+    A peeled side must be a terminal block made only of triangles, which in
+    the outerplanar g means e = 2n-3. The rest, the last side and every part
+    across no face edge, is a subgraph of g. The peel is not (its edges at
+    face[0] need not be edges of g), so it comes without a vertex map. Sides
+    share only face vertices, so for L >= 4 merging collapses no edge.
     """
-    _check_inner_face(faces, face)
-    owner = partition.block_of_edge()
-    blocks = [
-        partition.blocks[owner[edge_key(face[i], face[i + 1])]] for i in range(len(face) - 1)
-    ]
-    if not all(b.terminal for b in blocks):
+    sides, loose = _face_sides(g, face)
+    peel = sides[:-1]
+    if any(len(edges) != 2 * len({v for e in edges for v in e}) - 3 for edges in peel):
         raise SelectionError("a peeled face edge lies in a non-terminal block")
-    if len({b.edges for b in blocks}) != len(blocks):
-        raise SelectionError("two peeled face edges lie in the same block")
-    peel = {e for b in blocks for e in b.edges}
     v1, vl = face[0], face[-1]
-    if edge_key(v1, vl) in peel:
-        raise SelectionError("the peel holds the closing edge")
-    merged = {edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in peel}
-    if len(merged) < len(peel):
-        collapsed = len(peel) - len(merged)
-        raise SelectionError(f"merging {vl} into {v1} collapses {collapsed} parallel edges")
-    rest = [e for e in g.edges if e not in peel]
+    peeled = [e for edges in peel for e in edges]
+    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in peeled]
+    rest = sides[-1] + [e for _, edges in loose for e in edges]
     return [subgraph_on_edges(g, rest), (subgraph_on_edges(g, merged)[0], None)]
 
 
@@ -338,14 +337,13 @@ def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
     dual = weak_dual(emb)
     if any(f.size >= k + 1 for f in dual.faces):
         face = _select_big_face(dual, k)
-        children = _embedded(emb, _big_face_children(g, dual.faces, face))
+        children = _embedded(emb, _big_face_children(g, face))
         return CertNode(
             kind=BIG_FACE_SPLIT, children=tuple(_build(c, e, k) for c, e in children), face=face
         )
     if any(f.size >= 4 for f in dual.faces):
-        partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
-        face = _select_peel(dual, partition, k)
-        children = _embedded(emb, _peel_children(g, dual.faces, partition, face))
+        face = _select_peel(dual, k)
+        children = _embedded(emb, _peel_children(g, face))
         return CertNode(
             kind=TERMINAL_PEEL, children=tuple(_build(c, e, k) for c, e in children), face=face
         )
@@ -373,30 +371,6 @@ def _restricted(
     over emb; None for the contracted peel, which has no map into the parent."""
     found = iter(restrict_embedding(emb, [(c, m) for c, m in children if m is not None]))
     return [next(found) if m is not None else None for _, m in children]
-
-
-def _branch_weights(adj: list[list[int]], weight: list[int]) -> list[list[int]]:
-    """For each node of a tree, the weight of the branch behind each neighbour.
-
-    branches[v][i] is the total weight of the component of the tree minus v
-    that holds adj[v][i]: a subtree sum below v, or the complement of v's
-    own subtree towards the root. One rooted pass computes every sum.
-    """
-    parent = [-1] * len(adj)
-    order = [0]
-    for v in order:  # breadth-first; the list grows while it is read
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
-    below = list(weight)
-    for v in reversed(order[1:]):
-        below[parent[v]] += below[v]
-    total = below[0]
-    return [
-        [below[u] if parent[u] == v else total - below[v] for u in adj[v]]
-        for v in range(len(adj))
-    ]
 
 
 def _halves(weights: list[int]) -> tuple[list[int], list[int]]:
@@ -434,11 +408,7 @@ def _select_cut(
     g: Graph, dec: BlockCutDecomposition
 ) -> tuple[int | None, tuple[int, ...]]:
     """The most balanced cut split as (cut, side); the first half goes to child 0."""
-    comps = _parts(g, ())
-    if len(comps) > 1:
-        sizes = [len(edges) for _, edges, _ in comps]
-        return None, tuple(sorted(comps[ci][0][0] for ci in _halves(sizes)[0]))
-    # block-cut tree: units (blocks and bridges) first, then cut vertices
+    # block-cut forest: units (blocks and bridges) first, then cut vertices
     units = [b.vertices for b in dec.blocks] + list(dec.bridges)
     node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}
     adj: list[list[int]] = [[] for _ in range(len(units) + len(node_of))]
@@ -447,8 +417,12 @@ def _select_cut(
             if v in node_of:
                 adj[ui].append(node_of[v])
                 adj[node_of[v]].append(ui)
+    if len(adj) - sum(map(len, adj)) // 2 > 1:  # a forest has nodes - edges trees
+        comps = _parts(g, ())
+        sizes = [len(edges) for _, edges, _ in comps]
+        return None, tuple(sorted(comps[ci][0][0] for ci in _halves(sizes)[0]))
     weight = [len(b.edges) for b in dec.blocks] + [1] * len(dec.bridges) + [0] * len(node_of)
-    branches = _branch_weights(adj, weight)
+    branches = branch_weights(adj, weight)
     cut = min(dec.cut_vertices, key=lambda c: (max(branches[node_of[c]]), c))
     at = node_of[cut]
     side = []
@@ -462,7 +436,7 @@ def _select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     """The face of size >= k+1 whose largest child has the fewest edges."""
     faces = dual.faces
     # the child across a face edge holds sum(size - 1) + 1 edges of its faces
-    branches = _branch_weights(dual.adjacency(), [f.size - 1 for f in faces])
+    branches = branch_weights(dual.adjacency(), [f.size - 1 for f in faces])
     at = min(
         (i for i, f in enumerate(faces) if f.size >= k + 1),
         key=lambda i: (max(branches[i], default=0), faces[i].vertices),
@@ -470,20 +444,18 @@ def _select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     return faces[at].vertices
 
 
-def _select_peel(dual: WeakDualForest, partition: BlockPartition, k: int) -> tuple[int, ...]:
+def _select_peel(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     """The reducible face, rotated so that its edge in a non-terminal block
     (if any) joins the last vertex to the first, and face[0] < face[-1]."""
-    found = find_reducible_face(dual, partition)
+    found = find_reducible_face(dual)
     if found is None:
         raise CoverageError("no reducible face although a (4+)-face exists")
-    face_obj, terminal = found
+    face_obj, held = found
     size = face_obj.size
     if not 4 <= size <= k - 1:
         raise CoverageError(f"reducible face size {size} outside 4..{k - 1}")
     ring = list(face_obj.vertices)
-    held = {e for b in terminal for e in b.edges}
-    free = [i for i in range(size) if edge_key(ring[i], ring[(i + 1) % size]) not in held]
-    skip = free[0] if free else 0
+    skip = next((i for i in range(size) if edge_key(ring[i], ring[(i + 1) % size]) in held), 0)
     ring = ring[skip + 1 :] + ring[: skip + 1]
     if ring[0] > ring[-1]:
         ring.reverse()  # same closing edge, and v1 < vL for determinism
@@ -697,13 +669,11 @@ def _verify_split(
         elif node.kind == BIG_FACE_SPLIT:
             if size < k + 1:
                 raise SelectionError(f"face of size {size} is below k+1 = {k + 1}")
-            children = _big_face_children(g, weak_dual(emb).faces, face)
+            children = _big_face_children(g, face)
         else:
             if not 4 <= size <= k - 1:
                 raise SelectionError(f"face size {size} outside 4..{k - 1}")
-            dual = weak_dual(emb)
-            partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
-            children = _peel_children(g, dual.faces, partition, face)
+            children = _peel_children(g, face)
     except SelectionError as exc:
         audit.fail(path, str(exc))
         return []

@@ -279,14 +279,14 @@ def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
         f"trivial={trivial} nontrivial={len(partition.blocks) - trivial} "
         f"terminal={terminal}"
     )
-    found = find_reducible_face(dual, partition)
+    found = find_reducible_face(dual)
     if found is None:
         print("reducible_face=none")
     else:
-        face, terminal_blocks = found
+        face, held = found  # each face edge lies in its own block
         print(
             f"reducible_face={'-'.join(map(str, face.vertices))} "
-            f"size={face.size} terminal_blocks={len(terminal_blocks)}"
+            f"size={face.size} terminal_blocks={face.size - len(held)}"
         )
     print(f"cycle_lengths={spectrum}")
     if dot_dir:

@@ -9,11 +9,14 @@ faces, plus one trivial (single-edge) block for every edge that borders no
 triangular face. A block is terminal when it shares edges with at most one
 inner face of size >= 4.
 
-The reducible-face finder returns an inner face of size L >= 4 for which at
-least L-1 of the blocks carrying its edges are terminal. One always exists
-when any (4+)-face does: in the bipartite face/block incidence forest,
-deleting terminal block nodes leaves every surviving block node with degree
->= 2, so some (4+)-face node has at most one surviving neighbour.
+Seen from a (4+)-face, an edge's block is the triangles across it up to
+the next (4+)-face, so it is non-terminal exactly when a (4+)-face lies
+across the edge in the dual. The reducible-face finder thus needs no
+partition: from the (4+)-face count of each dual branch (branch_weights),
+it returns a face of size L >= 4 with at most one branch around it holding
+another (4+)-face, so at least L-1 of its edges' blocks are terminal. One
+exists whenever a (4+)-face does: in each dual tree the (4+)-faces span a
+subtree, and a leaf of it (or its only node) qualifies.
 
 Everything after weak_dual reads its faces off a dual the caller built once.
 """
@@ -202,38 +205,58 @@ def face_block_incidence(dual: WeakDualForest, partition: BlockPartition) -> Fac
     )
 
 
-def find_reducible_face(
-    dual: WeakDualForest, partition: BlockPartition
-) -> tuple[Face, tuple[TriangularBlock, ...]] | None:
-    """A (4+)-inner-face whose surrounding blocks are terminal up to one.
+def branch_weights(adj: list[list[int]], weight: list[int]) -> list[list[int]]:
+    """For each node of a forest, the weight of the branch behind each neighbour.
 
-    `partition` is the dual's block partition, terminal flags set. Returns
-    (face, terminal blocks around it), or None when every inner face is a
-    triangle. Among qualifying faces the lexicographically least boundary
-    wins, for reproducible output.
+    branches[v][i] is the total weight of the component of the forest minus
+    v that holds adj[v][i]: a subtree sum below v, or the rest of v's tree
+    beyond v's own subtree. One rooted pass per tree computes every sum.
     """
-    inc = face_block_incidence(dual, partition)
-    if not inc.faces:
+    parent = [-1] * len(adj)
+    root = [-1] * len(adj)
+    order: list[int] = []  # every node after its parent
+    for r in range(len(adj)):
+        if root[r] >= 0:
+            continue
+        root[r], stack = r, [r]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in adj[v]:
+                if root[u] < 0:
+                    root[u], parent[u] = r, v
+                    stack.append(u)
+    below = list(weight)
+    for v in reversed(order):
+        if parent[v] >= 0:
+            below[parent[v]] += below[v]
+    return [
+        [below[u] if parent[u] == v else below[root[v]] - below[v] for u in adj[v]]
+        for v in range(len(adj))
+    ]
+
+
+def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] | None:
+    """A (4+)-inner-face with at most one dual branch around it that holds a (4+)-face.
+
+    Returns (face, its edges in a non-terminal block: at most one), or None
+    when every inner face is a triangle. Among qualifying faces the
+    lexicographically least boundary wins, for reproducible output.
+    """
+    big = [int(f.size >= 4) for f in dual.faces]
+    if not any(big):
         return None
-    non_terminal_deg = [0] * len(inc.faces)
-    incident: dict[int, list[int]] = defaultdict(list)
-    for fi, bi in inc.edges:
-        incident[fi].append(bi)
-        if not inc.blocks[bi].terminal:
-            non_terminal_deg[fi] += 1
-    qualifying = [fi for fi in range(len(inc.faces)) if non_terminal_deg[fi] <= 1]
+    across: list[list[Edge]] = [[] for _ in big]  # in adjacency() order
+    for (a, b), shared in zip(dual.edges, dual.shared_edges):
+        across[a].append(shared)
+        across[b].append(shared)
+    branches = branch_weights(dual.adjacency(), big)
+    held = [tuple(e for e, w in zip(across[f], branches[f]) if w) for f in range(len(big))]
+    qualifying = [f for f in range(len(big)) if big[f] and len(held[f]) <= 1]
     if not qualifying:
-        raise EmbeddingInvariantError(
-            "no reducible face despite a (4+)-face being present"
-        )
-    chosen = min(qualifying, key=lambda fi: inc.faces[fi].vertices)
-    terminal = tuple(
-        sorted(
-            (inc.blocks[bi] for bi in incident[chosen] if inc.blocks[bi].terminal),
-            key=lambda b: b.edges,
-        )
-    )
-    return inc.faces[chosen], terminal
+        raise EmbeddingInvariantError("no reducible face despite a (4+)-face being present")
+    chosen = min(qualifying, key=lambda f: dual.faces[f].vertices)
+    return dual.faces[chosen], held[chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,9 @@ def is_edge_maximal(emb: OuterplaneEmbedding) -> bool:
 
     Evaluates both equivalent characterisations (2-connected with all inner
     faces triangular; edge count equal to 2n-3) and refuses to answer if
-    they ever disagree, which would indicate a broken embedding.
+    they ever disagree, which would indicate a broken embedding. A block
+    with p boundary vertices and c chords has c+1 faces whose sizes sum to
+    p+2c, so with p = n they are all triangles exactly when c = n-3.
     """
     g = emb.graph
     if g.n < 2:
@@ -476,7 +478,7 @@ def is_edge_maximal(emb: OuterplaneEmbedding) -> bool:
         and not emb.bridges
         and not emb.isolated
         and len(emb.blocks[0].outer) == g.n
-        and all(f.size == 3 for f in inner_faces(emb))
+        and len(emb.blocks[0].chords) == g.n - 3
     )
     if structural != count_cond:
         raise EmbeddingInvariantError(

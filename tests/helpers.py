@@ -96,6 +96,29 @@ def reference_weak_dual(emb: op.OuterplaneEmbedding) -> op.WeakDualForest:
     )
 
 
+def reference_reducible_face(
+    emb: op.OuterplaneEmbedding,
+) -> tuple[op.Face, tuple[tuple[int, int], ...]] | None:
+    """The reducible face from the face/block incidence forest over the
+    classified triangular-block partition: the least (4+)-face with at most
+    one non-terminal block among its neighbours, and the face edges whose
+    block is non-terminal."""
+    dual = op.weak_dual(emb)
+    partition = op.classify_terminal(op.triangular_blocks(dual, emb.graph.edges), dual)
+    inc = op.face_block_incidence(dual, partition)
+    if not inc.faces:
+        return None
+    non_terminal = [0] * len(inc.faces)
+    for fi, bi in inc.edges:
+        non_terminal[fi] += not inc.blocks[bi].terminal
+    qualifying = [fi for fi in range(len(inc.faces)) if non_terminal[fi] <= 1]
+    assert qualifying, "no reducible face despite a (4+)-face being present"
+    face = min((inc.faces[fi] for fi in qualifying), key=lambda f: f.vertices)
+    owner = partition.block_of_edge()
+    held = tuple(e for e in face.boundary_edges() if not partition.blocks[owner[e]].terminal)
+    return face, held
+
+
 def all_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):

@@ -155,7 +155,7 @@ def test_criterion_5_structure_propositions():
         part = op.triangular_blocks(dual, g.edges)
         assert sorted(e for b in part.blocks for e in b.edges) == list(g.edges)
         has_big = any(f.size >= 4 for f in op.inner_faces(emb))
-        got = op.find_reducible_face(dual, op.classify_terminal(part, dual))
+        got = op.find_reducible_face(dual)
         assert (got is not None) == has_big
         if got is not None:
             checked_faces += 1

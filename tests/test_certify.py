@@ -15,10 +15,10 @@ from opturan.certify import (
     EDGELESS,
     MAXIMAL_LEAF,
     TERMINAL_PEEL,
-    _branch_weights,
     _cut_children,
     _halves,
 )
+from opturan.dual import branch_weights
 
 from helpers import ladder, rand_ckfree_subgraph
 
@@ -267,6 +267,7 @@ class TestSelections:
         (CHAIN51, 5, _pop_child, "expected 6 children, found 5"),
         (LADDER, 5, _set("face", [1, 0, 3, 2]), "a peeled face edge lies in a non-terminal block"),
         (LADDER, 5, _set("face", [0, 1, 2, 4, 5, 3]), "face size 6 outside 4..4"),
+        (LADDER, 5, _set("face", [0, 1, 2, 4]), NOT_A_FACE),  # no chord, but 4-0 is no edge
         (op.fan(4).graph, 5, _add_child, "leaf node must not have children"),
         (op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'"),
     ]
@@ -289,6 +290,32 @@ class TestSelections:
         }
         report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
         assert report.failures == ("root: the part at vertex 6 does not hang across one face edge",)
+
+    # a 4-cycle 0-1-2-3 with a pendant edge at v1 = 0 or at the interior
+    # face vertex 1, peeled at the root: the pendant hangs across no face
+    # edge, so it stays in the rest
+    PEELS = [
+        (0, {"kind": "cut_split", "cut": 0, "side": [1], "children": [BASE_LEAF, BASE_LEAF]}, ()),
+        (
+            1,
+            {"kind": "cut_split", "cut": None, "side": [0], "children": [BASE_LEAF, BASE_LEAF]},
+            ("root: n'+n* = 7 differs from n+1 = 6", "root: children bounds 115 != chain value 90"),
+        ),
+    ]
+
+    @pytest.mark.parametrize("at, rest, failures", PEELS)
+    def test_peel_keeps_parts_across_no_face_edge_in_the_rest(self, at, rest, failures):
+        graph = op.make_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (at, 4)])
+        peel = {"kind": "maximal_leaf", "children": []}
+        data = {
+            "format": 2,
+            "k": 5,
+            "graph": json.loads(op.graph_to_json(graph)),
+            "root": {"kind": "terminal_peel", "face": [0, 1, 2, 3], "children": [rest, peel]},
+        }
+        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
+        assert report.failures == failures
+        assert report.verdict == (failures == ())
 
     def test_cut_split_without_side(self):
         cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4)
@@ -418,7 +445,11 @@ class TestBalancedSplits:
     def test_branch_weights(self):
         # path 0-1-2-3 with weights 1, 2, 3, 4
         adj = [[1], [0, 2], [1, 3], [2]]
-        assert _branch_weights(adj, [1, 2, 3, 4]) == [[9], [1, 7], [3, 4], [6]]
+        assert branch_weights(adj, [1, 2, 3, 4]) == [[9], [1, 7], [3, 4], [6]]
+        # a forest: the star 1-{0, 3}, the lone node 2 and the edge 4-5;
+        # each branch sums within its own tree
+        adj = [[1], [0, 3], [], [1], [5], [4]]
+        assert branch_weights(adj, [1, 2, 4, 8, 16, 32]) == [[10], [1, 8], [], [3], [32], [16]]
 
     def test_halves(self):
         assert _halves([5, 3, 3, 1]) == ([0, 3], [1, 2])
@@ -458,11 +489,10 @@ class TestWorkModel:
             assert calls == Counter(recognize_outerplanar=1 + peels, has_cycle_of_length=1)
 
     def test_one_weak_dual_per_node(self, monkeypatch):
-        """Every 2-connected node with n > 2 (a big-face split, a peel or a
-        maximal leaf) builds its weak dual once, and each peel classifies one
-        partition; nothing that is handed the dual rebuilds faces from the
-        embedding. The weak dual reads its faces off the block scan, so the
-        only inner_faces call is the maximal leaf's edge-maximality check."""
+        """The builder builds the weak dual once at every 2-connected node with
+        n > 2 (a big-face split, a peel or a maximal leaf) and picks each peel
+        off it, without a block partition. Every split derives its children
+        from the node graph alone, so the verifier builds no dual structure."""
         import opturan.certify as certify_module
         import opturan.dual as dual_module
         import opturan.embedding as embedding_module
@@ -492,23 +522,12 @@ class TestWorkModel:
             kinds = node_kinds(cert.root)
             assert kinds.count(TERMINAL_PEEL) == peels
             leaves = kinds.count(MAXIMAL_LEAF)
+            assert leaves > 0
             duals = kinds.count(BIG_FACE_SPLIT) + peels + leaves
-            assert calls == Counter(
-                inner_faces=leaves,
-                weak_dual=duals,
-                triangular_blocks=peels,
-                classify_terminal=peels,
-                find_reducible_face=peels,
-            )
+            assert calls == Counter(weak_dual=duals, find_reducible_face=peels)
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
-            duals = kinds.count(BIG_FACE_SPLIT) + peels
-            assert calls == Counter(
-                inner_faces=leaves,
-                weak_dual=duals,
-                triangular_blocks=peels,
-                classify_terminal=peels,
-            )
+            assert calls == Counter()
 
     def test_graph_that_is_not_outerplanar_fails_without_exception(self):
         # K4 on 0..3 with a pendant edge 3-4, recorded as a cut split at 3

@@ -211,16 +211,20 @@ class TestIncidence:
 
 class TestReducibleFace:
     def test_build_h5(self):
-        face, terminal = op.find_reducible_face(*classified(op.build_H(5)))
+        face, held = op.find_reducible_face(op.weak_dual(op.build_H(5)))
         assert face.size == 6
-        assert len(terminal) == 6  # >= size - 1 required
+        assert held == ()  # all 6 blocks terminal; >= size - 1 required
 
     def test_c4(self):
-        face, terminal = op.find_reducible_face(*classified(op.recognize_outerplanar(C(4))))
-        assert face.size == 4 and len(terminal) == 4
+        face, held = op.find_reducible_face(op.weak_dual(op.recognize_outerplanar(C(4))))
+        assert face.size == 4 and held == ()
+
+    def test_glued_squares_hold_the_shared_edge(self):
+        face, held = op.find_reducible_face(op.weak_dual(glued_squares()))
+        assert face.vertices == (0, 1, 2, 3) and held == ((2, 3),)
 
     def test_fan7_none(self):
-        assert op.find_reducible_face(*classified(op.fan(7))) is None
+        assert op.find_reducible_face(op.weak_dual(op.fan(7))) is None
 
     def test_guarantee_property(self):
         rng = random.Random(26)
@@ -229,7 +233,7 @@ class TestReducibleFace:
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(4, 14)).graph, 0.7)
             emb = op.recognize_outerplanar(g)
             has_big = any(f.size >= 4 for f in op.inner_faces(emb))
-            got = op.find_reducible_face(*classified(emb))
+            got = op.find_reducible_face(op.weak_dual(emb))
             assert (got is not None) == has_big
             if got is None:
                 continue

@@ -33,7 +33,7 @@ from opturan.embedding import (  # noqa: E402
 )
 from opturan.graph import find_cycle_in_edges, subgraph_on_edges  # noqa: E402
 
-from helpers import reference_weak_dual  # noqa: E402
+from helpers import reference_reducible_face, reference_weak_dual  # noqa: E402
 
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -283,6 +283,55 @@ def test_bounded_spectrum_is_the_full_spectrum_cut(seed, size, host, k):
 def test_scan_dual_equals_shared_edge_definition(seed, size, host, k):
     emb = op.recognize_outerplanar(host_graph(host, seed, size, k))
     assert op.weak_dual(emb) == reference_weak_dual(emb)
+
+
+@LARGE
+@given(seeds, st.integers(20, 300), HOSTS, st.integers(3, 8), seeds)
+def test_reducible_face_equals_the_incidence_forest_finder(seed, size, host, k, subset_seed):
+    """On hosts and on random subgraphs of them, whose duals are forests of
+    many trees, the finder that reads (4+)-face counts off the dual's
+    branches returns the face the classified block partition gives, and
+    exactly its edges whose block is non-terminal."""
+    g = host_graph(host, seed, size, k)
+    rng = random.Random(subset_seed)
+    sub, _ = subgraph_on_edges(g, [e for e in g.edges if rng.random() < 0.8] or [g.edges[0]])
+    for graph in (g, sub):
+        emb = op.recognize_outerplanar(graph)
+        assert op.find_reducible_face(op.weak_dual(emb)) == reference_reducible_face(emb)
+
+
+def path_around(ring: list[int], x: int, y: int) -> list[int]:
+    """The vertices of the cycle `ring` from x to y, not along its edge x-y."""
+    at = ring.index(x)
+    turned = ring[at:] + ring[:at]
+    return [x] + turned[:0:-1] if turned[1] == y else turned
+
+
+@LARGE
+@given(seeds, st.integers(10, 100), HOSTS, st.integers(3, 8))
+def test_face_sides_accept_exactly_the_inner_faces(seed, size, host, k):
+    """Every inner face is accepted in every rotation and reflection, its
+    sides and the parts across no face edge holding each edge of g once;
+    two faces merged across their shared chord, and a face with two
+    neighbouring vertices swapped, are vertex cycles that are not faces."""
+    g = host_graph(host, seed, size, k)
+    dual = op.weak_dual(op.recognize_outerplanar(g))
+    not_faces = []
+    for face in dual.faces:
+        ring = list(face.vertices)
+        for turned in (ring, ring[::-1]):
+            for r in range(len(ring)):
+                sides, loose = certify_module._face_sides(g, tuple(turned[r:] + turned[:r]))
+                held = [e for side in sides for e in side]
+                assert sorted(held + [e for _, edges in loose for e in edges]) == list(g.edges)
+        if len(ring) >= 4:
+            not_faces.append([ring[1], ring[0]] + ring[2:])
+    for (a, b), (u, v) in zip(dual.edges, dual.shared_edges):
+        first, second = list(dual.faces[a].vertices), list(dual.faces[b].vertices)
+        not_faces.append(path_around(first, u, v) + path_around(second, v, u)[1:-1])
+    for cycle in not_faces:
+        with pytest.raises(certify_module.SelectionError, match="not an inner face"):
+            certify_module._face_sides(g, tuple(cycle))
 
 
 @LARGE

@@ -42,3 +42,22 @@ def test_benchmark_tracer_targets_resolve():
 
     assert {"kind", "children"} <= {f.name for f in dataclasses.fields(CertNode)}
     assert "root" in {f.name for f in dataclasses.fields(Certificate)}
+
+
+def test_certificates_stay_off_the_block_partition():
+    """The builder picks peels off the weak dual and every split derives its
+    children from the node graph, so certify.py names none of the partition's
+    parts (they serve `analyze`)."""
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    partition = {
+        "triangular_blocks", "classify_terminal", "face_block_incidence", "BlockPartition", "Face"
+    }
+    assert names & partition == set()
