@@ -24,11 +24,12 @@ the parts of the graph minus the face's vertices that hang across it.
 Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
 split, every child of a big-face split, and the rest of a peel keep only
-parent edges. Restricting the parent's outerplane embedding to a child's
-edges is then the child's embedding (restrict_embedding), with no
-recognition, and a child whose parent is outerplanar and k-cycle-free is
-both. Only the peel, where vL is merged into v1, is not a subgraph; it has
-n* <= k-2 vertices, so it has no k-cycle, and it is recognised afresh.
+parent edges. A child whose parent is outerplanar and k-cycle-free is then
+both, with no recognition, and restricting the parent's outerplane
+embedding to the child's edges is the child's embedding
+(restrict_embedding). Only the peel, where vL is merged into v1, is not a
+subgraph; it has n* <= k-2 vertices, so it has no k-cycle, and it is
+recognised afresh.
 
 Work model. The caller's embedding serves the root, and the builder reads
 each subgraph child's embedding off its parent's, all children of a node
@@ -36,13 +37,16 @@ in one pass over the parent; it recognises only the contracted peels, in
 O(k log k) each. The builder builds a 2-connected node's weak dual once
 and reads the node's faces and its big face or peel off it; no node builds
 a triangular-block partition. Splits derive their children from the node
-graph alone, so the verifier builds no weak dual. It gives the full
-checks, recognition and the exhaustive k-cycle search (which never looks
-at faces), only to the root and to each peel; a peel has fewer than k
-vertices, so its search is skipped. Every other node passes both checks by
-heredity, since its edges are the parent edges that the verifier's own
-derivation kept. Below a root that is not outerplanar there is no
-embedding to inherit, so each node there gets the full checks.
+graph alone, so the verifier builds no weak dual, and it passes no
+embedding down: heredity is a flag. It gives the full checks, recognition
+and the exhaustive k-cycle search (which never looks at faces), only to
+the root and to each peel; a peel has fewer than k vertices, so its search
+is skipped. Every other node is vouched for by heredity, since its edges
+are the parent edges that the verifier's own derivation kept. A vouched
+maximal leaf is still recognised, for is_edge_maximal's structural
+cross-check; a valid one has at most k-1 vertices, so that costs
+O(k log k), as at a peel. Below a root that is not outerplanar nothing is
+vouched for, so each node there gets the full checks.
 
 Node kinds, their selections and their bookkeeping:
 
@@ -357,20 +361,10 @@ def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
 def _embedded(
     emb: OuterplaneEmbedding, children: list[Derived]
 ) -> list[tuple[Graph, OuterplaneEmbedding]]:
-    """Each child with its embedding: read off emb, or recognised for the contracted peel."""
-    return [
-        (c, e if e is not None else recognize_outerplanar(c))
-        for (c, _), e in zip(children, _restricted(emb, children))
-    ]
-
-
-def _restricted(
-    emb: OuterplaneEmbedding, children: list[Derived]
-) -> list[OuterplaneEmbedding | None]:
-    """Each child's embedding read off its parent's, emb, all in one pass
-    over emb; None for the contracted peel, which has no map into the parent."""
+    """Each child with its embedding: read off emb, all in one pass over emb,
+    or recognised for the contracted peel, which has no map into emb."""
     found = iter(restrict_embedding(emb, [(c, m) for c, m in children if m is not None]))
-    return [next(found) if m is not None else None for _, m in children]
+    return [(c, next(found) if m is not None else recognize_outerplanar(c)) for c, m in children]
 
 
 def _halves(weights: list[int]) -> tuple[list[int], list[int]]:
@@ -525,8 +519,8 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     Derives every node's graph from the certified graph and the recorded
     selections. It recognises the root's graph and searches it exhaustively
     for a k-cycle (not via the face spectrum). Children that are subgraphs
-    of their parent inherit both properties and their embedding (see the
-    module docstring); each contracted peel is recognised afresh, and
+    of their parent inherit both properties (see the module docstring), so
+    a flag stands for them; each contracted peel is recognised afresh, and
     searched if it has k or more vertices. At every node it checks whether
     the selection fits the graph, the split bookkeeping identities, the
     leaf conditions and the integer inequality chain. Failures are
@@ -542,7 +536,7 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     except GraphError as exc:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
-        _verify_node(cert.root, _root_graph(cert.graph)[0], None, k, "root", audit)
+        _verify_node(cert.root, _root_graph(cert.graph)[0], False, k, "root", audit)
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
@@ -557,24 +551,27 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
 
 
 def _verify_node(
-    node: CertNode, g: Graph, emb: OuterplaneEmbedding | None, k: int, path: str, audit: _Audit
+    node: CertNode, g: Graph, vouched: bool, k: int, path: str, audit: _Audit
 ) -> None:
     """Audit one node and its subtree.
 
-    `emb` is g's embedding read off the parent's, which vouches for g by
-    heredity; None means g is checked in full: recognised and searched.
+    `vouched` says that g keeps only edges of an outerplanar parent, so it
+    passes both checks by heredity; otherwise g is checked in full:
+    recognised and searched.
     """
     if node.kind not in _KINDS:
         audit.fail(path, f"unknown node kind {node.kind!r}")
         return
     before = len(audit.failures)
-    if emb is None:
+    emb = None
+    if not vouched:
         try:
             emb = recognize_outerplanar(g)
         except (NotOuterplanarError, EmbeddingInvariantError) as exc:
             audit.fail(path, f"node graph is not outerplanar: {exc}")
         if g.n >= k and has_cycle_of_length(g, k):
             audit.fail(path, f"node graph contains a cycle of length {k}")
+        vouched = emb is not None
 
     lhs = g.e * audit.den
     rhs = audit.rhs(g.n)
@@ -592,9 +589,10 @@ def _verify_node(
         if g.n != 2 or g.e > 1:
             audit.fail(path, f"base leaf requires n=2, e<=1; got n={g.n}, e={g.e}")
     elif node.kind == MAXIMAL_LEAF:
-        if emb is not None:
+        if vouched:
+            # a valid leaf has at most k-1 vertices, so recognising it is cheap
             try:
-                if not is_edge_maximal(emb):
+                if not is_edge_maximal(emb if emb is not None else recognize_outerplanar(g)):
                     audit.fail(path, "maximal leaf is not edge-maximal")
             except (ValueError, EmbeddingInvariantError) as exc:
                 audit.fail(path, f"maximal leaf check failed: {exc}")
@@ -604,7 +602,7 @@ def _verify_node(
             audit.fail(path, f"maximal leaf has n={g.n} > k-1={k - 1}")
         note = "e = 2n-3 leaf"
     else:
-        children = _verify_split(node, g, emb, k, path, audit)
+        children = _verify_split(node, g, vouched, k, path, audit)
         size = len(node.face or ())
         note = {
             CUT_SPLIT: "split at a cut",
@@ -627,35 +625,19 @@ def _verify_node(
             note=note,
         )
     )
-    derived = zip(node.children, children, _inherited(emb, children))
-    for i, (child, (child_graph, _), child_emb) in enumerate(derived):
-        _verify_node(child, child_graph, child_emb, k, f"{path}.{i}", audit)
-
-
-def _inherited(
-    emb: OuterplaneEmbedding | None, children: list[Derived]
-) -> list[OuterplaneEmbedding | None]:
-    """Each child's embedding read off its parent's, or None to check it in full.
-
-    None for the contracted peel, and for every child when the parent has
-    no embedding or the restriction fails.
-    """
-    if emb is not None:
-        try:
-            return _restricted(emb, children)
-        except EmbeddingInvariantError:
-            pass
-    return [None] * len(children)
+    # every child but the contracted peel (no vertex map) keeps only edges of g
+    for i, (child, (child_graph, to_parent)) in enumerate(zip(node.children, children)):
+        _verify_node(child, child_graph, vouched and to_parent is not None, k, f"{path}.{i}", audit)
 
 
 def _verify_split(
-    node: CertNode, g: Graph, emb: OuterplaneEmbedding | None, k: int, path: str, audit: _Audit
+    node: CertNode, g: Graph, vouched: bool, k: int, path: str, audit: _Audit
 ) -> list[Derived]:
     """A split node's derived children after its bookkeeping checks.
 
     Returns no children when they cannot be derived: the selection does not
-    fit, the node graph has no embedding, or the recorded tree has another
-    number of children.
+    fit, a face is recorded on a graph that is not known to be outerplanar,
+    or the recorded tree has another number of children.
     """
     face = node.face or ()
     size = len(face)
@@ -664,7 +646,7 @@ def _verify_split(
             if node.side is None:
                 raise SelectionError("cut split lacks its side")
             children = _cut_children(g, node.cut, node.side)
-        elif emb is None:
+        elif not vouched:
             return []  # not outerplanar, reported above
         elif node.kind == BIG_FACE_SPLIT:
             if size < k + 1:

@@ -118,24 +118,20 @@ def build_H(k: int) -> OuterplaneEmbedding:
 
 def build_chain_graph(k: int, m: int) -> Graph:
     params = ChainParams(k, m)
-    g = fan_graph(k - 1)
+    seed = fan_graph(k - 1)
+    h, (u, v), far = _gadget_graph(k)
+    n, edges = seed.n, set(seed.edges)
     # boundary edge the next gadget merges onto
     attach: Edge = (0, 1)
     for _ in range(m):
-        h, uv, far = _gadget_graph(k)
-        a, b = attach
-        u, v = uv
-        rename: dict[int, int] = {u: a, v: b}
-        nxt = g.n
+        rename: dict[int, int] = {u: attach[0], v: attach[1]}
         for w in range(h.n):
             if w not in rename:
-                rename[w] = nxt
-                nxt += 1
-        merged = set(g.edges)
-        for x, y in h.edges:
-            merged.add(edge_key(rename[x], rename[y]))
-        g = make_graph(nxt, sorted(merged))
+                rename[w] = n
+                n += 1
+        edges.update(edge_key(rename[x], rename[y]) for x, y in h.edges)
         attach = edge_key(rename[far[0]], rename[far[1]])
+    g = make_graph(n, sorted(edges))
     if (g.n, g.e) != (params.vertex_count, params.edge_count):
         raise RuntimeError(
             f"chain k={k} m={m} has n={g.n} e={g.e}, not the closed form "

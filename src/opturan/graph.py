@@ -416,37 +416,40 @@ def graph_to_graph6(g: Graph) -> str:
     return prefix + "".join(chars)
 
 
+# each graph6 body character as its six bits, most significant first
+_G6_BITS = {63 + x: f"{x:06b}" for x in range(64)}
+
+
 def graph_from_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :].strip()
     if not s:
         raise GraphError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
+    if min(s) < "?" or max(s) > "~":
         raise GraphError("graph6 string contains characters outside 0x3F..0x7E")
-    if data[0] == 63:  # '~' prefix: 18-bit vertex count
-        if len(data) < 4:
+    if s[0] == "~":  # 18-bit vertex count
+        if len(s) < 4:
             raise GraphError("truncated graph6 vertex count")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
+        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
+        body = s[4:]
     else:
-        n = data[0]
-        body = data[1:]
+        n = ord(s[0]) - 63
+        body = s[1:]
     need = n * (n - 1) // 2
-    bits: list[int] = []
-    for x in body:
-        for shift in (5, 4, 3, 2, 1, 0):
-            bits.append((x >> shift) & 1)
+    bits = body.translate(_G6_BITS)
     if len(bits) < need:
         raise GraphError("graph6 string too short for its vertex count")
+    # bit at = j(j-1)/2 + i stands for the edge (i, j), i < j
     edges = []
-    at = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[at]:
-                edges.append((i, j))
-            at += 1
+    j, col = 1, 0  # col = j(j-1)/2, the first bit of column j
+    at = bits.find("1", 0, need)
+    while at >= 0:
+        while at >= col + j:
+            col += j
+            j += 1
+        edges.append((at - col, j))
+        at = bits.find("1", at + 1, need)
     return make_graph(n, edges)
 
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
+from unittest import mock
 
 import opturan as op
-from opturan.embedding import NotOuterplanarError
+import opturan.certify as certify_module
+import opturan.construct as construct_module
+from opturan.embedding import EmbeddingInvariantError, NotOuterplanarError, restrict_embedding
 from opturan.graph import find_cycle_in_edges
 
 
@@ -119,6 +122,25 @@ def reference_reducible_face(
     return face, held
 
 
+def reference_chain_graph(k: int, m: int) -> op.Graph:
+    """The chain by its definition: merge one gadget at a time, rebuilding
+    the graph after every merge."""
+    g = construct_module.fan_graph(k - 1)
+    attach = (0, 1)
+    for _ in range(m):
+        h, (u, v), far = construct_module._gadget_graph(k)
+        rename = {u: attach[0], v: attach[1]}
+        nxt = g.n
+        for w in range(h.n):
+            if w not in rename:
+                rename[w] = nxt
+                nxt += 1
+        merged = set(g.edges) | {op.edge_key(rename[x], rename[y]) for x, y in h.edges}
+        g = op.make_graph(nxt, sorted(merged))
+        attach = op.edge_key(rename[far[0]], rename[far[1]])
+    return g
+
+
 def all_graphs(n: int):
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -189,3 +211,79 @@ def brute_max_ckfree(n: int, k: int) -> int:
             if find_cycle_in_edges(n, chosen, k) is None:
                 best = len(chosen)
     return best
+
+
+def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.AuditReport:
+    """verify_certificate with the node audit it had while children carried
+    embeddings: each child's embedding is read off its parent's with
+    restrict_embedding, and a node without one is recognised and searched
+    in full. With heredity=False no embedding is passed down, so every node
+    gets the full checks."""
+
+    def node_audit(node, g, emb, path, audit):
+        if node.kind not in certify_module._KINDS:
+            audit.fail(path, f"unknown node kind {node.kind!r}")
+            return
+        before = len(audit.failures)
+        if emb is None:
+            try:
+                emb = op.recognize_outerplanar(g)
+            except (NotOuterplanarError, EmbeddingInvariantError) as exc:
+                audit.fail(path, f"node graph is not outerplanar: {exc}")
+            if g.n >= k and op.has_cycle_of_length(g, k):
+                audit.fail(path, f"node graph contains a cycle of length {k}")
+        lhs, rhs = g.e * audit.den, audit.rhs(g.n)
+        note, children = "", []
+        if node.kind in certify_module._LEAVES and node.children:
+            audit.fail(path, "leaf node must not have children")
+        if node.kind == certify_module.EDGELESS:
+            if g.e != 0:
+                audit.fail(path, "edgeless node has edges")
+            if g.n < 2:
+                audit.fail(path, "edgeless node needs n >= 2")
+        elif node.kind == certify_module.BASE:
+            if g.n != 2 or g.e > 1:
+                audit.fail(path, f"base leaf requires n=2, e<=1; got n={g.n}, e={g.e}")
+        elif node.kind == certify_module.MAXIMAL_LEAF:
+            if emb is not None:
+                try:
+                    if not op.is_edge_maximal(emb):
+                        audit.fail(path, "maximal leaf is not edge-maximal")
+                except (ValueError, EmbeddingInvariantError) as exc:
+                    audit.fail(path, f"maximal leaf check failed: {exc}")
+            if g.e != 2 * g.n - 3:
+                audit.fail(path, f"maximal leaf has e={g.e}, expected {2 * g.n - 3}")
+            if g.n > k - 1:
+                audit.fail(path, f"maximal leaf has n={g.n} > k-1={k - 1}")
+            note = "e = 2n-3 leaf"
+        else:
+            children = certify_module._verify_split(node, g, emb is not None, k, path, audit)
+            size = len(node.face or ())
+            note = {
+                certify_module.CUT_SPLIT: "split at a cut",
+                certify_module.BIG_FACE_SPLIT: f"face of size {size}",
+                certify_module.TERMINAL_PEEL: f"peel around a {size}-face",
+            }[node.kind]
+        if lhs > rhs:
+            audit.fail(path, f"inequality fails: {lhs} > {rhs}")
+        audit.entries.append(
+            certify_module.AuditEntry(
+                path, node.kind, g.n, g.e, lhs, rhs, rhs - lhs, len(audit.failures) == before, note
+            )
+        )
+        embeddings = [None] * len(children)
+        if emb is not None and heredity:
+            subgraphs = [(c, m) for c, m in children if m is not None]
+            try:
+                found = iter(restrict_embedding(emb, subgraphs))
+                embeddings = [next(found) if m is not None else None for _, m in children]
+            except EmbeddingInvariantError:
+                pass
+        for i, (child, (child_graph, _), child_emb) in enumerate(zip(node.children, children, embeddings)):
+            node_audit(child, child_graph, child_emb, f"{path}.{i}", audit)
+
+    def root_audit(node, g, vouched, k, path, audit):
+        node_audit(node, g, None, path, audit)
+
+    with mock.patch.object(certify_module, "_verify_node", root_audit):
+        return op.verify_certificate(cert, k)

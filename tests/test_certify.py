@@ -459,8 +459,8 @@ class TestBalancedSplits:
 
 class TestWorkModel:
     """Children inherit outerplanarity and k-cycle-freeness from their parents;
-    only the root and the contracted peels are recognised, and only the root
-    is searched."""
+    only the root and the contracted peels are recognised as node graphs, and
+    only the root is searched."""
 
     def test_recognition_only_at_the_root_and_the_peels(self, monkeypatch):
         import opturan.certify as certify_module
@@ -476,17 +476,35 @@ class TestWorkModel:
 
             monkeypatch.setattr(certify_module, name, wrapper)
 
-        counted("recognize_outerplanar")
-        counted("has_cycle_of_length")
-        for g, peels in ((ladder(12), 11), (CHAIN51, 0), (HEXAGON_WITH_PENDANT, 0)):
+        def vouched_leaves(node):
+            """Maximal leaves other than contracted peels (child 1 of a peel)."""
+            count, stack = 0, [(node, False)]
+            while stack:
+                node, contracted = stack.pop()
+                count += node.kind == MAXIMAL_LEAF and not contracted
+                stack.extend(
+                    (child, node.kind == TERMINAL_PEEL and i == 1)
+                    for i, child in enumerate(node.children)
+                )
+            return count
+
+        for name in ("recognize_outerplanar", "has_cycle_of_length", "restrict_embedding"):
+            counted(name)
+        for g, peels, leaves in ((ladder(12), 11, 0), (CHAIN51, 0, 6), (HEXAGON_WITH_PENDANT, 0, 0)):
             calls.clear()
             cert = op.build_certificate(op.recognize_outerplanar(g), 5)
-            # the builder recognises each contracted peel, and nothing else
-            assert calls == Counter(recognize_outerplanar=peels)
-            assert node_kinds(cert.root).count(TERMINAL_PEEL) == peels
+            kinds = node_kinds(cert.root)
+            assert kinds.count(TERMINAL_PEEL) == peels
+            assert vouched_leaves(cert.root) == leaves
+            # the builder recognises each contracted peel and reads every
+            # other child's embedding off its parent's, once per split
+            splits = sum(map(kinds.count, (CUT_SPLIT, BIG_FACE_SPLIT, TERMINAL_PEEL)))
+            assert calls == Counter(recognize_outerplanar=peels, restrict_embedding=splits)
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
-            assert calls == Counter(recognize_outerplanar=1 + peels, has_cycle_of_length=1)
+            # the verifier reads no embedding off a parent's; it recognises a
+            # maximal leaf its parent vouches for only for is_edge_maximal
+            assert calls == Counter(recognize_outerplanar=1 + peels + leaves, has_cycle_of_length=1)
 
     def test_one_weak_dual_per_node(self, monkeypatch):
         """The builder builds the weak dual once at every 2-connected node with

@@ -189,6 +189,13 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "-k", "3", "--in", str(graph_path))
         assert code == 0 and "verdict=true" in out
 
+    def test_truncated_graph6_exit2(self, tmp_path, capsys):
+        graph_path = tmp_path / "bad.g6"
+        graph_path.write_text("~??\n")
+        code, out, err = run(capsys, "analyze", "--in", str(graph_path))
+        assert code == 2 and out == ""
+        assert "truncated graph6 vertex count" in err
+
     def test_malformed_json_exit2(self, tmp_path, capsys):
         for text in ('{"n": 3, "edges": [[0, 1]', '{"n": 3}', '{"n": 3, "edges": [[0]]}', "{"):
             graph_path = tmp_path / "bad.json"

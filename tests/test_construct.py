@@ -1,6 +1,9 @@
 import pytest
 
 import opturan as op
+from opturan.construct import build_chain_graph
+
+from helpers import reference_chain_graph
 
 
 class TestFan:
@@ -118,6 +121,12 @@ class TestChain:
                 assert cur.n - prev.n == k * k - 2 * k - 1
                 assert cur.e - prev.e == k * (2 * k - 5)
                 prev = cur
+
+    def test_equals_merging_one_gadget_at_a_time(self):
+        for k in range(3, 9):
+            for m in range(13):
+                g, reference = build_chain_graph(k, m), reference_chain_graph(k, m)
+                assert (g.n, g.edges) == (reference.n, reference.edges), (k, m)
 
     def test_deterministic(self):
         assert op.build_chain(6, 2).graph == op.build_chain(6, 2).graph

@@ -211,13 +211,33 @@ class TestSerialization:
         assert op.graph_from_graph6(">>graph6<<C~") == k4
 
     def test_graph6_roundtrip_random(self):
+        # past n = 62 the vertex count takes the four-character '~' form
         rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(1, 20)
+        for n in [rng.randint(1, 20) for _ in range(60)] + [rng.randint(50, 300) for _ in range(20)]:
             g = rand_subgraph(
                 rng, rand_triangulation(rng, max(n, 3)).graph, rng.random()
             )
             assert op.graph_from_graph6(op.graph_to_graph6(g)) == g
+        for n in (62, 63, 64):
+            g = op.make_graph(n, [(i, i + 1) for i in range(n - 1)])
+            assert op.graph_from_graph6(op.graph_to_graph6(g)) == g
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty graph6 string"),
+            (">>graph6<<  \n", "empty graph6 string"),
+            ("C l", "characters outside 0x3F..0x7E"),
+            ("Cl\x7f", "characters outside 0x3F..0x7E"),
+            ("~??", "truncated graph6 vertex count"),
+            ("~", "truncated graph6 vertex count"),
+            ("C", "too short for its vertex count"),
+            ("~?@?" + "~" * 10, "too short for its vertex count"),
+        ],
+    )
+    def test_graph6_errors(self, text, message):
+        with pytest.raises(op.GraphError, match=message):
+            op.graph_from_graph6(text)
 
     def test_autodetect(self):
         g = op.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])

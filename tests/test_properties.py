@@ -33,7 +33,7 @@ from opturan.embedding import (  # noqa: E402
 )
 from opturan.graph import find_cycle_in_edges, subgraph_on_edges  # noqa: E402
 
-from helpers import reference_reducible_face, reference_weak_dual  # noqa: E402
+from helpers import ladder, reference_reducible_face, reference_verify, reference_weak_dual  # noqa: E402
 
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -371,20 +371,6 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k):
         assert emb == op.recognize_outerplanar(g)
 
 
-def reference_verify(cert: op.Certificate, k: int) -> op.AuditReport:
-    """The verifier without heredity: every node recognised and searched in full.
-
-    With no embedding read off a parent's, each node takes the full checks
-    that the verifier gives the root, as it did before heredity.
-    """
-
-    def no_heredity(*args):
-        raise EmbeddingInvariantError("heredity switched off")
-
-    with mock.patch.object(certify_module, "restrict_embedding", no_heredity):
-        return op.verify_certificate(cert, k)
-
-
 @LARGE
 @given(seeds, sizes, st.integers(3, 8))
 def test_certificate_build_then_verify(seed, size, k):
@@ -394,7 +380,7 @@ def test_certificate_build_then_verify(seed, size, k):
     report = op.verify_certificate(cert, k)
     assert report.verdict, report.failures[:3]
     assert report.root_slack == (2 * k - 5) * (k * n - k - 1) - g.e * (k * k - 2 * k - 1)
-    assert reference_verify(cert, k).format_lines() == report.format_lines()
+    assert reference_verify(cert, k, heredity=False).format_lines() == report.format_lines()
     text = op.certificate_to_json(cert)
     again = op.certificate_from_json(text)
     assert op.certificate_to_json(again) == text
@@ -412,7 +398,7 @@ def assert_rejected(text: str, k: int) -> None:
     except op.CertificateFormatError:
         return
     report = op.verify_certificate(cert, k)
-    reference = reference_verify(cert, k)
+    reference = reference_verify(cert, k, heredity=False)
     assert not report.verdict and not reference.verdict
     assert set(report.failures) <= set(reference.failures)
 
@@ -488,3 +474,78 @@ def test_corrupted_certificates_are_rejected(seed, size, k, how, data):
     doc = json.loads(op.certificate_to_json(cert))
     corrupt(doc, how, data)
     assert_rejected(json.dumps(doc), k)
+
+
+MORE_MUTATIONS = (
+    "rotate_face", "reflect_face", "replace_face_vertex", "random_side", "random_cut", "add_graph_edge", "recast_leaf"
+)
+
+
+def mutate(doc: dict, how: str, data) -> None:
+    """corrupt(), or move one recorded selection, recast a node as a maximal
+    leaf, or add an edge to the certified graph."""
+    if how not in MORE_MUTATIONS:
+        corrupt(doc, how, data)
+        return
+    n = doc["graph"]["n"]
+    if how == "add_graph_edge":
+        u = data.draw(st.integers(0, n - 2))
+        pair = [u, data.draw(st.integers(u + 1, n - 1))]
+        if pair not in doc["graph"]["edges"]:
+            doc["graph"]["edges"].append(pair)
+        return
+    nodes, stack = [], [doc["root"]]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1]["children"])
+    if how == "recast_leaf":
+        node = data.draw(st.sampled_from(nodes))
+        node["kind"], node["children"] = "maximal_leaf", []
+        node.pop("face", None)
+        return
+    key = "face" if how.endswith("_face") or how == "replace_face_vertex" else "side"
+    holders = [node for node in nodes if key in node]
+    if not holders:
+        return
+    node = data.draw(st.sampled_from(holders))
+    if how == "rotate_face":
+        r = data.draw(st.integers(1, len(node["face"]) - 1))
+        node["face"] = node["face"][r:] + node["face"][:r]
+    elif how == "reflect_face":
+        node["face"].reverse()
+    elif how == "replace_face_vertex":
+        node["face"][data.draw(st.integers(0, len(node["face"]) - 1))] = data.draw(st.integers(0, n - 1))
+    elif how == "random_side":
+        node["side"] = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    else:  # random_cut
+        node["cut"] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seeds,
+    st.integers(10, 120),
+    st.sampled_from(["ckfree", "ladder"]),
+    st.integers(3, 8),
+    st.sampled_from(
+        ["none", "drop_key", "retype_key", "out_of_range", "repeat_vertex", "swap_kind", "add_child", "remove_child"]
+        + list(MORE_MUTATIONS)
+    ),
+    st.data(),
+)
+def test_heredity_flag_matches_the_restricted_embeddings(seed, size, host, k, how, data):
+    """Vouching for derived children by a flag gives the audit that reading
+    each child's embedding off its parent's gave, line for line, on valid
+    certificates and on broken ones."""
+    if host == "ladder":
+        g, k = ladder(3 + size % 10), 5 if k < 7 else 7  # a ladder's cycles are even
+    else:
+        g = op.make_graph(*random_ckfree_host(seed, size, k))
+    doc = json.loads(op.certificate_to_json(op.build_certificate(op.recognize_outerplanar(g), k)))
+    if how != "none":
+        mutate(doc, how, data)
+    try:
+        cert = op.certificate_from_json(json.dumps(doc))
+    except op.CertificateFormatError:
+        return
+    assert op.verify_certificate(cert, k).format_lines() == reference_verify(cert, k).format_lines()

@@ -61,3 +61,18 @@ def test_certificates_stay_off_the_block_partition():
         "triangular_blocks", "classify_terminal", "face_block_incidence", "BlockPartition", "Face"
     }
     assert names & partition == set()
+
+
+def test_verifier_reads_no_embedding_off_a_parent():
+    """A derived child is vouched for by a flag: the verifier never restricts
+    its parent's embedding (the builder still does)."""
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    verifier = {"verify_certificate", "_verify_node", "_verify_split"}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in verifier:
+            found[node.name] = {
+                getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)
+            }
+    assert set(found) == verifier
+    assert all(not names & {"restrict_embedding", "_restricted"} for names in found.values())
