@@ -214,8 +214,8 @@ def brute_max_ckfree(n: int, k: int) -> int:
 
 
 def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.AuditReport:
-    """verify_certificate with the node audit it had while children carried
-    embeddings: each child's embedding is read off its parent's with
+    """verify_certificate with a node audit that carries embeddings instead
+    of a heredity flag: each child's embedding is read off its parent's with
     restrict_embedding, and a node without one is recognised and searched
     in full. With heredity=False no embedding is passed down, so every node
     gets the full checks."""
