@@ -25,11 +25,13 @@ Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
 split, every child of a big-face split, and the rest of a peel keep only
 parent edges. A child whose parent is outerplanar and k-cycle-free is then
-both, with no recognition, and restricting the parent's outerplane
-embedding to the child's edges is the child's embedding
-(restrict_embedding). Only the peel, where vL is merged into v1, is not a
-subgraph; it has n* <= k-2 vertices, so it has no k-cycle, and it is
-recognised afresh.
+both, with no recognition. Its embedding is read off the parent's by ring
+order alone (restrict_embedding): a cut split keeps whole blocks, and a
+face split's children and a peel's rest are the arcs that face edges cut
+off the block, so each keeps one edge or one ring of the parent block, and
+a ring is bounded by its vertices in the parent's cyclic order. Only the
+peel, where vL is merged into v1, is not a subgraph; it has n* <= k-2
+vertices, so it has no k-cycle, and it is recognised afresh.
 
 Work model. The caller's embedding serves the root, and the builder reads
 each subgraph child's embedding off its parent's, all children of a node
@@ -531,12 +533,15 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
         audit.fail("root", f"certificate was built for k={cert.k}, audited with k={k}")
     if cert.graph.n < 2:
         audit.fail("root", f"certified graph has n={cert.graph.n} < 2")
+    if k < 3:
+        audit.fail("root", f"cycle length must be at least 3, got k={k}")
     try:
         make_graph(cert.graph.n, cert.graph.edges)
     except GraphError as exc:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
-        _verify_node(cert.root, _root_graph(cert.graph)[0], False, k, "root", audit)
+        if k >= 3:  # no node can be audited for shorter cycles
+            _verify_node(cert.root, _root_graph(cert.graph)[0], False, k, "root", audit)
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)

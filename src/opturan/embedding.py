@@ -15,10 +15,12 @@ vertices come from a lazy min-heap, each replay step relinks a cycle in O(1),
 and one stack scan over sorted chords (shared with validate_embedding) rules
 out crossings, once per block.
 
-A subgraph needs no recognition: restricting an outerplane embedding to some
-of its edges keeps every vertex on the outer face and every chord uncrossed,
-so each block of the subgraph is bounded by its vertices in the parent's
-cyclic order (restrict_embedding).
+A subgraph that keeps, of each parent block, one edge or a 2-connected set
+of edges needs no recognition (restrict_embedding). Restriction keeps every
+vertex on the outer face and every chord uncrossed, and a 2-connected
+outerplanar graph has one Hamiltonian cycle, so such a set is bounded by its
+vertices in the parent's cyclic order. Any other set misses a pair of that
+ring, and restriction raises.
 
 Faces are read off each block by a single monotone stack scan over chord
 endpoints in cycle order; no geometry is ever computed. The same scan gives
@@ -267,33 +269,31 @@ def restrict_embedding(
 
     Each subgraph comes as (sub, to_parent): `sub` is spanned by parent
     edges, and to_parent[i] is the parent vertex of its vertex i, increasing
-    in i (as subgraph_on_edges gives). A parent block whose edges all
-    survive carries over relabelled: the relabelling is increasing, so its
-    boundary stays canonical and its chord positions stay. A block that
-    lost edges is decomposed on the edges it kept, and each piece is bounded
-    by its vertices in the parent's cyclic order. Each result equals
-    recognize_outerplanar(sub), with no recognition. The parent's edge map
-    is built once for all the subgraphs and dropped on return. Raises
-    EmbeddingInvariantError if an edge of a subgraph is no parent edge or a
-    derived boundary pair is not an edge.
+    in i (as subgraph_on_edges gives). Each parent block must keep no edge,
+    one edge, which becomes a bridge, or a 2-connected set of edges, which
+    becomes one block bounded by its vertices in the parent's cyclic order.
+    Each result then equals recognize_outerplanar(sub), with no recognition.
+    The parent's edge map is built once for all the subgraphs and dropped on
+    return. Raises EmbeddingInvariantError if an edge of a subgraph is no
+    parent edge, or if a block keeps more than one edge but misses a pair
+    of its ring, that is, when the kept edges are not 2-connected.
     """
     block_of = dict.fromkeys(parent.graph.edges, -1)  # edge -> block index, -1 for a bridge
     for at, block in enumerate(parent.blocks):
         for edge in block.cycle_edges() + block.chord_edges():
             block_of[edge] = at
     positions = [{v: i for i, v in enumerate(b.outer)} for b in parent.blocks]
-    return [_restrict(parent, block_of, positions, sub, to_parent) for sub, to_parent in subgraphs]
+    return [_restrict(block_of, positions, sub, to_parent) for sub, to_parent in subgraphs]
 
 
 def _restrict(
-    parent: OuterplaneEmbedding,
     block_of: dict[Edge, int],
     positions: list[dict[int, int]],
     sub: Graph,
     to_parent: Sequence[int],
 ) -> OuterplaneEmbedding:
     """One subgraph's embedding for restrict_embedding."""
-    kept: dict[int, tuple[dict[int, int], list[Edge]]] = {}  # block -> (labels, pairs)
+    kept: dict[int, tuple[dict[int, int], list[Edge]]] = {}  # block -> (ring labels, edges)
     bridges: list[Edge] = []
     for a, b in sub.edges:
         u, v = to_parent[a], to_parent[b]
@@ -303,18 +303,26 @@ def _restrict(
         if at < 0:
             bridges.append((a, b))
             continue
-        i, j = positions[at][u], positions[at][v]
-        labels, pairs = kept.setdefault(at, ({}, []))
-        labels[i], labels[j] = a, b
-        pairs.append((i, j) if i < j else (j, i))
+        labels, edges = kept.setdefault(at, ({}, []))
+        place = positions[at]
+        labels[place[u]], labels[place[v]] = a, b
+        edges.append((a, b))
     blocks: list[BlockEmbedding] = []
-    for at, (labels, pairs) in kept.items():
-        block = parent.blocks[at]
-        if len(pairs) == len(block.outer) + len(block.chords):
-            outer = tuple(labels[i] for i in range(len(block.outer)))
-            blocks.append(BlockEmbedding(outer=outer, chords=block.chords))
-        else:
-            _restrict_block(labels, pairs, blocks, bridges)
+    for labels, edges in kept.values():
+        if len(edges) == 1:
+            bridges.extend(edges)
+            continue
+        outer = canonical_cycle([labels[i] for i in sorted(labels)])
+        spot = {v: i for i, v in enumerate(outer)}
+        p = len(outer)
+        chords = []
+        for a, b in edges:
+            i, j = edge_key(spot[a], spot[b])
+            if 1 < j - i < p - 1:
+                chords.append((i, j))
+        if len(edges) - len(chords) != p:  # distinct pairs: the ring is whole iff it holds p
+            raise EmbeddingInvariantError("a boundary pair of a kept block is not an edge")
+        blocks.append(BlockEmbedding(outer=outer, chords=tuple(sorted(chords))))
     touched = [False] * sub.n
     for a, b in sub.edges:
         touched[a] = touched[b] = True
@@ -324,54 +332,6 @@ def _restrict(
         bridges=tuple(sorted(bridges)),
         isolated=tuple(v for v in range(sub.n) if not touched[v]),
     )
-
-
-def _restrict_block(
-    labels: dict[int, int],
-    pairs: list[Edge],
-    blocks: list[BlockEmbedding],
-    bridges: list[Edge],
-) -> None:
-    """Blocks and bridges of the edges one parent block kept, appended.
-
-    `pairs` are the kept edges as position pairs on the parent block's
-    cycle and `labels` maps those positions to subgraph vertices. A local
-    decomposition on the kept edges finds the pieces; each is bounded by
-    its vertices in the parent's cyclic order.
-    """
-    ring = sorted(labels)
-    rank = {i: r for r, i in enumerate(ring)}
-    local = Graph(len(ring), tuple(sorted((rank[i], rank[j]) for i, j in pairs)))
-    dec = biconnected_decomposition(local)
-    for piece in dec.blocks:  # piece vertices are sorted ranks: parent cyclic order
-        block = _ring_block(
-            [labels[ring[r]] for r in piece.vertices],
-            [(labels[ring[r]], labels[ring[s]]) for r, s in piece.edges],
-        )
-        if block is None:
-            raise EmbeddingInvariantError("a boundary pair of a kept block is not an edge")
-        blocks.append(block)
-    bridges.extend(edge_key(labels[ring[r]], labels[ring[s]]) for r, s in dec.bridges)
-
-
-def _ring_block(ring: Sequence[int], edges: Sequence[Edge]) -> BlockEmbedding | None:
-    """The block bounded by `ring` in this cyclic order, with `edges` as its
-    boundary and chords; None if a boundary pair is not among `edges`.
-
-    `edges` are distinct pairs of ring vertices and the ring has at least
-    three of them, so the boundary is whole exactly when it holds p edges.
-    """
-    outer = canonical_cycle(ring)
-    at = {v: i for i, v in enumerate(outer)}
-    p = len(outer)
-    chords = []
-    for u, v in edges:
-        i, j = edge_key(at[u], at[v])
-        if 1 < j - i < p - 1:
-            chords.append((i, j))
-    if len(edges) - len(chords) != p:
-        return None
-    return BlockEmbedding(outer=outer, chords=tuple(sorted(chords)))
 
 
 # ---------------------------------------------------------------------------

@@ -381,7 +381,10 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise GraphError("graph JSON is nested too deeply to read") from None
     try:
         return make_graph(data["n"], data["edges"])
     except (KeyError, TypeError) as exc:

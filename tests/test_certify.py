@@ -182,6 +182,16 @@ class TestVerifier:
         report = op.verify_certificate(cert, 7)
         assert not report.verdict
 
+    def test_cycle_length_below_three_is_a_root_failure(self):
+        """A document for k=2, audited with its own k, fails at the root; no
+        node is audited, since no node graph can be searched for 2-cycles."""
+        data = json.loads(op.certificate_to_json(op.build_certificate(op.fan(4), 5)))
+        data["k"] = 2
+        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 2)
+        assert not report.verdict
+        assert report.failures == ("root: cycle length must be at least 3, got k=2",)
+        assert report.entries == ()
+
     def test_malformed_json(self):
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json("{}")
@@ -464,17 +474,18 @@ class TestWorkModel:
 
     def test_recognition_only_at_the_root_and_the_peels(self, monkeypatch):
         import opturan.certify as certify_module
+        import opturan.embedding as embedding_module
 
         calls = Counter()
 
-        def counted(name):
-            original = getattr(certify_module, name)
+        def counted(name, module=certify_module):
+            original = getattr(module, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(certify_module, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
         def vouched_leaves(node):
             """Maximal leaves other than contracted peels (child 1 of a peel)."""
@@ -490,21 +501,33 @@ class TestWorkModel:
 
         for name in ("recognize_outerplanar", "has_cycle_of_length", "restrict_embedding"):
             counted(name)
+        counted("biconnected_decomposition", embedding_module)
         for g, peels, leaves in ((ladder(12), 11, 0), (CHAIN51, 0, 6), (HEXAGON_WITH_PENDANT, 0, 0)):
+            emb = op.recognize_outerplanar(g)
             calls.clear()
-            cert = op.build_certificate(op.recognize_outerplanar(g), 5)
+            cert = op.build_certificate(emb, 5)
             kinds = node_kinds(cert.root)
             assert kinds.count(TERMINAL_PEEL) == peels
             assert vouched_leaves(cert.root) == leaves
             # the builder recognises each contracted peel and reads every
-            # other child's embedding off its parent's, once per split
+            # other child's embedding off its parent's, once per split and
+            # by ring order alone: only recognition decomposes a graph
             splits = sum(map(kinds.count, (CUT_SPLIT, BIG_FACE_SPLIT, TERMINAL_PEEL)))
-            assert calls == Counter(recognize_outerplanar=peels, restrict_embedding=splits)
+            assert calls == Counter(
+                recognize_outerplanar=peels,
+                restrict_embedding=splits,
+                biconnected_decomposition=peels,
+            )
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
             # the verifier reads no embedding off a parent's; it recognises a
             # maximal leaf its parent vouches for only for is_edge_maximal
-            assert calls == Counter(recognize_outerplanar=1 + peels + leaves, has_cycle_of_length=1)
+            recognised = 1 + peels + leaves
+            assert calls == Counter(
+                recognize_outerplanar=recognised,
+                has_cycle_of_length=1,
+                biconnected_decomposition=recognised,
+            )
 
     def test_one_weak_dual_per_node(self, monkeypatch):
         """The builder builds the weak dual once at every 2-connected node with

@@ -197,12 +197,13 @@ class TestCertify:
         assert "truncated graph6 vertex count" in err
 
     def test_malformed_json_exit2(self, tmp_path, capsys):
-        for text in ('{"n": 3, "edges": [[0, 1]', '{"n": 3}', '{"n": 3, "edges": [[0]]}', "{"):
+        # nested past the recursion limit: bad input too, not a refusal
+        nested = '{"n": 3, "edges": ' + "[" * 5000 + '"a"' + "]" * 5000 + "}"
+        for text in ('{"n": 3, "edges": [[0, 1]', '{"n": 3}', '{"n": 3, "edges": [[0]]}', "{", nested):
             graph_path = tmp_path / "bad.json"
             graph_path.write_text(text)
             code, _, err = run(capsys, "certify", "-k", "3", "--in", str(graph_path))
             assert code == 2 and "invalid input" in err, text
-
 
     def test_coverage_error_exit1(self, tmp_path, capsys, monkeypatch):
         def no_step(emb, k):

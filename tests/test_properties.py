@@ -334,21 +334,39 @@ def test_face_sides_accept_exactly_the_inner_faces(seed, size, host, k):
             certify_module._face_sides(g, tuple(cycle))
 
 
+def restrictable(g: op.Graph, emb, subset: set) -> bool:
+    """Whether every block of emb keeps at most one edge of `subset`, or a
+    set of them that spans one block."""
+    for block in emb.blocks:
+        kept = subset.intersection(block.cycle_edges() + block.chord_edges())
+        if len(kept) > 1:
+            dec = op.biconnected_decomposition(subgraph_on_edges(g, sorted(kept))[0])
+            if len(dec.blocks) != 1 or dec.bridges:
+                return False
+    return True
+
+
 @LARGE
 @given(seeds, st.integers(20, 300), HOSTS, st.integers(3, 8), seeds)
 def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_seed):
-    """Reading subgraphs' embeddings off their parent's gives what recognition
-    gives, and the block-cut view read off an embedding is the decomposition's."""
+    """A subgraph that keeps, of each parent block, at most one edge or a
+    2-connected set of edges has its embedding read off the parent's, equal
+    to recognition's, and the block-cut view read off it is the
+    decomposition's. Any other subgraph raises instead of getting a wrong
+    embedding."""
     g = host_graph(host, seed, size, k)
     emb = op.recognize_outerplanar(g)
     rng = random.Random(subset_seed)
-    subgraphs = []
     for keep in (rng.random(), 1 - rng.random() ** 4, 1.0):
-        subset = [e for e in g.edges if rng.random() < keep] or [g.edges[0]]
-        subgraphs.append(subgraph_on_edges(g, subset))
-    for (sub, _), derived in zip(subgraphs, restrict_embedding(emb, subgraphs), strict=True):
-        assert derived == op.recognize_outerplanar(sub)
-        assert derived.decomposition() == op.biconnected_decomposition(sub)
+        subset = {e for e in g.edges if rng.random() < keep} or {g.edges[0]}
+        sub, to_parent = subgraph_on_edges(g, sorted(subset))
+        if restrictable(g, emb, subset):
+            derived = restrict_embedding(emb, [(sub, to_parent)])[0]
+            assert derived == op.recognize_outerplanar(sub)
+            assert derived.decomposition() == op.biconnected_decomposition(sub)
+        else:
+            with pytest.raises(EmbeddingInvariantError, match="boundary pair"):
+                restrict_embedding(emb, [(sub, to_parent)])
 
 
 @LARGE
