@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import Graph, GraphError, graph_from_text, graph_to_graph6, graph_to_json
+from .graph import GraphError, graph_from_text, graph_to_graph6, graph_to_json
 from .embedding import (
     NotOuterplanarError,
     OuterplaneEmbedding,
@@ -59,19 +58,6 @@ EXIT_REFUSED = 3
 FORMATS = ("json", "embjson", "dot", "g6")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    k: int = 0
-    m: int = 0
-    ns: tuple[int, ...] = ()
-    input_path: str | None = None
-    out: str | None = None
-    formats: tuple[str, ...] = ("json",)
-    csv: str | None = None
-    cap: int = DEFAULT_ORACLE_CAP
-
-
 def _parse_range(text: str) -> tuple[int, ...]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -91,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build the extremal chain")
+    p.set_defaults(run=_cmd_construct)
     p.add_argument("-k", type=int, required=True, help="forbidden cycle length")
     p.add_argument("-m", type=int, default=0, help="number of gadget merges")
     p.add_argument("--out", help="directory for emitted files")
@@ -101,12 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("bound", help="exact upper bound as an integer pair")
+    p.set_defaults(run=_cmd_bound)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=str, required=True, help="vertex count or a..b range")
 
     p = sub.add_parser(
         "oracle", help="exact maximum edges by interval DP over the convex polygon"
     )
+    p.set_defaults(run=_cmd_oracle)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=str, required=True, help="vertex count or a..b range")
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect")
@@ -115,51 +104,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for witness graph JSON files")
 
     p = sub.add_parser("certify", help="build and audit a decomposition certificate")
+    p.set_defaults(run=_cmd_certify)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--in", dest="input_path", required=True, help="graph JSON or graph6")
     p.add_argument("--out", help="write the certificate JSON here")
 
     p = sub.add_parser("analyze", help="faces, dual, blocks, spectrum of a graph")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("--in", dest="input_path", required=True, help="graph JSON or graph6")
     p.add_argument("--dot", help="directory for DOT exports")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    k = getattr(args, "k", 3)
-    if k < 3:
-        raise ValueError(f"-k must be at least 3, got {k}")
-    ns: tuple[int, ...] = ()
+def _check_args(args: argparse.Namespace) -> None:
+    """Check what argparse cannot, in place: -n becomes the tuple of its counts
+    and --formats the tuple of its names."""
+    if getattr(args, "k", 3) < 3:
+        raise ValueError(f"-k must be at least 3, got {args.k}")
     if getattr(args, "n", None) is not None:
-        ns = _parse_range(args.n)
-        if not ns:
-            raise ValueError("empty -n range")
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    cap = getattr(args, "cap", DEFAULT_ORACLE_CAP)
-    if cap < 2:
-        raise ValueError(f"--cap must be at least 2, the least vertex count, got {cap}")
-    m = getattr(args, "m", 0)
-    if m < 0:
-        raise ValueError(f"-m must be non-negative, got {m}")
-    formats = tuple(
-        f.strip() for f in getattr(args, "formats", "json").split(",") if f.strip()
-    )
-    for f in formats:
-        if f not in FORMATS:
-            raise ValueError(f"unknown format {f!r}; choose from {FORMATS}")
-    return RunConfig(
-        command=args.command,
-        k=k,
-        m=m,
-        ns=ns,
-        input_path=getattr(args, "input_path", None),
-        out=getattr(args, "out", None),
-        formats=formats,
-        csv=getattr(args, "csv", None),
-        cap=cap,
-    )
+        args.n = _parse_range(args.n)
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if getattr(args, "cap", DEFAULT_ORACLE_CAP) < 2:
+        raise ValueError(f"--cap must be at least 2, the least vertex count, got {args.cap}")
+    if getattr(args, "m", 0) < 0:
+        raise ValueError(f"-m must be non-negative, got {args.m}")
+    if hasattr(args, "formats"):
+        args.formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+        for f in args.formats:
+            if f not in FORMATS:
+                raise ValueError(f"unknown format {f!r}; choose from {FORMATS}")
 
 
 def _emit_graph_files(
@@ -185,85 +159,79 @@ def _emit_graph_files(
     return written
 
 
-def _load_graph(path: str | None) -> Graph:
-    if path is None:
-        raise ValueError("--in is required")
-    return graph_from_text(Path(path).read_text())
-
-
-def _cmd_construct(cfg: RunConfig) -> int:
-    emb = build_chain(cfg.k, cfg.m)
+def _cmd_construct(args: argparse.Namespace) -> int:
+    emb = build_chain(args.k, args.m)
     g = emb.graph
-    check = bound_holds(g.e, cfg.k, g.n)
-    sharp = sharp_residue(cfg.k, g.n)
+    check = bound_holds(g.e, args.k, g.n)
+    sharp = sharp_residue(args.k, g.n)
     print(
-        f"k={cfg.k} m={cfg.m} n={g.n} e={g.e} "
+        f"k={args.k} m={args.m} n={g.n} e={g.e} "
         f"sharp={'yes' if sharp else 'no'} "
-        f"bound={upper_bound(cfg.k, g.n)} "
+        f"bound={upper_bound(args.k, g.n)} "
         f"equality={'yes' if check.equality else 'no'}"
     )
-    if cfg.out:
+    if args.out:
         for path in _emit_graph_files(
-            emb, f"chain_k{cfg.k}_m{cfg.m}", cfg.out, cfg.formats
+            emb, f"chain_k{args.k}_m{args.m}", args.out, args.formats
         ):
             print(f"wrote {path}")
     return EXIT_OK
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    for n in cfg.ns:
-        bound = upper_bound(cfg.k, n)
+def _cmd_bound(args: argparse.Namespace) -> int:
+    for n in args.n:
+        bound = upper_bound(args.k, n)
         print(
-            f"k={cfg.k} n={n} bound={bound} floor={bound.floor()} "
+            f"k={args.k} n={n} bound={bound} floor={bound.floor()} "
             f"integer={'yes' if bound.is_integer() else 'no'} "
-            f"sharp_residue={'yes' if sharp_residue(cfg.k, n) else 'no'}"
+            f"sharp_residue={'yes' if sharp_residue(args.k, n) else 'no'}"
         )
     return EXIT_OK
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     values: dict[int, int] = {}
-    for n in cfg.ns:
-        result = exact_ex(n, cfg.k, cap=cfg.cap)
+    for n in args.n:
+        result = exact_ex(n, args.k, cap=args.cap)
         values[n] = result.value
-        check = bound_holds(result.value, cfg.k, n)
+        check = bound_holds(result.value, args.k, n)
         print(
-            f"n={n} k={cfg.k} value={result.value} "
-            f"bound={upper_bound(cfg.k, n)} "
+            f"n={n} k={args.k} value={result.value} "
+            f"bound={upper_bound(args.k, n)} "
             f"equality={'yes' if check.equality else 'no'}"
         )
         print(
             f"  states={result.states} elapsed={result.elapsed:.2f}s",
             file=sys.stderr,
         )
-        if cfg.out:
-            base = Path(cfg.out)
+        if args.out:
+            base = Path(args.out)
             base.mkdir(parents=True, exist_ok=True)
-            path = base / f"witness_k{cfg.k}_n{n}.graph.json"
+            path = base / f"witness_k{args.k}_n{n}.graph.json"
             path.write_text(graph_to_json(result.witness) + "\n")
-    if cfg.csv:
-        rows = comparison_rows(cfg.k, cfg.ns, values)
-        Path(cfg.csv).write_text(comparison_csv(rows))
-        print(f"wrote {cfg.csv}")
+    if args.csv:
+        rows = comparison_rows(args.k, args.n, values)
+        Path(args.csv).write_text(comparison_csv(rows))
+        print(f"wrote {args.csv}")
         print(f"note: fang_as_stated column is the {FANG_CAVEAT}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input_path)
+def _cmd_certify(args: argparse.Namespace) -> int:
+    g = graph_from_text(Path(args.input_path).read_text())
     emb = recognize_outerplanar(g)
-    cert = build_certificate(emb, cfg.k)
-    report = verify_certificate(cert, cfg.k)
+    cert = build_certificate(emb, args.k)
+    report = verify_certificate(cert, args.k)
     for line in report.format_lines():
         print(line)
-    if cfg.out:
-        Path(cfg.out).write_text(certificate_to_json(cert) + "\n")
-        print(f"wrote {cfg.out}")
+    if args.out:
+        Path(args.out).write_text(certificate_to_json(cert) + "\n")
+        print(f"wrote {args.out}")
     return EXIT_OK if report.verdict else EXIT_VERIFY_FAILED
 
 
-def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
-    g = _load_graph(cfg.input_path)
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    g = graph_from_text(Path(args.input_path).read_text())
     emb = recognize_outerplanar(g)
     dual = weak_dual(emb)
     partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
@@ -289,8 +257,8 @@ def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
             f"size={face.size} terminal_blocks={face.size - len(held)}"
         )
     print(f"cycle_lengths={spectrum}")
-    if dot_dir:
-        base = Path(dot_dir)
+    if args.dot:
+        base = Path(args.dot)
         base.mkdir(parents=True, exist_ok=True)
         (base / "embedding.dot").write_text(embedding_to_dot(emb))
         (base / "weak_dual.dot").write_text(weak_dual_to_dot(dual))
@@ -299,25 +267,17 @@ def _cmd_analyze(cfg: RunConfig, dot_dir: str | None) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _config_from_args(args)
-        if cfg.command == "construct":
-            return _cmd_construct(cfg)
-        if cfg.command == "bound":
-            return _cmd_bound(cfg)
-        if cfg.command == "oracle":
-            return _cmd_oracle(cfg)
-        if cfg.command == "certify":
-            return _cmd_certify(cfg)
-        if cfg.command == "analyze":
-            return _cmd_analyze(cfg, getattr(args, "dot", None))
-        raise ValueError(f"unknown command {cfg.command!r}")
+        _check_args(args)
+        return args.run(args)
     except OracleCapError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED

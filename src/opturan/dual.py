@@ -264,8 +264,8 @@ def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] |
 # ---------------------------------------------------------------------------
 
 
-def weak_dual_to_dot(dual: WeakDualForest, name: str = "WeakDual") -> str:
-    lines = [f"graph {name} {{"]
+def weak_dual_to_dot(dual: WeakDualForest) -> str:
+    lines = ["graph WeakDual {"]
     for fi, face in enumerate(dual.faces):
         label = "-".join(map(str, face.vertices))
         lines.append(f'  f{fi} [label="{label}"];')
@@ -275,8 +275,8 @@ def weak_dual_to_dot(dual: WeakDualForest, name: str = "WeakDual") -> str:
     return "\n".join(lines) + "\n"
 
 
-def incidence_to_dot(inc: FaceBlockIncidence, name: str = "Incidence") -> str:
-    lines = [f"graph {name} {{"]
+def incidence_to_dot(inc: FaceBlockIncidence) -> str:
+    lines = ["graph Incidence {"]
     for fi, face in enumerate(inc.faces):
         label = "-".join(map(str, face.vertices))
         lines.append(f'  f{fi} [shape=box, label="face {label}"];')

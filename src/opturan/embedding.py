@@ -587,11 +587,12 @@ def _plain_int(value: object) -> int:
 
 
 def embedding_from_json(text: str) -> OuterplaneEmbedding:
-    """The embedding embedding_to_json wrote. A missing part, or a vertex id
-    or chord position that is not a plain int, raises GraphError; parts that
-    form no outerplane embedding raise EmbeddingInvariantError."""
-    data = json.loads(text)
+    """The embedding embedding_to_json wrote. Text that is not JSON or is
+    nested too deeply to read, a missing part, or a vertex id or chord
+    position that is not a plain int, raises GraphError; parts that form no
+    outerplane embedding raise EmbeddingInvariantError."""
     try:
+        data = json.loads(text)
         blocks = tuple(
             BlockEmbedding(
                 outer=tuple(_plain_int(x) for x in b["outer"]),
@@ -603,6 +604,8 @@ def embedding_from_json(text: str) -> OuterplaneEmbedding:
             sorted(edge_key(_plain_int(u), _plain_int(v)) for u, v in data["bridges"])
         )
         isolated = tuple(sorted(_plain_int(x) for x in data["isolated"]))
+    except RecursionError:
+        raise GraphError("embedding JSON is nested too deeply to read") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed embedding JSON: {exc}") from exc
     edges: list[Edge] = list(bridges)
@@ -623,9 +626,9 @@ def embedding_from_json(text: str) -> OuterplaneEmbedding:
     return emb
 
 
-def embedding_to_dot(emb: OuterplaneEmbedding, name: str = "G") -> str:
+def embedding_to_dot(emb: OuterplaneEmbedding) -> str:
     """DOT text; outer-cycle orders are emitted as layout-hint comments."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for bi, block in enumerate(emb.blocks):
         lines.append(f"  // block {bi} outer cycle: " + " ".join(map(str, block.outer)))
     for v in range(emb.graph.n):

@@ -237,9 +237,12 @@ def find_cycle_in_edges(n: int, edges: Sequence[Edge], k: int) -> tuple[int, ...
     Exhaustive path extension, canonicalised so each cycle is generated
     once: the start vertex is the cycle's minimum and the second vertex is
     smaller than the last. Pruned by (a) remaining length vs distance back
-    to the start, (b) restriction to the ball of radius floor(k/2) around
-    the start, and (c) iterated removal of degree<2 vertices, all of which
-    preserve exhaustiveness.
+    to the start and (b) restriction to the ball of radius floor(k/2)
+    around the start within the vertices >= start; both preserve
+    exhaustiveness. The ball is not peeled down to the vertices with two
+    neighbours in it: a vertex the peel would drop lies on no k-cycle
+    through the start, so it only adds branches that never close, and
+    iterating BFS and peel to a fixpoint measured slower than walking them.
     """
     if k < 3:
         raise ValueError(f"cycle length must be at least 3, got {k}")
@@ -254,56 +257,20 @@ def find_cycle_in_edges(n: int, edges: Sequence[Edge], k: int) -> tuple[int, ...
     half = k // 2
 
     for s in range(n - k + 1):
-        if len(adj[s]) < 2:
+        if len(adj[s]) < 2 or adj[s][-2] < s:  # s needs two neighbours above it
             continue
-        allowed, dist = _cycle_region(adj, s, half)
-        if allowed is None or len(allowed) < k:
+        dist = _bfs_within(adj, s, half)
+        if len(dist) < k:
             continue
-        nbrs = {v: tuple(w for w in adj[v] if w in allowed) for v in allowed}
+        nbrs = {v: tuple(w for w in adj[v] if w in dist) for v in dist}
         found = _closed_path_search(nbrs, dist, s, k)
         if found is not None:
             return found
     return None
 
 
-def _cycle_region(
-    adj: list[list[int]], s: int, half: int
-) -> tuple[set[int] | None, dict[int, int]]:
-    """Vertices that can lie on a k-cycle whose minimum vertex is s.
-
-    Every such vertex is >= s, within floor(k/2) of s along the cycle, and
-    has degree >= 2 inside the region; iterate these filters to a fixpoint.
-    The first pass tests w >= s directly rather than building the set of
-    every vertex above s, and degree peeling runs off a worklist of
-    in-region degrees, so a pass costs time in the edges within distance
-    floor(k/2) of s, not in n.
-    """
-    allowed: set[int] | None = None  # first pass: every vertex >= s
-    while True:
-        dist = _bfs_within(adj, s, allowed, half)
-        shrunk = set(dist)
-        deg = {v: sum(1 for w in adj[v] if w in shrunk) for v in shrunk}
-        # each vertex is queued once: when first seen below 2, or on 2 -> 1
-        queue = [v for v in shrunk if v != s and deg[v] < 2]
-        while queue:
-            v = queue.pop()
-            shrunk.discard(v)
-            for w in adj[v]:
-                if w in shrunk:
-                    deg[w] -= 1
-                    if deg[w] == 1 and w != s:
-                        queue.append(w)
-        if deg[s] < 2:
-            return None, {}
-        if shrunk == allowed or (allowed is None and len(shrunk) == len(adj) - s):
-            return shrunk, dist
-        allowed = shrunk
-
-
-def _bfs_within(
-    adj: list[list[int]], s: int, allowed: set[int] | None, radius: int
-) -> dict[int, int]:
-    """Distances from s up to radius, through `allowed` (None: vertices >= s)."""
+def _bfs_within(adj: list[list[int]], s: int, radius: int) -> dict[int, int]:
+    """Distances from s up to radius, through the vertices >= s."""
     dist = {s: 0}
     queue = deque([s])
     while queue:
@@ -312,7 +279,7 @@ def _bfs_within(
         if d == radius:
             continue
         for w in adj[v]:
-            if w not in dist and (w in allowed if allowed is not None else w >= s):
+            if w >= s and w not in dist:
                 dist[w] = d + 1
                 queue.append(w)
     return dist

@@ -82,6 +82,35 @@ def brute_cycle_lengths(g: op.Graph) -> set[int]:
     return lengths
 
 
+def reference_first_cycle(n: int, edges, k: int) -> tuple[int, ...] | None:
+    """The first k-cycle of unpruned path extension in the search's order:
+    start vertices ascending, each path grown along sorted neighbours above
+    the start, and a cycle kept only when its second vertex is below its
+    last."""
+    adj = op.make_graph(n, edges).adjacency()
+
+    def extend(path: list[int], on: set[int]) -> tuple[int, ...] | None:
+        v = path[-1]
+        if len(path) == k:
+            return tuple(path) if path[1] < v and path[0] in adj[v] else None
+        for w in adj[v]:
+            if w > path[0] and w not in on:
+                on.add(w)
+                path.append(w)
+                found = extend(path, on)
+                path.pop()
+                on.discard(w)
+                if found is not None:
+                    return found
+        return None
+
+    for s in range(n):
+        found = extend([s], {s})
+        if found is not None:
+            return found
+    return None
+
+
 def reference_weak_dual(emb: op.OuterplaneEmbedding) -> op.WeakDualForest:
     """The weak dual by definition: inner faces are adjacent when they share
     a boundary edge, dual edges ordered by that edge."""

@@ -282,6 +282,17 @@ class TestAnalyze:
             assert out.splitlines()[0] == f"n={n} e={n}"
 
 
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def no_parser():
+        raise AssertionError("main must not build a parser")
+
+    monkeypatch.setattr(cli_module, "_build_parser", no_parser)
+    code, out, _ = run(capsys, "bound", "-k", "5", "-n", "18")
+    assert code == 0 and "bound=420/14 floor=30" in out
+    code, _, err = run(capsys, "bound", "-k", "2", "-n", "18")
+    assert code == 2 and "-k must be at least 3" in err
+
+
 def test_missing_file_exit2(capsys):
     code, _, _ = run(capsys, "certify", "-k", "5", "--in", "/nonexistent/file.json")
     assert code == 2

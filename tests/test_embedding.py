@@ -257,6 +257,18 @@ class TestSerialization:
         assert again.graph == g
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            '{"blocks": ' + "[" * 5000 + "]" * 5000 + ', "bridges": [], "isolated": []}',
+            '{"blocks": [',
+        ],
+        ids=["nested", "truncated"],
+    )
+    def test_unreadable_json_is_a_graph_error(self, text):
+        with pytest.raises(op.GraphError):
+            op.embedding_from_json(text)
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("outer", [0, 1, 2.0]),

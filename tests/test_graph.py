@@ -3,9 +3,15 @@ import random
 import pytest
 
 import opturan as op
-from opturan.graph import _cycle_region, find_cycle_in_edges, subgraph_on_edges
+from opturan.graph import find_cycle_in_edges, subgraph_on_edges
 
-from helpers import all_graphs, brute_cycle_lengths, rand_subgraph, rand_triangulation
+from helpers import (
+    all_graphs,
+    brute_cycle_lengths,
+    rand_subgraph,
+    rand_triangulation,
+    reference_first_cycle,
+)
 
 
 class TestMakeGraph:
@@ -151,39 +157,32 @@ class TestCycleSearch:
             for k in range(3, n + 1):
                 assert op.has_cycle_of_length(g, k) == (k in expect)
 
-    def test_region_is_the_peeling_fixpoint(self):
-        def naive_region(adj, s, half):
-            region = set(range(s, len(adj)))
-            while True:
-                dist, frontier = {s: 0}, [s]
-                for d in range(1, half + 1):
-                    frontier = [w for v in frontier for w in adj[v] if w in region and w not in dist]
-                    dist.update((w, d) for w in frontier)
-                kept = set(dist)
-                while True:
-                    drop = {v for v in kept if v != s and sum(w in kept for w in adj[v]) < 2}
-                    if not drop:
-                        break
-                    kept -= drop
-                if sum(w in kept for w in adj[s]) < 2:
-                    return None
-                if kept == region:
-                    return kept
-                region = kept
-
+    def test_first_cycle_equals_unpruned_search(self):
+        """The pruned search returns exactly the first cycle of the unpruned
+        one: on triangulation subgraphs with pendant paths (vertices that lie
+        on no cycle but inside the search's ball), on G(n, p) graphs, and on
+        the first family with its vertices relabelled at random."""
         rng = random.Random(17)
+        inputs = []
         for _ in range(40):
             n = rng.randint(4, 14)
             edges = set(rand_subgraph(rng, rand_triangulation(rng, n).graph, 0.8).edges)
-            for _ in range(rng.randint(0, 3)):  # pendant paths to peel
+            for _ in range(rng.randint(0, 3)):  # pendant paths
                 at = rng.randrange(n)
                 for _ in range(rng.randint(1, 5)):
                     edges.add((at, n))
                     at, n = n, n + 1
-            adj = op.make_graph(n, edges).adjacency()
-            for s in range(n):
-                for half in (1, 2, 3):
-                    assert _cycle_region(adj, s, half)[0] == naive_region(adj, s, half), (edges, s, half)
+            inputs.append((n, sorted(edges)))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inputs.append((n, [(perm[u], perm[v]) for u, v in sorted(edges)]))
+        for _ in range(30):
+            n = rng.randint(4, 10)
+            p = rng.choice([0.2, 0.35, 0.5])
+            inputs.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        for n, edges in inputs:
+            for k in range(3, 11):
+                assert find_cycle_in_edges(n, edges, k) == reference_first_cycle(n, edges, k), (n, edges, k)
 
     def test_cross_oracle_with_face_spectrum(self):
         # outerplanar cross-check: exhaustive search vs dual-subtree spectrum
