@@ -13,33 +13,36 @@ at the root. A certificate stores the certified graph and, per node, only
 its kind and the selection that fixes the step. The root decomposes the
 certified graph without its isolated vertices (the graph itself when it
 has no edge), and each child graph follows from its parent's graph and
-selection through one derivation per kind, which the builder and the
-verifier both call. A derived child keeps the parent's vertices that its
-edges touch, relabelled 0.. in increasing order. A selection that does
-not fit its graph makes the derivation raise SelectionError. A recorded
-face must be an induced cycle of the node graph, which in an outerplanar
-graph is exactly an inner face; the side of a face edge is the edge plus
-the parts of the graph minus the face's vertices that hang across it.
+selection through one derivation per kind, which the verifier calls at
+every split and the builder at face splits and peels. A derived child
+keeps the parent's vertices that its edges touch, relabelled 0.. in
+increasing order. A selection that does not fit its graph makes the
+derivation raise SelectionError. A recorded face must be an induced cycle
+of the node graph, which in an outerplanar graph is exactly an inner face;
+the side of a face edge is the edge plus the parts of the graph minus the
+face's vertices that hang across it.
 
 Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
 split, every child of a big-face split, and the rest of a peel keep only
 parent edges. A child whose parent is outerplanar and k-cycle-free is then
-both, with no recognition. Its embedding is read off the parent's by ring
-order alone (restrict_embedding): a cut split keeps whole blocks, and a
-face split's children and a peel's rest are the arcs that face edges cut
-off the block, so each keeps one edge or one ring of the parent block, and
-a ring is bounded by its vertices in the parent's cyclic order. Only the
-peel, where vL is merged into v1, is not a subgraph; it has n* <= k-2
-vertices, so it has no k-cycle, and it is recognised afresh.
+both, with no recognition. A cut split keeps whole blocks. A face split's
+children and a peel's rest are the arcs that face edges cut off the block,
+each one edge or one ring of it, and a ring is bounded by its vertices in
+the parent's cyclic order, so their embeddings are read off the parent's
+by ring order alone (restrict_embedding). Only the peel, with vL merged
+into v1, is not a subgraph; it has n* <= k-2 vertices, so it has no
+k-cycle, and it is recognised afresh.
 
-Work model. The caller's embedding serves the root, and the builder reads
-each subgraph child's embedding off its parent's, all children of a node
-in one pass over the parent; it recognises only the contracted peels, in
+Work model. The caller's embedding serves the root. A cut split's children
+are whole blocks and bridges, so the builder splits lists of them, in the
+root's labels, on their block-cut forest and builds a graph only for a
+lone block. A face split or peel reads its children's embeddings off its
+own in one pass; the builder recognises only the contracted peels, in
 O(k log k) each. The builder builds a 2-connected node's weak dual once
 and reads the node's faces and its big face or peel off it; no node builds
-a triangular-block partition. Splits derive their children from the node
-graph alone, so the verifier builds no weak dual, and it passes no
+a triangular-block partition. The verifier derives every split's children
+from the node graph alone, so it builds no weak dual, and it passes no
 embedding down: heredity is a flag. It gives the full checks, recognition
 and the exhaustive k-cycle search (which never looks at faces), only to
 the root and to each peel; a peel has fewer than k vertices, so its search
@@ -103,11 +106,13 @@ edge at every vertex still gives a certificate as deep as the polygon.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Container
 
 from .graph import (
-    BlockCutDecomposition,
     Edge,
     Graph,
     GraphError,
@@ -117,6 +122,7 @@ from .graph import (
     subgraph_on_edges,
 )
 from .embedding import (
+    BlockEmbedding,
     EmbeddingInvariantError,
     NotOuterplanarError,
     OuterplaneEmbedding,
@@ -319,9 +325,84 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
     if not g.e:
         return Certificate(k=k, graph=g, root=CertNode(kind=EDGELESS))
-    root, to_parent = _root_graph(g)
-    root_emb = emb if root.n == g.n else restrict_embedding(emb, [(root, to_parent)])[0]
-    return Certificate(k=k, graph=g, root=_build(root, root_emb, k))
+    return Certificate(k=k, graph=g, root=_build_units(_units(emb), k))
+
+
+Unit = tuple[tuple[int, ...], int, BlockEmbedding | None]  # vertices, edges, block
+
+
+def _units(emb: OuterplaneEmbedding) -> list[Unit]:
+    """emb's blocks, then its bridges (block None), each sorted by vertices."""
+    blocks = [(tuple(sorted(b.outer)), len(b.outer) + len(b.chords), b) for b in emb.blocks]
+    return sorted(blocks, key=lambda u: u[0]) + [(e, 1, None) for e in sorted(emb.bridges)]
+
+
+def _build_units(units: list[Unit], k: int) -> CertNode:
+    """The decomposition of the union of these units, relabelled 0.. in
+    increasing order: cut splits are read off the units' block-cut forest
+    and record ranks, which keeps every choice and tie-break of the node
+    graph's own, and each child keeps whole units in their order."""
+    if len(units) == 1:  # a bridge is a base leaf
+        return CertNode(kind=BASE) if units[0][2] is None else _build(*_block_graph(units[0][2]), k)
+    m = len(units)  # block-cut forest: the units, then the cut vertices ascending
+    count = Counter(chain.from_iterable(u[0] for u in units))
+    cuts = sorted(v for v, c in count.items() if c > 1)
+    node_of = {c: m + i for i, c in enumerate(cuts)}
+    adj: list[list[int]] = [[] for _ in range(m + len(cuts))]
+    for ui, (vertices, _, _) in enumerate(units):
+        for v in vertices:
+            if v in node_of:
+                adj[ui].append(node_of[v])
+                adj[node_of[v]].append(ui)
+    if len(adj) - sum(map(len, adj)) // 2 > 1:  # a forest has nodes - edges trees
+        trees, seen = [], set()
+        for ui in range(m):
+            if ui not in seen:
+                tree = [x for x in _behind(adj, -1, [ui]) if x < m]  # -1: no node
+                seen.update(tree)
+                trees.append((min(units[x][0][0] for x in tree), tree))
+        trees.sort()
+        group = _halves([sum(units[x][1] for x in tree) for _, tree in trees])[0]
+        cut, least = None, [trees[i][0] for i in group]
+        first = {x for i in group for x in trees[i][1]}
+    else:
+        # rooted at unit 0: below[x] weighs x's subtree, heaviest[x] its heaviest child's
+        parent, order = [-1] * len(adj), [0]
+        for x in order:
+            for y in adj[x]:
+                if y != parent[x]:
+                    parent[y] = x
+                    order.append(y)
+        below = [u[1] for u in units] + [0] * len(cuts)
+        heaviest = [0] * len(adj)
+        for x in order[:0:-1]:
+            below[parent[x]] += below[x]
+            heaviest[parent[x]] = max(heaviest[parent[x]], below[x])
+        _, cut = min((max(heaviest[node_of[c]], below[0] - below[node_of[c]]), c) for c in cuts)
+        at = node_of[cut]
+        branches = [below[y] if parent[y] == at else below[0] - below[at] for y in adj[at]]
+        least, first = [], set()
+        for i in _halves(branches)[0]:
+            part = [x for x in _behind(adj, at, [adj[at][i]]) if x < m]
+            # a unit's least vertex other than the cut is one of its first two
+            least.append(min(v for x in part for v in units[x][0][:2] if v != cut))
+            first.update(part)
+    children = tuple(
+        _build_units([u for x, u in enumerate(units) if (x in first) == which], k)
+        for which in (True, False)
+    )
+    ranks = sorted(count)
+    side = tuple(sorted(bisect_left(ranks, v) for v in least))
+    return CertNode(CUT_SPLIT, children, None if cut is None else bisect_left(ranks, cut), side)
+
+
+def _block_graph(block: BlockEmbedding) -> tuple[Graph, OuterplaneEmbedding]:
+    """The block alone, relabelled 0.. in increasing order: that keeps its
+    outer cycle canonical, and its chords are positions."""
+    rank = {v: i for i, v in enumerate(sorted(block.outer))}
+    alone = BlockEmbedding(outer=tuple(rank[v] for v in block.outer), chords=block.chords)
+    g = Graph(len(rank), tuple(sorted(alone.cycle_edges() + alone.chord_edges())))
+    return g, OuterplaneEmbedding(graph=g, blocks=(alone,), bridges=(), isolated=())
 
 
 def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
@@ -334,11 +415,7 @@ def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
     if emb.isolated:
         raise CoverageError("recursion reached a graph with isolated vertices")
     if len(emb.blocks) + len(emb.bridges) > 1:
-        cut, side = _select_cut(g, emb.decomposition())
-        children = _embedded(emb, _cut_children(g, cut, side))
-        return CertNode(
-            kind=CUT_SPLIT, children=tuple(_build(c, e, k) for c, e in children), cut=cut, side=side
-        )
+        return _build_units(_units(emb), k)
 
     dual = weak_dual(emb)
     if any(f.size >= k + 1 for f in dual.faces):
@@ -398,34 +475,6 @@ def _behind(adj: list[list[int]], at: int, starts: list[int]) -> list[int]:
                 seen.add(y)
                 stack.append(y)
     return reached
-
-
-def _select_cut(
-    g: Graph, dec: BlockCutDecomposition
-) -> tuple[int | None, tuple[int, ...]]:
-    """The most balanced cut split as (cut, side); the first half goes to child 0."""
-    # block-cut forest: units (blocks and bridges) first, then cut vertices
-    units = [b.vertices for b in dec.blocks] + list(dec.bridges)
-    node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}
-    adj: list[list[int]] = [[] for _ in range(len(units) + len(node_of))]
-    for ui, vertices in enumerate(units):
-        for v in vertices:
-            if v in node_of:
-                adj[ui].append(node_of[v])
-                adj[node_of[v]].append(ui)
-    if len(adj) - sum(map(len, adj)) // 2 > 1:  # a forest has nodes - edges trees
-        comps = _parts(g, ())
-        sizes = [len(edges) for _, edges, _ in comps]
-        return None, tuple(sorted(comps[ci][0][0] for ci in _halves(sizes)[0]))
-    weight = [len(b.edges) for b in dec.blocks] + [1] * len(dec.bridges) + [0] * len(node_of)
-    branches = branch_weights(adj, weight)
-    cut = min(dec.cut_vertices, key=lambda c: (max(branches[node_of[c]]), c))
-    at = node_of[cut]
-    side = []
-    for i in _halves(branches[at])[0]:
-        part = _behind(adj, at, [adj[at][i]])
-        side.append(min(v for ui in part if ui < len(units) for v in units[ui] if v != cut))
-    return cut, tuple(sorted(side))
 
 
 def _select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:

@@ -58,14 +58,16 @@ EXIT_REFUSED = 3
 FORMATS = ("json", "embjson", "dot", "g6")
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
+def _parse_range(text: str) -> range:
+    """`a..b` or `a`; a range is lazy, so a huge upper end costs nothing up front."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty range {text}")
-        return tuple(range(lo, hi + 1))
-    return (int(text),)
+        return range(lo, hi + 1)
+    n = int(text)
+    return range(n, n + 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:

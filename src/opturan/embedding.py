@@ -42,12 +42,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import (
-    BlockCutDecomposition,
     Edge,
     Graph,
     GraphError,
     biconnected_decomposition,
-    block_cut_decomposition,
     edge_key,
     make_graph,
 )
@@ -120,13 +118,6 @@ class OuterplaneEmbedding:
     blocks: tuple[BlockEmbedding, ...]
     bridges: tuple[Edge, ...]
     isolated: tuple[int, ...]
-
-    def decomposition(self) -> BlockCutDecomposition:
-        """The graph's blocks, bridges and cut vertices, read off the embedding;
-        equal to biconnected_decomposition(self.graph)."""
-        comps = [b.cycle_edges() + b.chord_edges() for b in self.blocks]
-        comps += [(e,) for e in self.bridges]
-        return block_cut_decomposition(self.graph.n, comps, self.isolated)
 
 
 def validate_embedding(emb: OuterplaneEmbedding) -> None:

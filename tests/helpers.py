@@ -16,8 +16,9 @@ from unittest import mock
 import opturan as op
 import opturan.certify as certify_module
 import opturan.construct as construct_module
+from opturan.dual import branch_weights
 from opturan.embedding import EmbeddingInvariantError, NotOuterplanarError, restrict_embedding
-from opturan.graph import find_cycle_in_edges
+from opturan.graph import block_cut_decomposition, find_cycle_in_edges, subgraph_on_edges
 
 
 def brute_outerplanar(g: op.Graph) -> bool:
@@ -316,3 +317,66 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
 
     with mock.patch.object(certify_module, "_verify_node", root_audit):
         return op.verify_certificate(cert, k)
+
+
+def embedding_decomposition(emb: op.OuterplaneEmbedding) -> op.BlockCutDecomposition:
+    """The graph's blocks, bridges and cut vertices, read off its embedding."""
+    comps = [b.cycle_edges() + b.chord_edges() for b in emb.blocks]
+    comps += [(e,) for e in emb.bridges]
+    return block_cut_decomposition(emb.graph.n, comps, emb.isolated)
+
+
+def reference_select_cut(g: op.Graph, dec: op.BlockCutDecomposition) -> tuple[int | None, tuple[int, ...]]:
+    """The most balanced cut split of g as (cut, side), picked on g's own
+    block-cut forest: least heaviest branch at a cut vertex, or the
+    components of a disconnected g grouped by edge count."""
+    units = [b.vertices for b in dec.blocks] + list(dec.bridges)
+    node_of = {c: len(units) + i for i, c in enumerate(dec.cut_vertices)}
+    adj: list[list[int]] = [[] for _ in range(len(units) + len(node_of))]
+    for ui, vertices in enumerate(units):
+        for v in vertices:
+            if v in node_of:
+                adj[ui].append(node_of[v])
+                adj[node_of[v]].append(ui)
+    if len(adj) - sum(map(len, adj)) // 2 > 1:
+        comps = certify_module._parts(g, ())
+        sizes = [len(edges) for _, edges, _ in comps]
+        return None, tuple(sorted(comps[ci][0][0] for ci in certify_module._halves(sizes)[0]))
+    weight = [len(b.edges) for b in dec.blocks] + [1] * len(dec.bridges) + [0] * len(node_of)
+    branches = branch_weights(adj, weight)
+    cut = min(dec.cut_vertices, key=lambda c: (max(branches[node_of[c]]), c))
+    at = node_of[cut]
+    side = []
+    for i in certify_module._halves(branches[at])[0]:
+        part = certify_module._behind(adj, at, [adj[at][i]])
+        side.append(min(v for ui in part if ui < len(units) for v in units[ui] if v != cut))
+    return cut, tuple(sorted(side))
+
+
+def reference_build(emb: op.OuterplaneEmbedding, k: int) -> op.Certificate:
+    """build_certificate with every cut split taken on the node graph: the
+    root graph is g without its isolated vertices, each cut is picked with
+    reference_select_cut, the children come from _cut_children and their
+    embeddings from restrict_embedding. Face splits, peels and leaves are
+    the builder's own."""
+    g = emb.graph
+    if not g.e:
+        return op.build_certificate(emb, k)
+    single = certify_module._build
+
+    def build(g, emb, k):
+        if len(emb.blocks) + len(emb.bridges) == 1:
+            return single(g, emb, k)
+        cut, side = reference_select_cut(g, embedding_decomposition(emb))
+        children = certify_module._embedded(emb, certify_module._cut_children(g, cut, side))
+        return op.CertNode(
+            kind=certify_module.CUT_SPLIT,
+            children=tuple(build(c, e, k) for c, e in children),
+            cut=cut,
+            side=side,
+        )
+
+    root, to_parent = subgraph_on_edges(g, g.edges)
+    root_emb = restrict_embedding(emb, [(root, to_parent)])[0]
+    with mock.patch.object(certify_module, "_build", build):
+        return op.Certificate(k=k, graph=g, root=build(root, root_emb, k))

@@ -452,6 +452,14 @@ class TestBalancedSplits:
         assert cert.root.face == (0, 5, 6, 11, 12, 13)
         assert [c.e for c in children_of(report)] == [6, 1, 6, 1, 1, 1]
 
+    @pytest.mark.parametrize("graph, k", [(BOUQUET, 4), (TRIANGLES8, 4), (HEXAGON_WITH_PENDANT, 5)])
+    def test_node_graph_of_several_units_hands_off_to_the_unit_split(self, graph, k):
+        """_build splits a node graph of several blocks and bridges as the root does."""
+        from opturan.certify import _build
+
+        emb = op.recognize_outerplanar(graph)
+        assert _build(graph, emb, k) == op.build_certificate(emb, k).root
+
     def test_branch_weights(self):
         # path 0-1-2-3 with weights 1, 2, 3, 4
         adj = [[1], [0, 2], [1, 3], [2]]
@@ -499,7 +507,8 @@ class TestWorkModel:
                 )
             return count
 
-        for name in ("recognize_outerplanar", "has_cycle_of_length", "restrict_embedding"):
+        names = ("recognize_outerplanar", "has_cycle_of_length", "restrict_embedding", "_cut_children")
+        for name in names:
             counted(name)
         counted("biconnected_decomposition", embedding_module)
         for g, peels, leaves in ((ladder(12), 11, 0), (CHAIN51, 0, 6), (HEXAGON_WITH_PENDANT, 0, 0)):
@@ -510,23 +519,27 @@ class TestWorkModel:
             assert kinds.count(TERMINAL_PEEL) == peels
             assert vouched_leaves(cert.root) == leaves
             # the builder recognises each contracted peel and reads every
-            # other child's embedding off its parent's, once per split and
-            # by ring order alone: only recognition decomposes a graph
-            splits = sum(map(kinds.count, (CUT_SPLIT, BIG_FACE_SPLIT, TERMINAL_PEEL)))
+            # other face-split child's embedding off its parent's, once per
+            # split and by ring order alone; a cut split hands whole blocks
+            # and bridges to its children, so it derives no graph and reads
+            # no embedding: only recognition decomposes a graph
+            face_splits = kinds.count(BIG_FACE_SPLIT) + kinds.count(TERMINAL_PEEL)
             assert calls == Counter(
                 recognize_outerplanar=peels,
-                restrict_embedding=splits,
+                restrict_embedding=face_splits,
                 biconnected_decomposition=peels,
             )
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
             # the verifier reads no embedding off a parent's; it recognises a
-            # maximal leaf its parent vouches for only for is_edge_maximal
+            # maximal leaf its parent vouches for only for is_edge_maximal,
+            # and derives every cut split's children from the node graph
             recognised = 1 + peels + leaves
             assert calls == Counter(
                 recognize_outerplanar=recognised,
                 has_cycle_of_length=1,
                 biconnected_decomposition=recognised,
+                _cut_children=kinds.count(CUT_SPLIT),
             )
 
     def test_one_weak_dual_per_node(self, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,24 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "-k", "5", "-n", "65")
         assert code == 3
         assert "cap 64" in err and "1024 (length, apex) pairs" in err
+
+    def test_huge_range_is_refused_without_building_it(self, tmp_path):
+        """The range stays lazy, so the first n above the cap refuses at once.
+        The address space is capped at 1 GiB, so a range built in full ends
+        in a MemoryError instead of filling the machine's memory."""
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "opturan", "oracle", "-k", "4", "-n", "65..4611686018427387904"],
+            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_memory,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("refused: ")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
     @pytest.mark.parametrize("cap", ["1", "0", "-5"])
     def test_cap_below_two_is_invalid_input(self, capsys, cap):

@@ -33,7 +33,14 @@ from opturan.embedding import (  # noqa: E402
 )
 from opturan.graph import find_cycle_in_edges, subgraph_on_edges  # noqa: E402
 
-from helpers import ladder, reference_reducible_face, reference_verify, reference_weak_dual  # noqa: E402
+from helpers import (  # noqa: E402
+    embedding_decomposition,
+    ladder,
+    reference_build,
+    reference_reducible_face,
+    reference_verify,
+    reference_weak_dual,
+)
 
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -363,7 +370,7 @@ def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_see
         if restrictable(g, emb, subset):
             derived = restrict_embedding(emb, [(sub, to_parent)])[0]
             assert derived == op.recognize_outerplanar(sub)
-            assert derived.decomposition() == op.biconnected_decomposition(sub)
+            assert embedding_decomposition(derived) == op.biconnected_decomposition(sub)
         else:
             with pytest.raises(EmbeddingInvariantError, match="boundary pair"):
                 restrict_embedding(emb, [(sub, to_parent)])
@@ -387,6 +394,41 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k):
     for g, emb in nodes:
         assert g == op.make_graph(g.n, g.edges)
         assert emb == op.recognize_outerplanar(g)
+
+
+SHAPES = ("connected", "forest", "disconnected", "isolated")
+
+
+def shaped_host(seed: int, size: int, k: int, shape: str) -> op.Graph:
+    """A k-cycle-free host of the given shape, relabelled at random: one
+    random_ckfree_host, a forest, two to four hosts side by side, or one
+    host with isolated vertices."""
+    rng = random.Random(seed)
+    count = {"connected": 1, "forest": rng.randint(1, 4), "disconnected": rng.randint(2, 4)}
+    n, edges = 0, []
+    for _ in range(count.get(shape, 1)):
+        if shape == "forest":
+            p = rng.randint(2, size)
+            part = [(rng.randrange(i), i) for i in range(1, p)]
+        else:
+            p, part = random_ckfree_host(rng.randrange(2**32), size // count.get(shape, 1), k)
+        edges += [(n + u, n + v) for u, v in part]
+        n += p
+    if shape == "isolated":
+        n += rng.randint(1, 10)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return op.make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@LARGE
+@given(seeds, st.integers(20, 200), st.integers(3, 8), st.sampled_from(SHAPES))
+def test_unit_cut_splits_equal_the_graph_level_reference(seed, size, k, shape):
+    """Cut splits read off the units' block-cut forest give the certificate
+    that cut splits taken on each node graph give, byte for byte."""
+    emb = op.recognize_outerplanar(shaped_host(seed, size, k, shape))
+    expected = op.certificate_to_json(reference_build(emb, k))
+    assert op.certificate_to_json(op.build_certificate(emb, k)) == expected
 
 
 @LARGE
