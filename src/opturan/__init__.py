@@ -41,7 +41,6 @@ from .embedding import (
     embedding_to_json,
     inner_faces,
     is_edge_maximal,
-    path_length_set,
     recognize_outerplanar,
 )
 from .dual import (

@@ -14,35 +14,39 @@ its kind and the selection that fixes the step. The root decomposes the
 certified graph without its isolated vertices (the graph itself when it
 has no edge), and each child graph follows from its parent's graph and
 selection through one derivation per kind, which the verifier calls at
-every split and the builder at face splits and peels. A derived child
-keeps the parent's vertices that its edges touch, relabelled 0.. in
-increasing order. A selection that does not fit its graph makes the
-derivation raise SelectionError. A recorded face must be an induced cycle
-of the node graph, which in an outerplanar graph is exactly an inner face;
-the side of a face edge is the edge plus the parts of the graph minus the
-face's vertices that hang across it.
+every split. A derived child keeps the parent's vertices that its edges
+touch, relabelled 0.. in increasing order. A selection that does not fit
+its graph makes the derivation raise SelectionError. A recorded face must
+be an induced cycle of the node graph, which in an outerplanar graph is
+exactly an inner face; the side of a face edge is the edge plus the parts
+of the graph minus the face's vertices that hang across it.
 
 Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
 split, every child of a big-face split, and the rest of a peel keep only
 parent edges. A child whose parent is outerplanar and k-cycle-free is then
-both, with no recognition. A cut split keeps whole blocks. A face split's
-children and a peel's rest are the arcs that face edges cut off the block,
-each one edge or one ring of it, and a ring is bounded by its vertices in
-the parent's cyclic order, so their embeddings are read off the parent's
-by ring order alone (restrict_embedding). Only the peel, with vL merged
-into v1, is not a subgraph; it has n* <= k-2 vertices, so it has no
+both, with no recognition. A cut split keeps whole blocks. In a 2-connected
+node every inner face is a face of its block, and the weak dual is a tree:
+a face split's children and a peel's rest are the branches of that tree
+behind the chosen face's edges (an edge with no branch is a base leaf), so
+each is again a connected set of the block's faces. Only the peel, with vL
+merged into v1, is not a subgraph; it has n* <= k-2 vertices, so it has no
 k-cycle, and it is recognised afresh.
 
-Work model. The caller's embedding serves the root. A cut split's children
-are whole blocks and bridges, so the builder splits lists of them, in the
-root's labels, on their block-cut forest and builds a graph only for a
-lone block. A face split or peel reads its children's embeddings off its
-own in one pass; the builder recognises only the contracted peels, in
-O(k log k) each. The builder builds a 2-connected node's weak dual once
-and reads the node's faces and its big face or peel off it; no node builds
-a triangular-block partition. The verifier derives every split's children
-from the node graph alone, so it builds no weak dual, and it passes no
+Work model. The builder builds a weak dual once for the caller's embedding
+and once for each contracted peel, the only graphs it builds. A cut split's
+children are whole blocks and bridges, so the builder splits lists of them,
+in the embedding's labels, on their block-cut forest. A lone block is the
+set of its faces, and every 2-connected node below it is a connected
+subset: the builder picks the big face or the peel off the sub-forest on
+those faces and passes each child its branch of faces. A node whose faces
+are all triangles is a maximal leaf with n = 2 + sum(size - 2). Choices are
+made in the embedding's labels and recorded as ranks among the node's
+vertices; the node graph is relabelled in increasing order, so its faces
+and tie-breaks are the same. The contracted peels are recognised in
+O(k log k) each. No node builds a triangular-block partition. The verifier
+derives every split's children from the node graph alone, so it builds no
+weak dual and checks the builder independently, and it passes no
 embedding down: heredity is a flag. It gives the full checks, recognition
 and the exhaustive k-cycle search (which never looks at faces), only to
 the root and to each peel; a peel has fewer than k vertices, so its search
@@ -110,7 +114,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Container
+from typing import Container, NamedTuple
 
 from .graph import (
     Edge,
@@ -122,14 +126,13 @@ from .graph import (
     subgraph_on_edges,
 )
 from .embedding import (
-    BlockEmbedding,
     EmbeddingInvariantError,
     NotOuterplanarError,
     OuterplaneEmbedding,
+    canonical_cycle,
     cycle_length_set,
     is_edge_maximal,
     recognize_outerplanar,
-    restrict_embedding,
 )
 from .dual import WeakDualForest, branch_weights, find_reducible_face, weak_dual
 from .turan import bound_holds
@@ -325,25 +328,48 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
     if not g.e:
         return Certificate(k=k, graph=g, root=CertNode(kind=EDGELESS))
-    return Certificate(k=k, graph=g, root=_build_units(_units(emb), k))
+    return Certificate(k=k, graph=g, root=_decompose(emb, k))
 
 
-Unit = tuple[tuple[int, ...], int, BlockEmbedding | None]  # vertices, edges, block
+class _Source(NamedTuple):
+    """The embedding a lone block's faces come from, as the builder walks it."""
+
+    graph: Graph  # the embedded graph
+    dual: WeakDualForest
+    links: list[list[tuple[int, Edge]]]  # per face: (neighbour, shared edge)
+    k: int
 
 
-def _units(emb: OuterplaneEmbedding) -> list[Unit]:
-    """emb's blocks, then its bridges (block None), each sorted by vertices."""
-    blocks = [(tuple(sorted(b.outer)), len(b.outer) + len(b.chords), b) for b in emb.blocks]
-    return sorted(blocks, key=lambda u: u[0]) + [(e, 1, None) for e in sorted(emb.bridges)]
+Unit = tuple[tuple[int, ...], int, range | None]  # vertices, edges, the block's faces
 
 
-def _build_units(units: list[Unit], k: int) -> CertNode:
+def _decompose(emb: OuterplaneEmbedding, k: int) -> CertNode:
+    """The decomposition of emb's graph without its isolated vertices: its
+    blocks (with their faces in emb's weak dual, built here once) and then
+    its bridges, each sorted by vertices, go to the unit split."""
+    dual = weak_dual(emb)
+    links: list[list[tuple[int, Edge]]] = [[] for _ in dual.faces]
+    for (a, b), shared in zip(dual.edges, dual.shared_edges):
+        links[a].append((b, shared))
+        links[b].append((a, shared))
+    blocks, first = [], 0
+    for block in emb.blocks:  # the dual lists each block's c+1 faces in turn
+        faces = range(first, first + len(block.chords) + 1)
+        blocks.append((tuple(sorted(block.outer)), len(block.outer) + len(block.chords), faces))
+        first = faces.stop
+    units: list[Unit] = sorted(blocks, key=lambda u: u[0]) + [(e, 1, None) for e in sorted(emb.bridges)]
+    return _build_units(units, _Source(emb.graph, dual, links, k))
+
+
+def _build_units(units: list[Unit], src: _Source) -> CertNode:
     """The decomposition of the union of these units, relabelled 0.. in
     increasing order: cut splits are read off the units' block-cut forest
     and record ranks, which keeps every choice and tie-break of the node
-    graph's own, and each child keeps whole units in their order."""
+    graph's own, and each child keeps whole units in their order. A lone
+    block is decomposed on its faces."""
     if len(units) == 1:  # a bridge is a base leaf
-        return CertNode(kind=BASE) if units[0][2] is None else _build(*_block_graph(units[0][2]), k)
+        faces = units[0][2]
+        return CertNode(kind=BASE) if faces is None else _build_faces(src, list(faces))
     m = len(units)  # block-cut forest: the units, then the cut vertices ascending
     count = Counter(chain.from_iterable(u[0] for u in units))
     cuts = sorted(v for v, c in count.items() if c > 1)
@@ -388,7 +414,7 @@ def _build_units(units: list[Unit], k: int) -> CertNode:
             least.append(min(v for x in part for v in units[x][0][:2] if v != cut))
             first.update(part)
     children = tuple(
-        _build_units([u for x, u in enumerate(units) if (x in first) == which], k)
+        _build_units([u for x, u in enumerate(units) if (x in first) == which], src)
         for which in (True, False)
     )
     ranks = sorted(count)
@@ -396,54 +422,86 @@ def _build_units(units: list[Unit], k: int) -> CertNode:
     return CertNode(CUT_SPLIT, children, None if cut is None else bisect_left(ranks, cut), side)
 
 
-def _block_graph(block: BlockEmbedding) -> tuple[Graph, OuterplaneEmbedding]:
-    """The block alone, relabelled 0.. in increasing order: that keeps its
-    outer cycle canonical, and its chords are positions."""
-    rank = {v: i for i, v in enumerate(sorted(block.outer))}
-    alone = BlockEmbedding(outer=tuple(rank[v] for v in block.outer), chords=block.chords)
-    g = Graph(len(rank), tuple(sorted(alone.cycle_edges() + alone.chord_edges())))
-    return g, OuterplaneEmbedding(graph=g, blocks=(alone,), bridges=(), isolated=())
+def _build_faces(src: _Source, faces: list[int]) -> CertNode:
+    """The decomposition of the union of `faces`, a connected set of
+    src.dual's faces, relabelled 0.. in increasing order: a 2-connected
+    graph whose weak dual is the sub-forest on those faces. One frame per
+    level, holding only its children's faces."""
+    step = _face_step(src, faces)
+    if step is None:
+        return CertNode(kind=MAXIMAL_LEAF)
+    kind, face, branches, peel = step
+    children = []
+    for branch in branches:
+        children.append(_build_faces(src, branch) if branch else CertNode(kind=BASE))
+    if peel is not None:
+        children.append(_decompose(recognize_outerplanar(peel), src.k))
+    return CertNode(kind, tuple(children), face=face)
 
 
-def _build(g: Graph, emb: OuterplaneEmbedding, k: int) -> CertNode:
-    """The decomposition of g; emb is g's embedding, derived from the parent's."""
-    if g.e == 0:
-        raise CoverageError("recursion reached an edgeless graph")
-    if g.n == 2:
-        return CertNode(kind=BASE)
+def _face_step(
+    src: _Source, faces: list[int]
+) -> tuple[str, tuple[int, ...], list[list[int]], Graph | None] | None:
+    """The step at the node made of `faces`: None for a maximal leaf, else
+    its kind, its face, the faces behind each face edge of a big face (none
+    for the edge alone, a base leaf) or behind a peel's closing edge (the
+    rest), and the contracted peel.
 
-    if emb.isolated:
-        raise CoverageError("recursion reached a graph with isolated vertices")
-    if len(emb.blocks) + len(emb.bridges) > 1:
-        return _build_units(_units(emb), k)
+    The sub-forest on `faces` is the node's weak dual. The selection is
+    made in src.dual's labels and recorded as ranks among the node's
+    vertices, which keeps every choice and canonical tie-break of the node
+    graph's own.
+    """
+    k = src.k
+    index = {f: i for i, f in enumerate(faces)}
+    shared = [(index[f], index[g], e) for f in faces for g, e in src.links[f] if f < g and g in index]
+    sub = WeakDualForest(
+        faces=tuple(src.dual.faces[f] for f in faces),
+        edges=tuple((a, b) for a, b, _ in shared),
+        shared_edges=tuple(e for _, _, e in shared),
+    )
+    largest = max([len(face.vertices) for face in sub.faces])
+    if largest < 4:  # all triangles: n = 2 + sum(size - 2), e = 2n-3
+        n = 2 + len(faces)
+        if n > k - 1:
+            raise CoverageError(f"maximal leaf conditions failed at n={n}, e={2 * n - 3}, k={k}")
+        return None
+    if largest >= k + 1:
+        kind, ring = BIG_FACE_SPLIT, _select_big_face(sub, k)
+    else:
+        kind, ring = TERMINAL_PEEL, _select_peel(sub, k)
+    size = len(ring)
+    s = [face.vertices for face in sub.faces].index(canonical_cycle(ring))
+    across = {e: index[g] for g, e in src.links[faces[s]] if g in index}
+    adj = [[index[g] for g, _ in src.links[f] if g in index] for f in faces]
+    sides = []  # the faces behind face edge i, from ring[i] to ring[i+1]
+    for i in range(size if kind == BIG_FACE_SPLIT else size - 1):
+        c = across.get(edge_key(ring[i], ring[(i + 1) % size]))
+        sides.append([] if c is None else [faces[x] for x in _behind(adj, s, [c])])
+    vertices = sorted({v for face in sub.faces for v in face.vertices})
+    face = tuple(bisect_left(vertices, v) for v in ring)
+    if kind == BIG_FACE_SPLIT:
+        return kind, face, sides, None
+    peeled = {faces[s]}.union(*sides)  # every other face lies behind the closing edge
+    rest = [f for f in faces if f not in peeled]
+    return kind, face, [rest], _contracted_peel(src, ring, sides)
 
-    dual = weak_dual(emb)
-    if any(f.size >= k + 1 for f in dual.faces):
-        face = _select_big_face(dual, k)
-        children = _embedded(emb, _big_face_children(g, face))
-        return CertNode(
-            kind=BIG_FACE_SPLIT, children=tuple(_build(c, e, k) for c, e in children), face=face
-        )
-    if any(f.size >= 4 for f in dual.faces):
-        face = _select_peel(dual, k)
-        children = _embedded(emb, _peel_children(g, face))
-        return CertNode(
-            kind=TERMINAL_PEEL, children=tuple(_build(c, e, k) for c, e in children), face=face
-        )
-    if not (is_edge_maximal(emb) and g.n <= k - 1):
-        raise CoverageError(
-            f"maximal leaf conditions failed at n={g.n}, e={g.e}, k={k}"
-        )
-    return CertNode(kind=MAXIMAL_LEAF)
 
-
-def _embedded(
-    emb: OuterplaneEmbedding, children: list[Derived]
-) -> list[tuple[Graph, OuterplaneEmbedding]]:
-    """Each child with its embedding: read off emb, all in one pass over emb,
-    or recognised for the contracted peel, which has no map into emb."""
-    found = iter(restrict_embedding(emb, [(c, m) for c, m in children if m is not None]))
-    return [(c, next(found) if m is not None else recognize_outerplanar(c)) for c, m in children]
+def _contracted_peel(src: _Source, ring: tuple[int, ...], sides: list[list[int]]) -> Graph:
+    """Face edges ring[0]ring[1] .. ring[-2]ring[-1] with the faces behind
+    them, which must all be triangles, and ring[-1] merged into ring[0]:
+    the only graph the builder builds."""
+    edges = set()
+    for i, side in enumerate(sides):
+        edges.add(edge_key(ring[i], ring[i + 1]))
+        for f in side:
+            face = src.dual.faces[f]
+            if face.size >= 4:
+                raise CoverageError("a peeled face edge lies in a non-terminal block")
+            edges.update(face.boundary_edges())
+    v1, vl = ring[0], ring[-1]
+    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in edges]
+    return subgraph_on_edges(src.graph, merged)[0]
 
 
 def _halves(weights: list[int]) -> tuple[list[int], list[int]]:

@@ -246,17 +246,14 @@ def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] |
     big = [int(f.size >= 4) for f in dual.faces]
     if not any(big):
         return None
-    across: list[list[Edge]] = [[] for _ in big]  # in adjacency() order
-    for (a, b), shared in zip(dual.edges, dual.shared_edges):
-        across[a].append(shared)
-        across[b].append(shared)
     branches = branch_weights(dual.adjacency(), big)
-    held = [tuple(e for e, w in zip(across[f], branches[f]) if w) for f in range(len(big))]
-    qualifying = [f for f in range(len(big)) if big[f] and len(held[f]) <= 1]
+    qualifying = [f for f, b in enumerate(branches) if big[f] and len(b) - b.count(0) <= 1]
     if not qualifying:
         raise EmbeddingInvariantError("no reducible face despite a (4+)-face being present")
     chosen = min(qualifying, key=lambda f: dual.faces[f].vertices)
-    return dual.faces[chosen], held[chosen]
+    # the chosen face's shared edges in adjacency() order, which follows dual.edges
+    across = [e for (a, b), e in zip(dual.edges, dual.shared_edges) if chosen in (a, b)]
+    return dual.faces[chosen], tuple(e for e, w in zip(across, branches[chosen]) if w)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ vertices come from a lazy min-heap, each replay step relinks a cycle in O(1),
 and one stack scan over sorted chords (shared with validate_embedding) rules
 out crossings, once per block.
 
-A subgraph that keeps, of each parent block, one edge or a 2-connected set
-of edges needs no recognition (restrict_embedding). Restriction keeps every
-vertex on the outer face and every chord uncrossed, and a 2-connected
-outerplanar graph has one Hamiltonian cycle, so such a set is bounded by its
-vertices in the parent's cyclic order. Any other set misses a pair of that
-ring, and restriction raises.
+The union of a connected set of a block's inner faces needs no recognition
+either: it is 2-connected, its inner faces are exactly those faces, and its
+weak dual is the subtree on them. The certificate builder walks each block
+that way, on the weak dual it builds once, and recognises only graphs that
+are not such unions.
 
 Faces are read off each block by a single monotone stack scan over chord
 endpoints in cycle order; no geometry is ever computed. The same scan gives
@@ -39,7 +38,7 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import (
     Edge,
@@ -249,83 +248,6 @@ def _crossing_chords(chords: Iterable[Edge]) -> tuple[Edge, Edge] | None:
 
 
 # ---------------------------------------------------------------------------
-# Restriction to subgraphs
-# ---------------------------------------------------------------------------
-
-
-def restrict_embedding(
-    parent: OuterplaneEmbedding, subgraphs: Sequence[tuple[Graph, Sequence[int]]]
-) -> list[OuterplaneEmbedding]:
-    """The embeddings of subgraphs, read off the parent's cyclic orders.
-
-    Each subgraph comes as (sub, to_parent): `sub` is spanned by parent
-    edges, and to_parent[i] is the parent vertex of its vertex i, increasing
-    in i (as subgraph_on_edges gives). Each parent block must keep no edge,
-    one edge, which becomes a bridge, or a 2-connected set of edges, which
-    becomes one block bounded by its vertices in the parent's cyclic order.
-    Each result then equals recognize_outerplanar(sub), with no recognition.
-    The parent's edge map is built once for all the subgraphs and dropped on
-    return. Raises EmbeddingInvariantError if an edge of a subgraph is no
-    parent edge, or if a block keeps more than one edge but misses a pair
-    of its ring, that is, when the kept edges are not 2-connected.
-    """
-    block_of = dict.fromkeys(parent.graph.edges, -1)  # edge -> block index, -1 for a bridge
-    for at, block in enumerate(parent.blocks):
-        for edge in block.cycle_edges() + block.chord_edges():
-            block_of[edge] = at
-    positions = [{v: i for i, v in enumerate(b.outer)} for b in parent.blocks]
-    return [_restrict(block_of, positions, sub, to_parent) for sub, to_parent in subgraphs]
-
-
-def _restrict(
-    block_of: dict[Edge, int],
-    positions: list[dict[int, int]],
-    sub: Graph,
-    to_parent: Sequence[int],
-) -> OuterplaneEmbedding:
-    """One subgraph's embedding for restrict_embedding."""
-    kept: dict[int, tuple[dict[int, int], list[Edge]]] = {}  # block -> (ring labels, edges)
-    bridges: list[Edge] = []
-    for a, b in sub.edges:
-        u, v = to_parent[a], to_parent[b]
-        at = block_of.get((u, v))
-        if at is None:
-            raise EmbeddingInvariantError(f"edge ({a}, {b}) maps to no parent edge")
-        if at < 0:
-            bridges.append((a, b))
-            continue
-        labels, edges = kept.setdefault(at, ({}, []))
-        place = positions[at]
-        labels[place[u]], labels[place[v]] = a, b
-        edges.append((a, b))
-    blocks: list[BlockEmbedding] = []
-    for labels, edges in kept.values():
-        if len(edges) == 1:
-            bridges.extend(edges)
-            continue
-        outer = canonical_cycle([labels[i] for i in sorted(labels)])
-        spot = {v: i for i, v in enumerate(outer)}
-        p = len(outer)
-        chords = []
-        for a, b in edges:
-            i, j = edge_key(spot[a], spot[b])
-            if 1 < j - i < p - 1:
-                chords.append((i, j))
-        if len(edges) - len(chords) != p:  # distinct pairs: the ring is whole iff it holds p
-            raise EmbeddingInvariantError("a boundary pair of a kept block is not an edge")
-        blocks.append(BlockEmbedding(outer=outer, chords=tuple(sorted(chords))))
-    touched = [False] * sub.n
-    for a, b in sub.edges:
-        touched[a] = touched[b] = True
-    return OuterplaneEmbedding(
-        graph=sub,
-        blocks=tuple(sorted(blocks, key=lambda b: b.outer)),
-        bridges=tuple(sorted(bridges)),
-        isolated=tuple(v for v in range(sub.n) if not touched[v]),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Faces
 # ---------------------------------------------------------------------------
 
@@ -437,31 +359,6 @@ def is_edge_maximal(emb: OuterplaneEmbedding) -> bool:
             f"structural={structural} count={count_cond} (n={g.n}, e={g.e})"
         )
     return count_cond
-
-
-def path_length_set(emb: OuterplaneEmbedding, u: int, v: int) -> frozenset[int]:
-    """Lengths of all u-v paths; requires an outer edge of an edge-maximal host."""
-    if not is_edge_maximal(emb):
-        raise NotEdgeMaximalError("path spectrum is only guaranteed on edge-maximal embeddings")
-    if edge_key(u, v) not in outer_boundary_edges(emb):
-        raise EdgeNotOnOuterFaceError(f"({u}, {v}) is not an edge on the outer face")
-    adj = emb.graph.adjacency()
-    lengths: set[int] = set()
-    on_path = [False] * emb.graph.n
-    on_path[u] = True
-
-    def walk(x: int, steps: int) -> None:
-        if x == v:
-            lengths.add(steps)
-            return
-        for w in adj[x]:
-            if not on_path[w]:
-                on_path[w] = True
-                walk(w, steps + 1)
-                on_path[w] = False
-
-    walk(u, 0)
-    return frozenset(lengths)
 
 
 def cycle_length_set(emb: OuterplaneEmbedding, limit: int | None = None) -> frozenset[int]:

@@ -11,14 +11,22 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
+from typing import Sequence
 from unittest import mock
 
 import opturan as op
 import opturan.certify as certify_module
 import opturan.construct as construct_module
 from opturan.dual import branch_weights
-from opturan.embedding import EmbeddingInvariantError, NotOuterplanarError, restrict_embedding
-from opturan.graph import block_cut_decomposition, find_cycle_in_edges, subgraph_on_edges
+from opturan.embedding import (
+    EdgeNotOnOuterFaceError,
+    EmbeddingInvariantError,
+    NotEdgeMaximalError,
+    NotOuterplanarError,
+    canonical_cycle,
+    outer_boundary_edges,
+)
+from opturan.graph import Edge, block_cut_decomposition, find_cycle_in_edges, subgraph_on_edges
 
 
 def brute_outerplanar(g: op.Graph) -> bool:
@@ -81,6 +89,32 @@ def brute_cycle_lengths(g: op.Graph) -> set[int]:
     for s in range(g.n):
         walk(s, [s], {s})
     return lengths
+
+
+def path_length_set(emb: op.OuterplaneEmbedding, u: int, v: int) -> frozenset[int]:
+    """Lengths of all u-v paths, by walking every simple path; requires an
+    outer edge of an edge-maximal host."""
+    if not op.is_edge_maximal(emb):
+        raise NotEdgeMaximalError("path spectrum is only guaranteed on edge-maximal embeddings")
+    if op.edge_key(u, v) not in outer_boundary_edges(emb):
+        raise EdgeNotOnOuterFaceError(f"({u}, {v}) is not an edge on the outer face")
+    adj = emb.graph.adjacency()
+    lengths: set[int] = set()
+    on_path = [False] * emb.graph.n
+    on_path[u] = True
+
+    def walk(x: int, steps: int) -> None:
+        if x == v:
+            lengths.add(steps)
+            return
+        for w in adj[x]:
+            if not on_path[w]:
+                on_path[w] = True
+                walk(w, steps + 1)
+                on_path[w] = False
+
+    walk(u, 0)
+    return frozenset(lengths)
 
 
 def reference_first_cycle(n: int, edges, k: int) -> tuple[int, ...] | None:
@@ -243,6 +277,77 @@ def brute_max_ckfree(n: int, k: int) -> int:
     return best
 
 
+def restrict_embedding(
+    parent: op.OuterplaneEmbedding, subgraphs: Sequence[tuple[op.Graph, Sequence[int]]]
+) -> list[op.OuterplaneEmbedding]:
+    """The embeddings of subgraphs, read off the parent's cyclic orders.
+
+    Each subgraph comes as (sub, to_parent): `sub` is spanned by parent
+    edges, and to_parent[i] is the parent vertex of its vertex i, increasing
+    in i (as subgraph_on_edges gives). Each parent block must keep no edge,
+    one edge, which becomes a bridge, or a 2-connected set of edges, which
+    becomes one block bounded by its vertices in the parent's cyclic order.
+    Each result then equals recognize_outerplanar(sub), with no recognition.
+    Raises EmbeddingInvariantError if an edge of a subgraph is no parent
+    edge, or if a block keeps more than one edge but misses a pair of its
+    ring, that is, when the kept edges are not 2-connected.
+    """
+    block_of = dict.fromkeys(parent.graph.edges, -1)  # edge -> block index, -1 for a bridge
+    for at, block in enumerate(parent.blocks):
+        for edge in block.cycle_edges() + block.chord_edges():
+            block_of[edge] = at
+    positions = [{v: i for i, v in enumerate(b.outer)} for b in parent.blocks]
+    return [_restrict(block_of, positions, sub, to_parent) for sub, to_parent in subgraphs]
+
+
+def _restrict(
+    block_of: dict[Edge, int],
+    positions: list[dict[int, int]],
+    sub: op.Graph,
+    to_parent: Sequence[int],
+) -> op.OuterplaneEmbedding:
+    """One subgraph's embedding for restrict_embedding."""
+    kept: dict[int, tuple[dict[int, int], list[Edge]]] = {}  # block -> (ring labels, edges)
+    bridges: list[Edge] = []
+    for a, b in sub.edges:
+        u, v = to_parent[a], to_parent[b]
+        at = block_of.get((u, v))
+        if at is None:
+            raise EmbeddingInvariantError(f"edge ({a}, {b}) maps to no parent edge")
+        if at < 0:
+            bridges.append((a, b))
+            continue
+        labels, edges = kept.setdefault(at, ({}, []))
+        place = positions[at]
+        labels[place[u]], labels[place[v]] = a, b
+        edges.append((a, b))
+    blocks: list[op.BlockEmbedding] = []
+    for labels, edges in kept.values():
+        if len(edges) == 1:
+            bridges.extend(edges)
+            continue
+        outer = canonical_cycle([labels[i] for i in sorted(labels)])
+        spot = {v: i for i, v in enumerate(outer)}
+        p = len(outer)
+        chords = []
+        for a, b in edges:
+            i, j = op.edge_key(spot[a], spot[b])
+            if 1 < j - i < p - 1:
+                chords.append((i, j))
+        if len(edges) - len(chords) != p:  # distinct pairs: the ring is whole iff it holds p
+            raise EmbeddingInvariantError("a boundary pair of a kept block is not an edge")
+        blocks.append(op.BlockEmbedding(outer=outer, chords=tuple(sorted(chords))))
+    touched = [False] * sub.n
+    for a, b in sub.edges:
+        touched[a] = touched[b] = True
+    return op.OuterplaneEmbedding(
+        graph=sub,
+        blocks=tuple(sorted(blocks, key=lambda b: b.outer)),
+        bridges=tuple(sorted(bridges)),
+        isolated=tuple(v for v in range(sub.n) if not touched[v]),
+    )
+
+
 def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.AuditReport:
     """verify_certificate with a node audit that carries embeddings instead
     of a heredity flag: each child's embedding is read off its parent's with
@@ -354,29 +459,40 @@ def reference_select_cut(g: op.Graph, dec: op.BlockCutDecomposition) -> tuple[in
 
 
 def reference_build(emb: op.OuterplaneEmbedding, k: int) -> op.Certificate:
-    """build_certificate with every cut split taken on the node graph: the
-    root graph is g without its isolated vertices, each cut is picked with
-    reference_select_cut, the children come from _cut_children and their
-    embeddings from restrict_embedding. Face splits, peels and leaves are
-    the builder's own."""
+    """build_certificate with every node decomposed on its node graph: the
+    root graph is g without its isolated vertices; a graph of several
+    blocks and bridges is cut where reference_select_cut says; a block is
+    split at _select_big_face or peeled at _select_peel on its own weak
+    dual. The children come from the verifier's derivations, each with its
+    embedding read off the parent's by restrict_embedding, or recognised
+    for the contracted peel."""
     g = emb.graph
     if not g.e:
         return op.build_certificate(emb, k)
-    single = certify_module._build
 
-    def build(g, emb, k):
-        if len(emb.blocks) + len(emb.bridges) == 1:
-            return single(g, emb, k)
-        cut, side = reference_select_cut(g, embedding_decomposition(emb))
-        children = certify_module._embedded(emb, certify_module._cut_children(g, cut, side))
-        return op.CertNode(
-            kind=certify_module.CUT_SPLIT,
-            children=tuple(build(c, e, k) for c, e in children),
-            cut=cut,
-            side=side,
-        )
+    def build(g: op.Graph, emb: op.OuterplaneEmbedding) -> op.CertNode:
+        if g.n == 2:
+            return op.CertNode(kind=certify_module.BASE)
+        if len(emb.blocks) + len(emb.bridges) > 1:
+            cut, side = reference_select_cut(g, embedding_decomposition(emb))
+            kind, selection = certify_module.CUT_SPLIT, {"cut": cut, "side": side}
+            children = certify_module._cut_children(g, cut, side)
+        else:
+            dual = op.weak_dual(emb)
+            if any(f.size >= k + 1 for f in dual.faces):
+                kind, face = certify_module.BIG_FACE_SPLIT, certify_module._select_big_face(dual, k)
+                children = certify_module._big_face_children(g, face)
+            elif any(f.size >= 4 for f in dual.faces):
+                kind, face = certify_module.TERMINAL_PEEL, certify_module._select_peel(dual, k)
+                children = certify_module._peel_children(g, face)
+            elif op.is_edge_maximal(emb) and g.n <= k - 1:
+                return op.CertNode(kind=certify_module.MAXIMAL_LEAF)
+            else:
+                raise certify_module.CoverageError(f"maximal leaf conditions failed at n={g.n}, k={k}")
+            selection = {"face": face}
+        found = iter(restrict_embedding(emb, [(c, m) for c, m in children if m is not None]))
+        embedded = [(c, next(found) if m is not None else op.recognize_outerplanar(c)) for c, m in children]
+        return op.CertNode(kind, tuple(build(c, e) for c, e in embedded), **selection)
 
     root, to_parent = subgraph_on_edges(g, g.edges)
-    root_emb = restrict_embedding(emb, [(root, to_parent)])[0]
-    with mock.patch.object(certify_module, "_build", build):
-        return op.Certificate(k=k, graph=g, root=build(root, root_emb, k))
+    return op.Certificate(k=k, graph=g, root=build(root, restrict_embedding(emb, [(root, to_parent)])[0]))

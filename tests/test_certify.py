@@ -452,14 +452,6 @@ class TestBalancedSplits:
         assert cert.root.face == (0, 5, 6, 11, 12, 13)
         assert [c.e for c in children_of(report)] == [6, 1, 6, 1, 1, 1]
 
-    @pytest.mark.parametrize("graph, k", [(BOUQUET, 4), (TRIANGLES8, 4), (HEXAGON_WITH_PENDANT, 5)])
-    def test_node_graph_of_several_units_hands_off_to_the_unit_split(self, graph, k):
-        """_build splits a node graph of several blocks and bridges as the root does."""
-        from opturan.certify import _build
-
-        emb = op.recognize_outerplanar(graph)
-        assert _build(graph, emb, k) == op.build_certificate(emb, k).root
-
     def test_branch_weights(self):
         # path 0-1-2-3 with weights 1, 2, 3, 4
         adj = [[1], [0, 2], [1, 3], [2]]
@@ -476,9 +468,10 @@ class TestBalancedSplits:
 
 
 class TestWorkModel:
-    """Children inherit outerplanarity and k-cycle-freeness from their parents;
-    only the root and the contracted peels are recognised as node graphs, and
-    only the root is searched."""
+    """Children inherit outerplanarity and k-cycle-freeness from their parents.
+    The builder walks each block on its weak dual and builds a graph only for
+    the contracted peels; the verifier recognises only the root, the
+    contracted peels and its maximal leaves, and searches only the root."""
 
     def test_recognition_only_at_the_root_and_the_peels(self, monkeypatch):
         import opturan.certify as certify_module
@@ -507,7 +500,8 @@ class TestWorkModel:
                 )
             return count
 
-        names = ("recognize_outerplanar", "has_cycle_of_length", "restrict_embedding", "_cut_children")
+        assert not hasattr(certify_module, "restrict_embedding")
+        names = ("recognize_outerplanar", "has_cycle_of_length", "subgraph_on_edges", "_cut_children")
         for name in names:
             counted(name)
         counted("biconnected_decomposition", embedding_module)
@@ -518,35 +512,35 @@ class TestWorkModel:
             kinds = node_kinds(cert.root)
             assert kinds.count(TERMINAL_PEEL) == peels
             assert vouched_leaves(cert.root) == leaves
-            # the builder recognises each contracted peel and reads every
-            # other face-split child's embedding off its parent's, once per
-            # split and by ring order alone; a cut split hands whole blocks
-            # and bridges to its children, so it derives no graph and reads
-            # no embedding: only recognition decomposes a graph
-            face_splits = kinds.count(BIG_FACE_SPLIT) + kinds.count(TERMINAL_PEEL)
+            # the builder builds, recognises and decomposes only the
+            # contracted peels; every other node is a set of blocks and
+            # bridges or a set of one block's faces
             assert calls == Counter(
                 recognize_outerplanar=peels,
-                restrict_embedding=face_splits,
+                subgraph_on_edges=peels,
                 biconnected_decomposition=peels,
             )
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
-            # the verifier reads no embedding off a parent's; it recognises a
-            # maximal leaf its parent vouches for only for is_edge_maximal,
-            # and derives every cut split's children from the node graph
+            # the verifier reads no embedding off a parent's; it derives
+            # every node graph (one subgraph each), recognises a maximal leaf
+            # its parent vouches for only for is_edge_maximal, and derives
+            # every cut split's children from the node graph
             recognised = 1 + peels + leaves
             assert calls == Counter(
                 recognize_outerplanar=recognised,
                 has_cycle_of_length=1,
+                subgraph_on_edges=len(kinds),
                 biconnected_decomposition=recognised,
                 _cut_children=kinds.count(CUT_SPLIT),
             )
 
-    def test_one_weak_dual_per_node(self, monkeypatch):
-        """The builder builds the weak dual once at every 2-connected node with
-        n > 2 (a big-face split, a peel or a maximal leaf) and picks each peel
-        off it, without a block partition. Every split derives its children
-        from the node graph alone, so the verifier builds no dual structure."""
+    def test_one_weak_dual_per_embedding(self, monkeypatch):
+        """The builder builds one weak dual for the input embedding and one
+        for each contracted peel, and picks every big face and peel off a
+        sub-forest of it, without a block partition. Every split derives
+        its children from the node graph alone, so the verifier builds no
+        dual structure."""
         import opturan.certify as certify_module
         import opturan.dual as dual_module
         import opturan.embedding as embedding_module
@@ -570,15 +564,13 @@ class TestWorkModel:
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        for g, peels in ((ladder(12), 11), (CHAIN51, 0)):
+        for g, peels in ((ladder(12), 11), (CHAIN51, 0), (BOUQUET, 0)):
             calls.clear()
             cert = op.build_certificate(op.recognize_outerplanar(g), 5)
             kinds = node_kinds(cert.root)
             assert kinds.count(TERMINAL_PEEL) == peels
-            leaves = kinds.count(MAXIMAL_LEAF)
-            assert leaves > 0
-            duals = kinds.count(BIG_FACE_SPLIT) + peels + leaves
-            assert calls == Counter(weak_dual=duals, find_reducible_face=peels)
+            assert kinds.count(MAXIMAL_LEAF) > 0
+            assert calls == Counter(weak_dual=1 + peels, find_reducible_face=peels)
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
             assert calls == Counter()

@@ -16,6 +16,7 @@ from helpers import (
     all_graphs,
     brute_cycle_lengths,
     brute_outerplanar,
+    path_length_set,
     rand_subgraph,
     rand_triangulation,
     recognizes,
@@ -149,23 +150,23 @@ class TestEdgeMaximal:
 
 class TestPathSpectrum:
     def test_fan4_edge01(self):
-        assert op.path_length_set(op.fan(4), 0, 1) == frozenset({1, 2, 3})
+        assert path_length_set(op.fan(4), 0, 1) == frozenset({1, 2, 3})
 
     def test_single_edge(self):
-        assert op.path_length_set(op.fan(2), 0, 1) == frozenset({1})
+        assert path_length_set(op.fan(2), 0, 1) == frozenset({1})
 
     def test_fan6_every_outer_edge(self):
         emb = op.fan(6)
         for u, v in outer_boundary_edges(emb):
-            assert op.path_length_set(emb, u, v) == frozenset(range(1, 6))
+            assert path_length_set(emb, u, v) == frozenset(range(1, 6))
 
     def test_rejects_chord(self):
         with pytest.raises(EdgeNotOnOuterFaceError):
-            op.path_length_set(op.fan(4), 0, 2)
+            path_length_set(op.fan(4), 0, 2)
 
     def test_rejects_non_maximal(self):
         with pytest.raises(NotEdgeMaximalError):
-            op.path_length_set(op.recognize_outerplanar(C(4)), 0, 1)
+            path_length_set(op.recognize_outerplanar(C(4)), 0, 1)
 
     def test_full_spectrum_on_random_triangulations(self):
         rng = random.Random(9)
@@ -173,7 +174,7 @@ class TestPathSpectrum:
             n = rng.randint(3, 12)
             emb = rand_triangulation(rng, n)
             for u, v in outer_boundary_edges(emb):
-                assert op.path_length_set(emb, u, v) == frozenset(range(1, n))
+                assert path_length_set(emb, u, v) == frozenset(range(1, n))
 
 
 class TestCycleSpectrum:

@@ -29,7 +29,6 @@ from opturan.embedding import (  # noqa: E402
     EmbeddingInvariantError,
     NotOuterplanarError,
     _crossing_chords,
-    restrict_embedding,
 )
 from opturan.graph import find_cycle_in_edges, subgraph_on_edges  # noqa: E402
 
@@ -40,6 +39,7 @@ from helpers import (  # noqa: E402
     reference_reducible_face,
     reference_verify,
     reference_weak_dual,
+    restrict_embedding,
 )
 
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -376,57 +376,137 @@ def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_see
                 restrict_embedding(emb, [(sub, to_parent)])
 
 
-@LARGE
-@given(seeds, st.integers(20, 200), st.integers(3, 8))
-def test_builder_node_embeddings_equal_recognition(seed, size, k):
-    """Every node graph the builder derives is the validated graph, and its
-    derived embedding (the contracted peels' included) is recognition's."""
-    nodes = []
-    build = certify_module._build
-
-    def record(g, emb, k):
-        nodes.append((g, emb))
-        return build(g, emb, k)
-
-    n, edges = random_ckfree_host(seed, size, k)
-    with mock.patch.object(certify_module, "_build", record):
-        op.build_certificate(op.recognize_outerplanar(op.make_graph(n, edges)), k)
-    for g, emb in nodes:
-        assert g == op.make_graph(g.n, g.edges)
-        assert emb == op.recognize_outerplanar(g)
+SHAPES = ("connected", "forest", "disconnected", "isolated", "ladder", "pendants", "run", "chain")
 
 
-SHAPES = ("connected", "forest", "disconnected", "isolated")
+def face_run(rng: random.Random, size: int, k: int) -> list[tuple[int, int]]:
+    """A strip of faces of 4..k-1 vertices (k >= 5), each glued to the one
+    before along an edge that face shares with no other, so the weak dual
+    is a path. Its cycles bound runs of consecutive faces, of length
+    2 + sum(size - 2); a face that would close a k-cycle is not added."""
+    ring = list(range(rng.randint(4, k - 1)))
+    edges = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+    n, suffixes = len(ring), [len(ring) - 2]  # sum(size - 2) of each run ending at the last face
+    while n < size:
+        allowed = [p for p in range(4, k) if all(2 + s + p - 2 != k for s in suffixes)]
+        if not allowed:
+            break
+        p = rng.choice(allowed)
+        i = rng.randrange(len(ring) - 1)  # not the last edge, which the face before shares
+        a, b = ring[i], ring[i + 1]
+        ring = [a] + list(range(n, n + p - 2)) + [b]
+        edges += [(ring[j], ring[j + 1]) for j in range(p - 1)]
+        n += p - 2
+        suffixes = [p - 2] + [s + p - 2 for s in suffixes]
+    return edges
 
 
-def shaped_host(seed: int, size: int, k: int, shape: str) -> op.Graph:
-    """A k-cycle-free host of the given shape, relabelled at random: one
-    random_ckfree_host, a forest, two to four hosts side by side, or one
-    host with isolated vertices."""
+def shaped_host(seed: int, size: int, k: int, shape: str) -> tuple[op.Graph, int]:
+    """A k-cycle-free host of the given shape, relabelled at random, and the
+    k it avoids: one random_ckfree_host, a forest, two to four hosts side
+    by side, one host with isolated vertices, a ladder P2 x Pm with m =
+    3..60 (odd k, since its cycles are even), a polygon with pendant edges,
+    a face_run, or a small extremal chain."""
     rng = random.Random(seed)
-    count = {"connected": 1, "forest": rng.randint(1, 4), "disconnected": rng.randint(2, 4)}
+    count = {"connected": 1, "isolated": 1, "forest": rng.randint(1, 4), "disconnected": rng.randint(2, 4)}
     n, edges = 0, []
-    for _ in range(count.get(shape, 1)):
+    if shape == "ladder":
+        k, whole = k | 1, ladder(3 + size % 58)
+        n, edges = whole.n, list(whole.edges)
+    elif shape == "pendants":
+        p = rng.choice([q for q in range(3, 3 + size // 2) if q != k])
+        pendants = [v for v in range(p) if rng.random() < 0.7]
+        edges = [(i, (i + 1) % p) for i in range(p)] + [(v, p + j) for j, v in enumerate(pendants)]
+        n = p + len(pendants)
+    elif shape == "run":
+        k = max(k, 5)
+        edges = face_run(rng, size, k)
+        n = max(v for e in edges for v in e) + 1
+    elif shape == "chain":
+        k = max(k, 4)
+        whole = op.build_chain(k, 1 + size % 3).graph
+        n, edges = whole.n, list(whole.edges)
+    for _ in range(count.get(shape, 0)):
         if shape == "forest":
             p = rng.randint(2, size)
             part = [(rng.randrange(i), i) for i in range(1, p)]
         else:
-            p, part = random_ckfree_host(rng.randrange(2**32), size // count.get(shape, 1), k)
+            p, part = random_ckfree_host(rng.randrange(2**32), size // count[shape], k)
         edges += [(n + u, n + v) for u, v in part]
         n += p
     if shape == "isolated":
         n += rng.randint(1, 10)
     perm = list(range(n))
     rng.shuffle(perm)
-    return op.make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+    return op.make_graph(n, [(perm[u], perm[v]) for u, v in edges]), k
+
+
+def forest_form(faces, shared_edges, pairs, vertices) -> tuple:
+    """A weak dual in a form that ignores the order of its faces and edges:
+    faces and shared edges in ranks among `vertices`, sorted, and each
+    shared edge with its two faces."""
+    rank = {v: i for i, v in enumerate(sorted(vertices))}
+    ranked = [tuple(rank[v] for v in face) for face in faces]
+    links = sorted(
+        (tuple(sorted((rank[u], rank[v]))), tuple(sorted((ranked[a], ranked[b]))))
+        for (u, v), (a, b) in zip(shared_edges, pairs)
+    )
+    return sorted(ranked), links
+
+
+@LARGE
+@given(seeds, st.integers(20, 200), st.integers(3, 8), st.sampled_from(SHAPES))
+def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
+    """Every node the builder decomposes on a set of faces (a sub-forest of
+    its block's weak dual) is a node whose graph, derived from its parent's
+    by _big_face_children, _peel_children or _cut_children, has exactly
+    those faces and dual edges once mapped to ranks: weak_dual of its
+    recognised embedding. Every 2-connected node is decomposed that way."""
+    forests = {}
+    build = certify_module._build_faces
+
+    def record(src, faces):
+        node = build(src, faces)
+        chosen = set(faces)
+        pairs = [(f, g, e) for f in faces for g, e in src.links[f] if f < g and g in chosen]
+        at = {f: i for i, f in enumerate(faces)}
+        forests[id(node)] = forest_form(
+            [src.dual.faces[f].vertices for f in faces],
+            [e for _, _, e in pairs],
+            [(at[f], at[g]) for f, g, _ in pairs],
+            {v for f in faces for v in src.dual.faces[f].vertices},
+        )
+        return node
+
+    g, k = shaped_host(seed, size, k, shape)
+    with mock.patch.object(certify_module, "_build_faces", record):
+        cert = op.build_certificate(op.recognize_outerplanar(g), k)
+    derive = {
+        certify_module.CUT_SPLIT: lambda g, node: certify_module._cut_children(g, node.cut, node.side),
+        certify_module.BIG_FACE_SPLIT: lambda g, node: certify_module._big_face_children(g, node.face),
+        certify_module.TERMINAL_PEEL: lambda g, node: certify_module._peel_children(g, node.face),
+    }
+    stack = [(cert.root, certify_module._root_graph(g)[0])] if g.e else []
+    while stack:
+        node, graph = stack.pop()
+        two_connected = node.kind in (certify_module.BIG_FACE_SPLIT, certify_module.TERMINAL_PEEL)
+        assert (id(node) in forests) == (two_connected or node.kind == certify_module.MAXIMAL_LEAF)
+        if id(node) in forests:
+            dual = op.weak_dual(op.recognize_outerplanar(graph))
+            expected = forest_form([f.vertices for f in dual.faces], dual.shared_edges, dual.edges, range(graph.n))
+            assert forests[id(node)] == expected
+        if node.kind in derive:
+            stack.extend(zip(node.children, (c for c, _ in derive[node.kind](graph, node))))
 
 
 @LARGE
 @given(seeds, st.integers(20, 200), st.integers(3, 8), st.sampled_from(SHAPES))
 def test_unit_cut_splits_equal_the_graph_level_reference(seed, size, k, shape):
-    """Cut splits read off the units' block-cut forest give the certificate
-    that cut splits taken on each node graph give, byte for byte."""
-    emb = op.recognize_outerplanar(shaped_host(seed, size, k, shape))
+    """Cut splits read off the units' block-cut forest, and face splits and
+    peels read off each block's weak dual, give the certificate that
+    decomposing every node on its node graph gives, byte for byte."""
+    g, k = shaped_host(seed, size, k, shape)
+    emb = op.recognize_outerplanar(g)
     expected = op.certificate_to_json(reference_build(emb, k))
     assert op.certificate_to_json(op.build_certificate(emb, k)) == expected
 

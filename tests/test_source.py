@@ -65,7 +65,7 @@ def test_certificates_stay_off_the_block_partition():
 
 def test_verifier_reads_no_embedding_off_a_parent():
     """A derived child is vouched for by a flag: the verifier never restricts
-    its parent's embedding (the builder still does)."""
+    its parent's embedding."""
     tree = ast.parse((PACKAGE / "certify.py").read_text())
     verifier = {"verify_certificate", "_verify_node", "_verify_split"}
     found = {}
@@ -76,3 +76,11 @@ def test_verifier_reads_no_embedding_off_a_parent():
             }
     assert set(found) == verifier
     assert all(not names & {"restrict_embedding", "_restricted"} for names in found.values())
+
+
+def test_builder_reads_no_embedding_off_a_parent():
+    """The builder walks each block on its weak dual, so certify.py names no
+    embedding restriction and no graph-level builder."""
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) for n in ast.walk(tree)}
+    assert names & {"restrict_embedding", "_embedded", "_block_graph"} == set()
