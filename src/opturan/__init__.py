@@ -31,7 +31,6 @@ from .embedding import (
     EdgeNotOnOuterFaceError,
     EmbeddingInvariantError,
     Face,
-    NotEdgeMaximalError,
     NotOuterplanarError,
     OuterplaneEmbedding,
     contract_outer_edge,
@@ -68,6 +67,7 @@ from .turan import (
 )
 from .construct import (
     ChainParams,
+    ChainSizeError,
     build_chain,
     build_G0,
     build_H,

@@ -52,10 +52,10 @@ and the exhaustive k-cycle search (which never looks at faces), only to
 the root and to each peel; a peel has fewer than k vertices, so its search
 is skipped. Every other node is vouched for by heredity, since its edges
 are the parent edges that the verifier's own derivation kept. A vouched
-maximal leaf is still recognised, for is_edge_maximal's structural
-cross-check; a valid one has at most k-1 vertices, so that costs
-O(k log k), as at a peel. Below a root that is not outerplanar nothing is
-vouched for, so each node there gets the full checks.
+maximal leaf is settled by e = 2n-3 and n <= k-1 alone: on a graph known
+to be outerplanar, e = 2n-3 is exactly edge-maximality, so it is not
+recognised again. Below a root that is not outerplanar nothing is vouched
+for, so each node there gets the full checks.
 
 Node kinds, their selections and their bookkeeping:
 
@@ -131,7 +131,6 @@ from .embedding import (
     OuterplaneEmbedding,
     canonical_cycle,
     cycle_length_set,
-    is_edge_maximal,
     recognize_outerplanar,
 )
 from .dual import WeakDualForest, branch_weights, find_reducible_face, weak_dual
@@ -190,126 +189,6 @@ class Certificate:
     k: int
     graph: Graph  # the certified graph, isolated vertices included
     root: CertNode
-
-
-# a child graph and its vertex map into the parent; None for the contracted peel
-Derived = tuple[Graph, tuple[int, ...] | None]
-
-
-def _root_graph(g: Graph) -> Derived:
-    """The graph the root node decomposes: g without its isolated vertices."""
-    return subgraph_on_edges(g, g.edges) if g.e else (g, tuple(range(g.n)))
-
-
-# ---------------------------------------------------------------------------
-# Derivation of child graphs, shared by the builder and the verifier
-# ---------------------------------------------------------------------------
-
-
-def _parts(g: Graph, removed: Container[int]) -> list[tuple[list[int], list[Edge], set[int]]]:
-    """The components of g minus the `removed` vertices, in order of their least vertex.
-
-    Each comes as (its vertices, least first; its edges, those to removed
-    vertices included; the removed vertices it touches).
-    """
-    adj = g.adjacency()
-    seen = [v in removed for v in range(g.n)]
-    parts = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        vertices, edges, touched = [start], [], set()
-        for x in vertices:  # the list grows while it is read
-            for y in adj[x]:
-                if y in removed:
-                    touched.add(y)
-                    edges.append(edge_key(x, y))
-                    continue
-                if x < y:
-                    edges.append((x, y))
-                if not seen[y]:
-                    seen[y] = True
-                    vertices.append(y)
-        parts.append((vertices, edges, touched))
-    return parts
-
-
-def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Derived]:
-    """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest.
-
-    With cut None the parts are g's components. Each part keeps its edges
-    to the cut.
-    """
-    if cut is not None and not 0 <= cut < g.n:
-        raise SelectionError(f"cut {cut} is not a vertex of the node graph")
-    chosen = set(side)
-    if not side or len(chosen) < len(side) or not all(0 <= v < g.n and v != cut for v in side):
-        raise SelectionError(f"side {list(side)} must name distinct vertices other than the cut")
-    sides: tuple[list[Edge], list[Edge]] = ([], [])
-    for vertices, edges, _ in _parts(g, () if cut is None else (cut,)):
-        sides[chosen.isdisjoint(vertices)].extend(edges)
-    if not (sides[0] and sides[1]):
-        raise SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
-    return [subgraph_on_edges(g, edges) for edges in sides]
-
-
-def _face_sides(
-    g: Graph, face: tuple[int, ...]
-) -> tuple[list[list[Edge]], list[tuple[int, list[Edge]]]]:
-    """The edges on each side of `face`, and the parts of g across no face edge.
-
-    Side i holds face edge i, from face[i] to face[i+1], and the components
-    of g minus the face's vertices that touch that edge's two ends and no
-    other face vertex, with their edges to those ends. The other components
-    come as (least vertex, edges), in order of their least vertex. g is
-    outerplanar, so its inner faces are exactly its induced cycles, and
-    `face` is accepted when it is one.
-    """
-    size = len(face)
-    pos = {v: i for i, v in enumerate(face)}
-    # the edges among the face's vertices, as steps along the face: an
-    # induced cycle has L of them, each of one step (so none is a chord)
-    steps = [(pos[u] - pos[v]) % size for u, v in g.edges if u in pos and v in pos]
-    if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
-        raise SelectionError("recorded face is not an inner face of the node graph")
-    sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
-    loose = []
-    for vertices, edges, touched in _parts(g, pos):
-        ends = sorted(pos[v] for v in touched)
-        if len(ends) == 2 and ends[1] - ends[0] in (1, size - 1):
-            sides[ends[0] if ends[1] == ends[0] + 1 else ends[1]].extend(edges)
-        else:
-            loose.append((vertices[0], edges))
-    return sides, loose
-
-
-def _big_face_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
-    """One child per edge of `face`: the edge plus everything across it."""
-    sides, loose = _face_sides(g, face)
-    if loose:
-        raise SelectionError(f"the part at vertex {loose[0][0]} does not hang across one face edge")
-    return [subgraph_on_edges(g, edges) for edges in sides]
-
-
-def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
-    """The rest of g, and the sides of face edges 0..L-2 with face[-1] merged into face[0].
-
-    A peeled side must be a terminal block made only of triangles, which in
-    the outerplanar g means e = 2n-3. The rest, the last side and every part
-    across no face edge, is a subgraph of g. The peel is not (its edges at
-    face[0] need not be edges of g), so it comes without a vertex map. Sides
-    share only face vertices, so for L >= 4 merging collapses no edge.
-    """
-    sides, loose = _face_sides(g, face)
-    peel = sides[:-1]
-    if any(len(edges) != 2 * len({v for e in edges for v in e}) - 3 for edges in peel):
-        raise SelectionError("a peeled face edge lies in a non-terminal block")
-    v1, vl = face[0], face[-1]
-    peeled = [e for edges in peel for e in edges]
-    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in peeled]
-    rest = sides[-1] + [e for _, edges in loose for e in edges]
-    return [subgraph_on_edges(g, rest), (subgraph_on_edges(g, merged)[0], None)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,39 +259,28 @@ def _build_units(units: list[Unit], src: _Source) -> CertNode:
             if v in node_of:
                 adj[ui].append(node_of[v])
                 adj[node_of[v]].append(ui)
+    centres = range(m, len(adj))  # the cut vertices
     if len(adj) - sum(map(len, adj)) // 2 > 1:  # a forest has nodes - edges trees
-        trees, seen = [], set()
-        for ui in range(m):
-            if ui not in seen:
-                tree = [x for x in _behind(adj, -1, [ui]) if x < m]  # -1: no node
-                seen.update(tree)
-                trees.append((min(units[x][0][0] for x in tree), tree))
-        trees.sort()
-        group = _halves([sum(units[x][1] for x in tree) for _, tree in trees])[0]
-        cut, least = None, [trees[i][0] for i in group]
-        first = {x for i in group for x in trees[i][1]}
-    else:
-        # rooted at unit 0: below[x] weighs x's subtree, heaviest[x] its heaviest child's
-        parent, order = [-1] * len(adj), [0]
-        for x in order:
-            for y in adj[x]:
-                if y != parent[x]:
-                    parent[y] = x
-                    order.append(y)
-        below = [u[1] for u in units] + [0] * len(cuts)
-        heaviest = [0] * len(adj)
-        for x in order[:0:-1]:
-            below[parent[x]] += below[x]
-            heaviest[parent[x]] = max(heaviest[parent[x]], below[x])
-        _, cut = min((max(heaviest[node_of[c]], below[0] - below[node_of[c]]), c) for c in cuts)
-        at = node_of[cut]
-        branches = [below[y] if parent[y] == at else below[0] - below[at] for y in adj[at]]
-        least, first = [], set()
-        for i in _halves(branches)[0]:
-            part = [x for x in _behind(adj, at, [adj[at][i]]) if x < m]
-            # a unit's least vertex other than the cut is one of its first two
-            least.append(min(v for x in part for v in units[x][0][:2] if v != cut))
-            first.update(part)
+        # a hub joined to each tree, the trees in order of their least
+        # vertex, is the only centre: it splits the components, at no vertex
+        hub, seen = len(adj), set()
+        adj.append([])
+        for ui in sorted(range(m), key=lambda x: units[x][0][0]):
+            if ui not in seen:  # the first unit seen of a tree holds its least vertex
+                seen.update(_behind(adj, hub, [ui]))
+                adj[hub].append(ui)
+                adj[ui].append(hub)
+        centres = [hub]
+    weight = [u[1] for u in units] + [0] * (len(adj) - m)
+    branches = branch_weights(adj, weight)
+    at = min(centres, key=lambda x: max(branches[x]))  # the least cut vertex on ties
+    cut = cuts[at - m] if at - m < len(cuts) else None  # the hub is no vertex
+    least, first = [], set()
+    for i in _halves(branches[at])[0]:
+        part = [x for x in _behind(adj, at, [adj[at][i]]) if x < m]
+        # a unit's least vertex other than the cut is one of its first two
+        least.append(min(v for x in part for v in units[x][0][:2] if v != cut))
+        first.update(part)
     children = tuple(
         _build_units([u for x, u in enumerate(units) if (x in first) == which], src)
         for which in (True, False)
@@ -648,7 +516,7 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
         if k >= 3:  # no node can be audited for shorter cycles
-            _verify_node(cert.root, _root_graph(cert.graph)[0], False, k, "root", audit)
+            _verify_node(cert.root, _root_graph(cert.graph), False, k, "root", audit)
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
@@ -675,15 +543,15 @@ def _verify_node(
         audit.fail(path, f"unknown node kind {node.kind!r}")
         return
     before = len(audit.failures)
-    emb = None
     if not vouched:
         try:
-            emb = recognize_outerplanar(g)
+            recognize_outerplanar(g)
         except (NotOuterplanarError, EmbeddingInvariantError) as exc:
             audit.fail(path, f"node graph is not outerplanar: {exc}")
+        else:
+            vouched = True
         if g.n >= k and has_cycle_of_length(g, k):
             audit.fail(path, f"node graph contains a cycle of length {k}")
-        vouched = emb is not None
 
     lhs = g.e * audit.den
     rhs = audit.rhs(g.n)
@@ -701,13 +569,7 @@ def _verify_node(
         if g.n != 2 or g.e > 1:
             audit.fail(path, f"base leaf requires n=2, e<=1; got n={g.n}, e={g.e}")
     elif node.kind == MAXIMAL_LEAF:
-        if vouched:
-            # a valid leaf has at most k-1 vertices, so recognising it is cheap
-            try:
-                if not is_edge_maximal(emb if emb is not None else recognize_outerplanar(g)):
-                    audit.fail(path, "maximal leaf is not edge-maximal")
-            except (ValueError, EmbeddingInvariantError) as exc:
-                audit.fail(path, f"maximal leaf check failed: {exc}")
+        # on an outerplanar graph, e = 2n-3 is exactly edge-maximality
         if g.e != 2 * g.n - 3:
             audit.fail(path, f"maximal leaf has e={g.e}, expected {2 * g.n - 3}")
         if g.n > k - 1:
@@ -807,6 +669,125 @@ def _verify_split(
     if mid >= audit.rhs(g.n):
         audit.fail(path, "chain value must be strictly below the node bound")
     return children
+
+
+# ---------------------------------------------------------------------------
+# Verifier: derivation of child graphs from the node graph and its selection
+# ---------------------------------------------------------------------------
+
+# a child graph and its vertex map into the parent; None for the contracted peel
+Derived = tuple[Graph, tuple[int, ...] | None]
+
+
+def _root_graph(g: Graph) -> Graph:
+    """The graph the root node decomposes: g without its isolated vertices."""
+    return subgraph_on_edges(g, g.edges)[0] if g.e else g
+
+
+def _parts(g: Graph, removed: Container[int]) -> list[tuple[list[int], list[Edge], set[int]]]:
+    """The components of g minus the `removed` vertices, in order of their least vertex.
+
+    Each comes as (its vertices, least first; its edges, those to removed
+    vertices included; the removed vertices it touches).
+    """
+    adj = g.adjacency()
+    seen = [v in removed for v in range(g.n)]
+    parts = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        vertices, edges, touched = [start], [], set()
+        for x in vertices:  # the list grows while it is read
+            for y in adj[x]:
+                if y in removed:
+                    touched.add(y)
+                    edges.append(edge_key(x, y))
+                    continue
+                if x < y:
+                    edges.append((x, y))
+                if not seen[y]:
+                    seen[y] = True
+                    vertices.append(y)
+        parts.append((vertices, edges, touched))
+    return parts
+
+
+def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Derived]:
+    """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest.
+
+    With cut None the parts are g's components. Each part keeps its edges
+    to the cut.
+    """
+    if cut is not None and not 0 <= cut < g.n:
+        raise SelectionError(f"cut {cut} is not a vertex of the node graph")
+    chosen = set(side)
+    if not side or len(chosen) < len(side) or not all(0 <= v < g.n and v != cut for v in side):
+        raise SelectionError(f"side {list(side)} must name distinct vertices other than the cut")
+    sides: tuple[list[Edge], list[Edge]] = ([], [])
+    for vertices, edges, _ in _parts(g, () if cut is None else (cut,)):
+        sides[chosen.isdisjoint(vertices)].extend(edges)
+    if not (sides[0] and sides[1]):
+        raise SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
+    return [subgraph_on_edges(g, edges) for edges in sides]
+
+
+def _face_sides(
+    g: Graph, face: tuple[int, ...]
+) -> tuple[list[list[Edge]], list[tuple[int, list[Edge]]]]:
+    """The edges on each side of `face`, and the parts of g across no face edge.
+
+    Side i holds face edge i, from face[i] to face[i+1], and the components
+    of g minus the face's vertices that touch that edge's two ends and no
+    other face vertex, with their edges to those ends. The other components
+    come as (least vertex, edges), in order of their least vertex. g is
+    outerplanar, so its inner faces are exactly its induced cycles, and
+    `face` is accepted when it is one.
+    """
+    size = len(face)
+    pos = {v: i for i, v in enumerate(face)}
+    # the edges among the face's vertices, as steps along the face: an
+    # induced cycle has L of them, each of one step (so none is a chord)
+    steps = [(pos[u] - pos[v]) % size for u, v in g.edges if u in pos and v in pos]
+    if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
+        raise SelectionError("recorded face is not an inner face of the node graph")
+    sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
+    loose = []
+    for vertices, edges, touched in _parts(g, pos):
+        ends = sorted(pos[v] for v in touched)
+        if len(ends) == 2 and ends[1] - ends[0] in (1, size - 1):
+            sides[ends[0] if ends[1] == ends[0] + 1 else ends[1]].extend(edges)
+        else:
+            loose.append((vertices[0], edges))
+    return sides, loose
+
+
+def _big_face_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
+    """One child per edge of `face`: the edge plus everything across it."""
+    sides, loose = _face_sides(g, face)
+    if loose:
+        raise SelectionError(f"the part at vertex {loose[0][0]} does not hang across one face edge")
+    return [subgraph_on_edges(g, edges) for edges in sides]
+
+
+def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
+    """The rest of g, and the sides of face edges 0..L-2 with face[-1] merged into face[0].
+
+    A peeled side must be a terminal block made only of triangles, which in
+    the outerplanar g means e = 2n-3. The rest, the last side and every part
+    across no face edge, is a subgraph of g. The peel is not (its edges at
+    face[0] need not be edges of g), so it comes without a vertex map. Sides
+    share only face vertices, so for L >= 4 merging collapses no edge.
+    """
+    sides, loose = _face_sides(g, face)
+    peel = sides[:-1]
+    if any(len(edges) != 2 * len({v for e in edges for v in e}) - 3 for edges in peel):
+        raise SelectionError("a peeled face edge lies in a non-terminal block")
+    v1, vl = face[0], face[-1]
+    peeled = [e for edges in peel for e in edges]
+    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in peeled]
+    rest = sides[-1] + [e for _, edges in loose for e in edges]
+    return [subgraph_on_edges(g, rest), (subgraph_on_edges(g, merged)[0], None)]
 
 
 # ---------------------------------------------------------------------------

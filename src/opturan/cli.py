@@ -13,9 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .graph import GraphError, graph_from_text, graph_to_graph6, graph_to_json
+from .graph import graph_from_text, graph_to_graph6, graph_to_json
 from .embedding import (
-    NotOuterplanarError,
     OuterplaneEmbedding,
     cycle_length_set,
     embedding_to_dot,
@@ -33,22 +32,15 @@ from .dual import (
 )
 from .turan import (
     FANG_CAVEAT,
-    BoundDomainError,
     bound_holds,
     comparison_csv,
     comparison_rows,
     sharp_residue,
     upper_bound,
 )
-from .construct import build_chain
+from .construct import ChainSizeError, build_chain
 from .oracle import DEFAULT_ORACLE_CAP, OracleCapError, OracleCheckError, exact_ex
-from .certify import (
-    ContainsForbiddenCycleError,
-    CoverageError,
-    build_certificate,
-    certificate_to_json,
-    verify_certificate,
-)
+from .certify import CoverageError, build_certificate, certificate_to_json, verify_certificate
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -280,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         return args.run(args)
-    except OracleCapError as exc:
+    except (OracleCapError, ChainSizeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     except RecursionError as exc:
@@ -292,16 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except CoverageError as exc:
         print(f"certificate construction failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except ContainsForbiddenCycleError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (
-        GraphError,
-        NotOuterplanarError,
-        BoundDomainError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -25,6 +25,14 @@ from dataclasses import dataclass
 from .graph import Edge, Graph, edge_key, make_graph
 from .embedding import OuterplaneEmbedding, recognize_outerplanar
 
+# the most vertices build_chain_graph allocates: the chain plus the gadget it
+# copies, each vertex about 1 KiB while the chain is built and recognised
+MAX_CHAIN_VERTICES = 1_000_000
+
+
+class ChainSizeError(RuntimeError):
+    """Refusal to build a chain whose vertices exceed MAX_CHAIN_VERTICES."""
+
 
 @dataclass(frozen=True)
 class ChainParams:
@@ -118,6 +126,9 @@ def build_H(k: int) -> OuterplaneEmbedding:
 
 def build_chain_graph(k: int, m: int) -> Graph:
     params = ChainParams(k, m)
+    need = params.vertex_count + (k - 1) ** 2  # the gadget has k^2-2k+1 vertices
+    if need > MAX_CHAIN_VERTICES:
+        raise ChainSizeError(f"chain k={k} m={m} needs {need} vertices, above the cap {MAX_CHAIN_VERTICES}")
     seed = fan_graph(k - 1)
     h, (u, v), far = _gadget_graph(k)
     n, edges = seed.n, set(seed.edges)

@@ -62,10 +62,6 @@ class EdgeNotOnOuterFaceError(ValueError):
     """Operation requires an edge lying on the outer boundary."""
 
 
-class NotEdgeMaximalError(ValueError):
-    """Operation is only defined on edge-maximal embeddings."""
-
-
 @dataclass(frozen=True)
 class Face:
     """Bounded face given by its boundary vertices in cyclic order.

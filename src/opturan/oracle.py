@@ -39,16 +39,6 @@ from .turan import upper_bound
 
 DEFAULT_ORACLE_CAP = 64
 
-_CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
-
-
-def catalan(i: int) -> int:
-    while len(_CATALAN) <= i:
-        c = sum(_CATALAN[j] * _CATALAN[len(_CATALAN) - 1 - j] for j in range(len(_CATALAN)))
-        _CATALAN.append(c)
-    return _CATALAN[i]
-
-
 class OracleCapError(RuntimeError):
     """Refusal to run the oracle above the configured cap."""
 

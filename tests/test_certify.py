@@ -164,6 +164,18 @@ class TestVerifier:
         assert any("n=5 > k-1=4" in f for f in report.failures)
         assert any("root" in f for f in report.failures)
 
+    def test_vouched_maximal_leaf_is_settled_by_its_edge_count(self):
+        # a 4-cycle with a pendant edge, cut at vertex 3; the 4-cycle child,
+        # vouched for by its recognised parent, is recorded as a maximal leaf
+        g = op.make_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+        cert = op.build_certificate(op.recognize_outerplanar(g), 5)
+        assert cert.root.kind == CUT_SPLIT and cert.root.children[0].kind == TERMINAL_PEEL
+        leaf = op.CertNode(kind=MAXIMAL_LEAF)
+        root = dataclasses.replace(cert.root, children=(leaf,) + cert.root.children[1:])
+        report = op.verify_certificate(dataclasses.replace(cert, root=root), 5)
+        assert not report.verdict
+        assert report.failures == ("root.0: maximal leaf has e=4, expected 5",)
+
     def test_tampered_child_edges(self):
         cert = op.build_certificate(
             op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4
@@ -470,8 +482,8 @@ class TestBalancedSplits:
 class TestWorkModel:
     """Children inherit outerplanarity and k-cycle-freeness from their parents.
     The builder walks each block on its weak dual and builds a graph only for
-    the contracted peels; the verifier recognises only the root, the
-    contracted peels and its maximal leaves, and searches only the root."""
+    the contracted peels; the verifier recognises only the root and the
+    contracted peels, and searches only the root."""
 
     def test_recognition_only_at_the_root_and_the_peels(self, monkeypatch):
         import opturan.certify as certify_module
@@ -523,10 +535,10 @@ class TestWorkModel:
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
             # the verifier reads no embedding off a parent's; it derives
-            # every node graph (one subgraph each), recognises a maximal leaf
-            # its parent vouches for only for is_edge_maximal, and derives
-            # every cut split's children from the node graph
-            recognised = 1 + peels + leaves
+            # every node graph (one subgraph each), settles a maximal leaf
+            # its parent vouches for by e = 2n-3 with no recognition, and
+            # derives every cut split's children from the node graph
+            recognised = 1 + peels
             assert calls == Counter(
                 recognize_outerplanar=recognised,
                 has_cycle_of_length=1,

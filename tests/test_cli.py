@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import opturan as op
-from opturan import cli as cli_module, oracle as oracle_module
+from opturan import cli as cli_module, construct as construct_module, oracle as oracle_module
 from opturan.certify import CoverageError
 from opturan.cli import main
 from opturan.turan import BoundValue
@@ -37,6 +37,35 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "-k", "3", "-m", "2")
         assert code == 0
         assert "n=6 e=7" in out
+
+    @pytest.mark.parametrize(
+        "k, m, need", [("3", "100000000000", 200000000006), ("100000", "1", 19999699999)]
+    )
+    def test_huge_chain_is_refused_without_building_it(self, k, m, need):
+        """The chain's and its gadget's vertex counts are known in closed
+        form, so a chain too large to build refuses at once. The address
+        space is capped at 1 GiB, so building it ends in a MemoryError."""
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "opturan", "construct", "-k", k, "-m", m],
+            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_memory,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(f"refused: chain k={k} m={m} needs {need} vertices")
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+    def test_chain_at_the_vertex_cap_is_built(self, capsys, monkeypatch):
+        # k=5, m=2: 4 + 2*14 chain vertices and 16 in the gadget
+        monkeypatch.setattr(construct_module, "MAX_CHAIN_VERTICES", 48)
+        assert run(capsys, "construct", "-k", "5", "-m", "2")[0] == 0
+        code, out, err = run(capsys, "construct", "-k", "5", "-m", "3")
+        assert (code, out) == (3, "")
+        assert err == "refused: chain k=5 m=3 needs 62 vertices, above the cap 48\n"
 
     def test_file_output_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

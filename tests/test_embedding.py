@@ -6,13 +6,13 @@ import pytest
 import opturan as op
 from opturan.embedding import (
     EdgeNotOnOuterFaceError,
-    NotEdgeMaximalError,
     NotOuterplanarError,
     canonical_cycle,
     outer_boundary_edges,
 )
 
 from helpers import (
+    NotEdgeMaximalError,
     all_graphs,
     brute_cycle_lengths,
     brute_outerplanar,

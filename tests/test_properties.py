@@ -486,7 +486,7 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
         certify_module.BIG_FACE_SPLIT: lambda g, node: certify_module._big_face_children(g, node.face),
         certify_module.TERMINAL_PEEL: lambda g, node: certify_module._peel_children(g, node.face),
     }
-    stack = [(cert.root, certify_module._root_graph(g)[0])] if g.e else []
+    stack = [(cert.root, certify_module._root_graph(g))] if g.e else []
     while stack:
         node, graph = stack.pop()
         two_connected = node.kind in (certify_module.BIG_FACE_SPLIT, certify_module.TERMINAL_PEEL)

@@ -4,7 +4,9 @@ The embedding digest and the cycle tuples were recorded from the quadratic
 recognition and cycle-region code that the linear versions replaced; both
 must keep producing exactly these results. The certificate digest was
 recorded when certificates began to store only the selections (format 2);
-the splits are those the balanced builder chose before. The `analyze`
+the splits are those the balanced builder chose before. The disconnected
+tie was recorded when the builder grouped components on their own, before
+they hung from one hub in its block-cut forest. The `analyze`
 digests were recorded when every face structure still rebuilt its own
 faces; reading them all off one weak dual must give the same bytes.
 """
@@ -31,6 +33,17 @@ def test_certificate_json_digest_chain_5_16():
     cert = op.build_certificate(op.build_chain(5, 16), 5)
     assert sha256(op.certificate_to_json(cert)) == (
         "6341cc917905df4ac4281c071195b5b5665d946e093d1a29d245e7d82cca0773"
+    )
+
+
+def test_certificate_json_digest_disconnected_tie():
+    # two components of 4 edges each; the one holding vertex 8 (and the least
+    # vertex, 1) comes second among the blocks but goes first to child 0
+    g = op.make_graph(12, [(5, 6), (6, 7), (5, 7), (7, 11), (8, 9), (9, 10), (8, 10), (1, 8)])
+    cert = op.build_certificate(op.recognize_outerplanar(g), 4)
+    assert (cert.root.cut, cert.root.side) == (None, (0,))
+    assert sha256(op.certificate_to_json(cert)) == (
+        "040494c8912934d1147da1251193d6b0577a153fed5c93aa5d98dc3ca744caf4"
     )
 
 
