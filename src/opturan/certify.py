@@ -10,16 +10,18 @@ integer inequalities that together establish
     e * (k^2 - 2k - 1) <= (2k - 5) * (k*n - k - 1)
 
 at the root. A certificate stores the certified graph and, per node, only
-its kind and the selection that fixes the step. The root decomposes the
-certified graph without its isolated vertices (the graph itself when it
-has no edge), and each child graph follows from its parent's graph and
-selection through one derivation per kind, which the verifier calls at
-every split. A derived child keeps the parent's vertices that its edges
-touch, relabelled 0.. in increasing order. A selection that does not fit
-its graph makes the derivation raise SelectionError. A recorded face must
-be an induced cycle of the node graph, which in an outerplanar graph is
-exactly an inner face; the side of a face edge is the edge plus the parts
-of the graph minus the face's vertices that hang across it.
+its kind and the selection that fixes the step, as a flat preorder list:
+a node's kind fixes its number of children, so no recursion writes or
+reads it. The root decomposes the certified graph without its isolated
+vertices (the graph itself when it has no edge), and each child graph
+follows from its parent's graph and selection through one derivation per
+kind, which the verifier calls at every split. A derived child keeps the
+parent's vertices that its edges touch, relabelled 0.. in increasing
+order. A selection that does not fit its graph makes the derivation raise
+SelectionError. A recorded face must be an induced cycle of the node
+graph, which in an outerplanar graph is exactly an inner face; the side
+of a face edge is the edge plus the parts of the graph minus the face's
+vertices that hang across it.
 
 Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
@@ -145,8 +147,7 @@ MAXIMAL_LEAF = "maximal_leaf"
 
 _KINDS = {EDGELESS, BASE, CUT_SPLIT, BIG_FACE_SPLIT, TERMINAL_PEEL, MAXIMAL_LEAF}
 _LEAVES = {EDGELESS, BASE, MAXIMAL_LEAF}
-_NODE_KEYS = {"kind", "children", "cut", "side", "face"}
-FORMAT = 2
+FORMAT = 3
 
 
 class ContainsForbiddenCycleError(ValueError):
@@ -795,23 +796,25 @@ def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
 # ---------------------------------------------------------------------------
 
 
-def _node_to_dict(node: CertNode) -> dict:
-    out: dict = {"kind": node.kind, "children": [_node_to_dict(c) for c in node.children]}
-    if node.side is not None:
-        out["cut"] = node.cut
-        out["side"] = list(node.side)
-    if node.face is not None:
-        out["face"] = list(node.face)
-    return out
-
-
 def certificate_to_json(cert: Certificate) -> str:
+    """The certificate as one line of JSON: its nodes in preorder, each as
+    its kind and its selection, read off an explicit stack."""
+    nodes, stack = [], [cert.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == CUT_SPLIT:
+            nodes.append([node.kind, node.cut, list(node.side)])
+        elif node.face is not None:
+            nodes.append([node.kind, list(node.face)])
+        else:
+            nodes.append([node.kind])
+        stack.extend(reversed(node.children))
     return json.dumps(
         {
             "format": FORMAT,
             "k": cert.k,
             "graph": {"n": cert.graph.n, "edges": [list(e) for e in cert.graph.edges]},
-            "root": _node_to_dict(cert.root),
+            "nodes": nodes,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -830,46 +833,60 @@ def _ints(value: object) -> tuple[int, ...]:
     return tuple(_int(x) for x in value)
 
 
-def _node_from_dict(data: object) -> CertNode:
-    if not (
-        isinstance(data, dict)
-        and {"kind", "children"} <= set(data) <= _NODE_KEYS
-        and ("cut" in data) == ("side" in data)
-        and isinstance(data["kind"], str)
-        and isinstance(data["children"], list)
-    ):
-        raise CertificateFormatError(f"malformed certificate node: {data!r:.80}")
-    cut = data.get("cut")
-    return CertNode(
-        kind=data["kind"],
-        children=tuple(_node_from_dict(c) for c in data["children"]),
-        cut=None if cut is None else _int(cut),
-        side=_ints(data["side"]) if "side" in data else None,
-        face=_ints(data["face"]) if "face" in data else None,
-    )
+def _tree(nodes: object) -> CertNode:
+    """The tree whose preorder is `nodes`, rebuilt in one reverse scan.
+
+    Every subtree is complete before its parent is read, so each node takes
+    the trees on top of the stack as its children: none for a leaf, two for
+    a cut split or a peel, one per face vertex for a big face.
+    """
+    if not isinstance(nodes, list):
+        raise CertificateFormatError(f"expected a list of nodes, got {nodes!r:.80}")
+    trees: list[CertNode] = []
+    for item in reversed(nodes):
+        if not (isinstance(item, list) and item and isinstance(item[0], str)):
+            raise CertificateFormatError(f"malformed certificate node: {item!r:.80}")
+        kind, fields = item[0], item[1:]
+        if kind not in _KINDS:
+            raise CertificateFormatError(f"unknown node kind {kind!r}")
+        cut = side = face = None
+        if kind == CUT_SPLIT and len(fields) == 2:
+            cut = None if fields[0] is None else _int(fields[0])
+            side = _ints(fields[1])
+        elif kind in (BIG_FACE_SPLIT, TERMINAL_PEEL) and len(fields) == 1:
+            face = _ints(fields[0])
+        elif fields or kind not in _LEAVES:
+            raise CertificateFormatError(f"malformed {kind} node: {item!r:.80}")
+        count = 0 if kind in _LEAVES else len(face) if kind == BIG_FACE_SPLIT else 2
+        if count > len(trees):
+            raise CertificateFormatError(f"the node list ends before the children of a {kind} node")
+        at = len(trees) - count
+        children = tuple(reversed(trees[at:]))
+        del trees[at:]
+        trees.append(CertNode(kind, children, cut, side, face))
+    if len(trees) != 1:
+        raise CertificateFormatError(f"the node list holds {len(trees)} trees, not one")
+    return trees[0]
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Read a format-2 certificate; any other document is a CertificateFormatError.
+    """Read a format-3 certificate; any other document is a CertificateFormatError.
 
-    That includes a document nested deeper than Python's recursion limit
-    lets the JSON parser or the node reader follow.
+    Its `nodes` must list exactly one tree in preorder, each node as
+    [kind, *selection]; whether the selections fit is the verifier's to say.
     """
     try:
-        return _certificate_from_data(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateFormatError(f"malformed certificate: {exc}") from exc
-    except RecursionError:
+    except RecursionError:  # the parser recurses into nested arrays
         raise CertificateFormatError("certificate is nested too deeply to read") from None
-
-
-def _certificate_from_data(data: object) -> Certificate:
-    if not isinstance(data, dict) or set(data) != {"format", "k", "graph", "root"}:
-        raise CertificateFormatError("not a certificate: expected keys format, k, graph, root")
+    if not isinstance(data, dict) or set(data) != {"format", "k", "graph", "nodes"}:
+        raise CertificateFormatError("not a certificate: expected keys format, k, graph, nodes")
     if type(data["format"]) is not int or data["format"] != FORMAT:
         raise CertificateFormatError(f"unsupported certificate format {data['format']!r}")
     try:
         graph = make_graph(data["graph"]["n"], data["graph"]["edges"])
     except (KeyError, TypeError, GraphError) as exc:
         raise CertificateFormatError(f"malformed certified graph: {exc}") from exc
-    return Certificate(k=_int(data["k"]), graph=graph, root=_node_from_dict(data["root"]))
+    return Certificate(k=_int(data["k"]), graph=graph, root=_tree(data["nodes"]))

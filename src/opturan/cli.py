@@ -3,8 +3,8 @@
 Subcommands: construct, bound, oracle, certify, analyze. All machine
 output is exact integers or integer pairs; identical invocations produce
 byte-identical files. Exit codes: 0 success, 1 verification or bound
-failure, 2 invalid input, 3 resource refusal (including an input too deep
-for the recursion limit).
+failure, 2 invalid input, 3 resource refusal (including an input graph
+above the vertex cap and an input too deep for the recursion limit).
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .graph import graph_from_text, graph_to_graph6, graph_to_json
+from . import construct
+from .graph import Graph, graph_from_text, graph_to_graph6, graph_to_json
 from .embedding import (
     OuterplaneEmbedding,
     cycle_length_set,
@@ -211,8 +212,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_graph(path: str) -> Graph:
+    """The graph in the file at `path`, refused before any work per vertex above the cap."""
+    g = graph_from_text(Path(path).read_text())
+    if g.n > construct.MAX_CHAIN_VERTICES:
+        raise ChainSizeError(f"graph has {g.n} vertices, above the cap {construct.MAX_CHAIN_VERTICES}")
+    return g
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
-    g = graph_from_text(Path(args.input_path).read_text())
+    g = _read_graph(args.input_path)
     emb = recognize_outerplanar(g)
     cert = build_certificate(emb, args.k)
     report = verify_certificate(cert, args.k)
@@ -225,7 +234,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    g = graph_from_text(Path(args.input_path).read_text())
+    g = _read_graph(args.input_path)
     emb = recognize_outerplanar(g)
     dual = weak_dual(emb)
     partition = classify_terminal(triangular_blocks(dual, g.edges), dual)

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from .graph import Edge, Graph, edge_key, make_graph
 from .embedding import OuterplaneEmbedding, recognize_outerplanar
 
-# the most vertices build_chain_graph allocates: the chain plus the gadget it
-# copies, each vertex about 1 KiB while the chain is built and recognised
+# the most vertices build_chain_graph allocates (the chain plus the gadget it
+# copies) and the most a graph read by the CLI may have: each vertex takes
+# about 1 KiB while a graph is recognised
 MAX_CHAIN_VERTICES = 1_000_000
 
 
 class ChainSizeError(RuntimeError):
-    """Refusal to build a chain whose vertices exceed MAX_CHAIN_VERTICES."""
+    """Refusal of a chain or an input graph whose vertices exceed MAX_CHAIN_VERTICES."""
 
 
 @dataclass(frozen=True)
@@ -126,11 +127,13 @@ def build_H(k: int) -> OuterplaneEmbedding:
 
 def build_chain_graph(k: int, m: int) -> Graph:
     params = ChainParams(k, m)
-    need = params.vertex_count + (k - 1) ** 2  # the gadget has k^2-2k+1 vertices
+    # each merge copies the gadget, whose k^2-2k+1 vertices are built once
+    need = params.vertex_count + ((k - 1) ** 2 if m else 0)
     if need > MAX_CHAIN_VERTICES:
         raise ChainSizeError(f"chain k={k} m={m} needs {need} vertices, above the cap {MAX_CHAIN_VERTICES}")
     seed = fan_graph(k - 1)
-    h, (u, v), far = _gadget_graph(k)
+    if m:
+        h, (u, v), far = _gadget_graph(k)
     n, edges = seed.n, set(seed.edges)
     # boundary edge the next gadget merges onto
     attach: Edge = (0, 1)

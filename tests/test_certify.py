@@ -1,8 +1,10 @@
 import dataclasses
+import importlib
 import json
 from collections import Counter
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,9 +183,9 @@ class TestVerifier:
             op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4
         )
         data = json.loads(op.certificate_to_json(cert))
-        assert (data["root"]["cut"], data["root"]["side"]) == (1, [0])
+        assert data["nodes"][0] == ["cut_split", 1, [0]]
         # cut at an end of the path: its only part holds side, child 1 gets no edge
-        data["root"]["cut"] = 2
+        data["nodes"][0][1] = 2
         bad = op.certificate_from_json(json.dumps(data))
         report = op.verify_certificate(bad, 4)
         assert not report.verdict
@@ -210,7 +212,7 @@ class TestVerifier:
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json('{"k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
         with pytest.raises(op.CertificateFormatError):
-            op.certificate_from_json('{"format": 2, "k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
+            op.certificate_from_json('{"format": 3, "k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
 
     def test_format_1_is_rejected(self):
         data = json.loads(op.certificate_to_json(op.build_certificate(op.fan(4), 5)))
@@ -224,6 +226,28 @@ class TestVerifier:
         again = op.certificate_from_json(text)
         assert op.certificate_to_json(again) == text
         assert op.verify_certificate(again, 4).verdict
+
+    def test_deep_tree_round_trips_without_recursion(self):
+        """The writer and the reader walk the node list with stacks of their
+        own, so a tree far deeper than the recursion limit reads back."""
+        root = op.CertNode(kind=BASE)
+        for _ in range(5 * sys.getrecursionlimit()):
+            root = op.CertNode(CUT_SPLIT, (op.CertNode(kind=BASE), root), cut=0, side=(1,))
+        text = op.certificate_to_json(op.Certificate(k=5, graph=op.make_graph(2, [(0, 1)]), root=root))
+        assert op.certificate_to_json(op.certificate_from_json(text)) == text
+
+    def test_benchmark_certificates_read_back_equal(self, monkeypatch):
+        """Every certificate of the benchmark's chain_certify ops and of its
+        host_cli hosts for seed 1 reads back as the tree that was written."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        inputs = [(op.build_chain(k, m), k) for k, m in workloads.CHAINS]
+        for host in workloads.host_inputs(1):
+            inputs.append((op.recognize_outerplanar(op.make_graph(host.n, host.edges)), host.k))
+        assert len(inputs) == 125
+        for emb, k in inputs:
+            cert = op.build_certificate(emb, k)
+            assert op.certificate_from_json(op.certificate_to_json(cert)) == cert
 
     def test_audit_lines(self):
         _, report = certify(op.fan(4), 5)
@@ -252,63 +276,74 @@ TRIANGLES8 = op.make_graph(
     24, [(3 * c + a, 3 * c + b) for c in range(8) for a, b in ((0, 1), (1, 2), (0, 2))]
 )
 BOUQUET = op.make_graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6)])
-BASE_LEAF = {"kind": "base", "children": []}
+BASE_LEAF = ["base"]
 
 
 BAD_SIDE = "must name distinct vertices other than the cut"
 NOT_A_FACE = "recorded face is not an inner face of the node graph"
 
 
-def _set(key, value):
-    return lambda root: root.__setitem__(key, value)
-
-
-def _pop_child(root):
-    root["children"].pop()
+def _set(key, value, keep=None):
+    """Set the root's field `key` to `value`, keeping its first `keep` children."""
+    return lambda root: dataclasses.replace(root, children=root.children[:keep], **{key: value})
 
 
 def _add_child(root):
-    root["children"].append(BASE_LEAF)
+    return dataclasses.replace(root, children=root.children + (op.CertNode(kind=BASE),))
+
+
+def _pop_child(root):
+    return dataclasses.replace(root, children=root.children[:-1])
 
 
 class TestSelections:
-    """Each selection that does not fit its graph is one audit failure at its node."""
+    """Each selection that does not fit its graph is one audit failure at its node.
+
+    A document's child counts follow from its kinds, so a tree whose node
+    has another number of children, or a kind with no count, exists only
+    in memory: written out, it reads back as a format error.
+    """
 
     CASES = [
-        # (graph, k, change to the root node's JSON, the one failure)
-        (PATH9, 5, _set("cut", -1), "cut -1 is not a vertex of the node graph"),
-        (PATH9, 5, _set("cut", 9), "cut 9 is not a vertex of the node graph"),
-        (PATH9, 5, _set("side", [10**6]), "side [1000000] " + BAD_SIDE),
-        (PATH9, 5, _set("side", [0, 0]), "side [0, 0] " + BAD_SIDE),
-        (PATH9, 5, _set("side", [4]), "side [4] " + BAD_SIDE),
-        (PATH9, 5, _set("side", []), "side [] " + BAD_SIDE),
-        (PATH9, 5, _add_child, "expected 2 children, found 3"),
-        (CHAIN51, 5, _set("face", [0, 1, 2, 3, 4, 99]), NOT_A_FACE),
-        (CHAIN51, 5, _set("face", [0, 1, 2, 3, 4, 4]), NOT_A_FACE),
-        (CHAIN51, 5, _set("face", [0, 1, 2]), "face of size 3 is below k+1 = 6"),
-        (CHAIN51, 5, _pop_child, "expected 6 children, found 5"),
-        (LADDER, 5, _set("face", [1, 0, 3, 2]), "a peeled face edge lies in a non-terminal block"),
-        (LADDER, 5, _set("face", [0, 1, 2, 4, 5, 3]), "face size 6 outside 4..4"),
-        (LADDER, 5, _set("face", [0, 1, 2, 4]), NOT_A_FACE),  # no chord, but 4-0 is no edge
-        (op.fan(4).graph, 5, _add_child, "leaf node must not have children"),
-        (op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'"),
+        # (graph, k, change to the root node, the one failure, the format error or None)
+        (PATH9, 5, _set("cut", -1), "cut -1 is not a vertex of the node graph", None),
+        (PATH9, 5, _set("cut", 9), "cut 9 is not a vertex of the node graph", None),
+        (PATH9, 5, _set("side", (10**6,)), "side [1000000] " + BAD_SIDE, None),
+        (PATH9, 5, _set("side", (0, 0)), "side [0, 0] " + BAD_SIDE, None),
+        (PATH9, 5, _set("side", (4,)), "side [4] " + BAD_SIDE, None),
+        (PATH9, 5, _set("side", ()), "side [] " + BAD_SIDE, None),
+        (PATH9, 5, _add_child, "expected 2 children, found 3", "holds 2 trees"),
+        (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 99)), NOT_A_FACE, None),
+        (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 4)), NOT_A_FACE, None),
+        (CHAIN51, 5, _set("face", (0, 1, 2), keep=3), "face of size 3 is below k+1 = 6", None),
+        (CHAIN51, 5, _pop_child, "expected 6 children, found 5", "ends before the children"),
+        (LADDER, 5, _set("face", (1, 0, 3, 2)), "a peeled face edge lies in a non-terminal block", None),
+        (LADDER, 5, _set("face", (0, 1, 2, 4, 5, 3)), "face size 6 outside 4..4", None),
+        (LADDER, 5, _set("face", (0, 1, 2, 4)), NOT_A_FACE, None),  # no chord, but 4-0 is no edge
+        (op.fan(4).graph, 5, _add_child, "leaf node must not have children", "holds 2 trees"),
+        (op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'", "unknown node kind 'mystery'"),
     ]
 
-    @pytest.mark.parametrize("graph, k, change, failure", CASES, ids=[case[3] for case in CASES])
-    def test_failure_not_exception(self, graph, k, change, failure):
+    @pytest.mark.parametrize("graph, k, change, failure, error", CASES, ids=[case[3] for case in CASES])
+    def test_failure_not_exception(self, graph, k, change, failure, error):
         cert = op.build_certificate(op.recognize_outerplanar(graph), k)
-        data = json.loads(op.certificate_to_json(cert))
-        change(data["root"])
-        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), k)
-        assert report.failures == (f"root: {failure}",)
+        bad = dataclasses.replace(cert, root=change(cert.root))
+        assert op.verify_certificate(bad, k).failures == (f"root: {failure}",)
+        text = op.certificate_to_json(bad)
+        if error is not None:
+            with pytest.raises(op.CertificateFormatError, match=error):
+                op.certificate_from_json(text)
+        else:
+            report = op.verify_certificate(op.certificate_from_json(text), k)
+            assert report.failures == (f"root: {failure}",)
 
     def test_big_face_split_needs_every_part_across_one_edge(self):
         # the pendant edge hangs at one face vertex, not across a face edge
         data = {
-            "format": 2,
+            "format": 3,
             "k": 5,
             "graph": json.loads(op.graph_to_json(HEXAGON_WITH_PENDANT)),
-            "root": {"kind": "big_face_split", "face": list(range(6)), "children": [BASE_LEAF] * 6},
+            "nodes": [["big_face_split", list(range(6))]] + [BASE_LEAF] * 6,
         }
         report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
         assert report.failures == ("root: the part at vertex 6 does not hang across one face edge",)
@@ -317,10 +352,10 @@ class TestSelections:
     # face vertex 1, peeled at the root: the pendant hangs across no face
     # edge, so it stays in the rest
     PEELS = [
-        (0, {"kind": "cut_split", "cut": 0, "side": [1], "children": [BASE_LEAF, BASE_LEAF]}, ()),
+        (0, ["cut_split", 0, [1]], ()),
         (
             1,
-            {"kind": "cut_split", "cut": None, "side": [0], "children": [BASE_LEAF, BASE_LEAF]},
+            ["cut_split", None, [0]],
             ("root: n'+n* = 7 differs from n+1 = 6", "root: children bounds 115 != chain value 90"),
         ),
     ]
@@ -328,12 +363,11 @@ class TestSelections:
     @pytest.mark.parametrize("at, rest, failures", PEELS)
     def test_peel_keeps_parts_across_no_face_edge_in_the_rest(self, at, rest, failures):
         graph = op.make_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (at, 4)])
-        peel = {"kind": "maximal_leaf", "children": []}
         data = {
-            "format": 2,
+            "format": 3,
             "k": 5,
             "graph": json.loads(op.graph_to_json(graph)),
-            "root": {"kind": "terminal_peel", "face": [0, 1, 2, 3], "children": [rest, peel]},
+            "nodes": [["terminal_peel", [0, 1, 2, 3]], rest, BASE_LEAF, BASE_LEAF, ["maximal_leaf"]],
         }
         report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
         assert report.failures == failures
@@ -343,7 +377,7 @@ class TestSelections:
         cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4)
         bad = dataclasses.replace(cert, root=dataclasses.replace(cert.root, side=None))
         assert op.verify_certificate(bad, 4).failures == ("root: cut split lacks its side",)
-        text = op.certificate_to_json(cert).replace(',"side":[0]', "")
+        text = op.certificate_to_json(cert).replace('["cut_split",1,[0]]', '["cut_split",1]')
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json(text)
 
@@ -363,7 +397,7 @@ class TestSelections:
         data = json.loads(op.certificate_to_json(cert))
         for other in others:
             assert _cut_children(graph, cut, tuple(other)) == _cut_children(graph, cut, side)
-            data["root"]["side"] = other
+            data["nodes"][0][2] = other
             report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), k)
             assert report.verdict
             assert report.entries == entries
@@ -371,9 +405,11 @@ class TestSelections:
     def test_rotated_face_still_verifies(self):
         cert = op.build_certificate(op.build_chain(5, 1), 5)
         data = json.loads(op.certificate_to_json(cert))
-        face = data["root"]["face"]
-        data["root"]["face"] = face[2:] + face[:2]
-        data["root"]["children"] = data["root"]["children"][2:] + data["root"]["children"][:2]
+        # the root's six children are leaves, one node each
+        root, face, leaves = data["nodes"][0], data["nodes"][0][1], data["nodes"][1:]
+        assert len(leaves) == len(face) == 6
+        root[1] = face[2:] + face[:2]
+        data["nodes"][1:] = leaves[2:] + leaves[:2]
         assert op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5).verdict
 
 
@@ -590,12 +626,11 @@ class TestWorkModel:
     def test_graph_that_is_not_outerplanar_fails_without_exception(self):
         # K4 on 0..3 with a pendant edge 3-4, recorded as a cut split at 3
         k4_pendant = op.make_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
-        leaf = {"kind": "maximal_leaf", "children": []}
         data = {
-            "format": 2,
+            "format": 3,
             "k": 5,
             "graph": json.loads(op.graph_to_json(k4_pendant)),
-            "root": {"kind": "cut_split", "cut": 3, "side": [0], "children": [leaf, BASE_LEAF]},
+            "nodes": [["cut_split", 3, [0]], ["maximal_leaf"], BASE_LEAF],
         }
         report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
         assert not report.verdict
@@ -613,10 +648,10 @@ class TestWorkModel:
         )
 
     def test_deeply_nested_document_is_a_format_error(self):
-        split = '{"kind":"cut_split","cut":0,"side":[1],"children":['
-        leaf = '{"kind":"base","children":[]}'
-        root = split * 600 + leaf + ("," + leaf + "]}") * 600
-        text = '{"format":2,"k":5,"graph":{"n":2,"edges":[[0,1]]},"root":' + root + "}"
+        """A deep tree is a flat list, but the JSON parser still recurses
+        into nested arrays."""
+        nested = "[" * 5000 + "]" * 5000
+        text = '{"format":3,"k":5,"graph":{"n":2,"edges":[[0,1]]},"nodes":' + nested + "}"
         with pytest.raises(op.CertificateFormatError, match="nested too deeply"):
             op.certificate_from_json(text)
 

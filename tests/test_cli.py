@@ -12,6 +12,8 @@ from opturan.certify import CoverageError
 from opturan.cli import main
 from opturan.turan import BoundValue
 
+from helpers import ladder
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -19,6 +21,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cap_memory():
+    """Cap a child's address space at 1 GiB, so that building what the cap
+    should refuse ends in a MemoryError instead of filling the machine."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_capped(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "opturan", *argv],
+        env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_memory,
+    )
 
 
 class TestConstruct:
@@ -43,17 +59,8 @@ class TestConstruct:
     )
     def test_huge_chain_is_refused_without_building_it(self, k, m, need):
         """The chain's and its gadget's vertex counts are known in closed
-        form, so a chain too large to build refuses at once. The address
-        space is capped at 1 GiB, so building it ends in a MemoryError."""
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        done = subprocess.run(
-            [sys.executable, "-m", "opturan", "construct", "-k", k, "-m", m],
-            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
-            preexec_fn=cap_memory,
-        )
+        form, so a chain too large to build refuses at once."""
+        done = run_capped("construct", "-k", k, "-m", m)
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith(f"refused: chain k={k} m={m} needs {need} vertices")
         assert "Traceback" not in done.stderr
@@ -66,6 +73,13 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "-k", "5", "-m", "3")
         assert (code, out) == (3, "")
         assert err == "refused: chain k=5 m=3 needs 62 vertices, above the cap 48\n"
+
+    def test_chain_without_merges_builds_no_gadget(self):
+        """With m = 0 the chain is its seed fan alone: 1000 vertices at
+        k=1001, whose gadget would have 1001000."""
+        done = run_capped("construct", "-k", "1001", "-m", "0")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert " n=1000 e=1997 " in done.stdout
 
     def test_file_output_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -125,18 +139,8 @@ class TestOracle:
         assert "cap 64" in err and "1024 (length, apex) pairs" in err
 
     def test_huge_range_is_refused_without_building_it(self, tmp_path):
-        """The range stays lazy, so the first n above the cap refuses at once.
-        The address space is capped at 1 GiB, so a range built in full ends
-        in a MemoryError instead of filling the machine's memory."""
-
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        done = subprocess.run(
-            [sys.executable, "-m", "opturan", "oracle", "-k", "4", "-n", "65..4611686018427387904"],
-            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
-            preexec_fn=cap_memory,
-        )
+        """The range stays lazy, so the first n above the cap refuses at once."""
+        done = run_capped("oracle", "-k", "4", "-n", "65..4611686018427387904")
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("refused: ")
         assert "Traceback" not in done.stderr
@@ -264,6 +268,19 @@ class TestCertify:
         assert (code, out) == (1, "")
         assert err == "certificate construction failed: no decomposition step applies\n"
 
+    def test_deep_certificate_is_written_and_reads_back(self, tmp_path):
+        """A 600-rung ladder peels one square per level, so its certificate
+        is about 600 nodes deep; the file holds them as one flat list."""
+        graph_path, cert_path = tmp_path / "ladder.json", tmp_path / "ladder.cert.json"
+        graph_path.write_text(op.graph_to_json(ladder(600)))
+        done = subprocess.run(
+            [sys.executable, "-m", "opturan", "certify", "-k", "5", "--in", str(graph_path), "--out", str(cert_path)],
+            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        report = op.verify_certificate(op.certificate_from_json(cert_path.read_text()), 5)
+        assert report.format_lines() + [f"wrote {cert_path}"] == done.stdout.splitlines()
+
     def test_too_deep_input_is_a_refusal(self, tmp_path):
         """A 600-gon with a pendant edge at every vertex: one cut split per pendant."""
         n = 600
@@ -278,6 +295,29 @@ class TestCertify:
         assert done.stderr.startswith("refused: ")
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
+
+
+class TestGraphInput:
+    @pytest.mark.parametrize("command", [["certify", "-k", "5"], ["analyze"]])
+    def test_huge_graph_is_refused_without_building_it(self, tmp_path, command):
+        """A graph's vertex count is read before any work per vertex, so a
+        graph with more vertices than a chain may have refuses at once."""
+        graph_path = tmp_path / "huge.json"
+        graph_path.write_text('{"n": 100000000, "edges": []}')
+        done = run_capped(*command, "--in", str(graph_path))
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "refused: graph has 100000000 vertices, above the cap 1000000\n"
+
+    @pytest.mark.parametrize("command", [["certify", "-k", "5"], ["analyze"]])
+    def test_graph_at_the_vertex_cap_is_read(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(construct_module, "MAX_CHAIN_VERTICES", 4)
+        graph_path = tmp_path / "path.json"
+        graph_path.write_text(op.graph_to_json(op.make_graph(4, [(0, 1), (1, 2), (2, 3)])))
+        assert run(capsys, *command, "--in", str(graph_path))[0] == 0
+        graph_path.write_text(op.graph_to_json(op.make_graph(5, [(0, 1), (1, 2), (2, 3)])))
+        code, out, err = run(capsys, *command, "--in", str(graph_path))
+        assert (code, out) == (3, "")
+        assert err == "refused: graph has 5 vertices, above the cap 4\n"
 
 
 class TestAnalyze:

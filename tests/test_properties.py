@@ -545,10 +545,15 @@ def assert_rejected(text: str, k: int) -> None:
 
 # format 1 stored each node's graph and vertex map; this fan(4) certificate
 # at k=5 has a root map cut short, on which the format-1 verifier raised
-# IndexError. Format 2 has no second reader, so it is a format error.
+# IndexError. There is one reader, for format 3, so it is a format error.
 V1_FAN4_SHORT_MAP = (
     '{"graph":{"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]],"n":4},"k":5,"root":{"children":[],'
     '"e":5,"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]],"kind":"maximal_leaf","n":4,"to_parent":[0]}}'
+)
+# format 2 nested each node inside its parent; the same fan(4) certificate, intact
+V2_FAN4 = (
+    '{"format":2,"graph":{"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]],"n":4},"k":5,'
+    '"root":{"children":[],"kind":"maximal_leaf"}}'
 )
 
 
@@ -558,56 +563,80 @@ def test_format_1_certificate_is_rejected():
     assert_rejected(V1_FAN4_SHORT_MAP, 5)
 
 
+def test_format_2_certificate_is_rejected():
+    with pytest.raises(op.CertificateFormatError):
+        op.certificate_from_json(V2_FAN4)
+
+
 SPLITS = ("cut_split", "big_face_split", "terminal_peel")
 KINDS = SPLITS + ("edgeless", "base", "maximal_leaf")
 WRONG_VALUES = ("7", 1.5, {}, True, [None])
+# a node's selections by name, as indices into its JSON array
+FIELDS = {"cut_split": {"cut": 1, "side": 2}, "big_face_split": {"face": 1}, "terminal_peel": {"face": 1}}
+
+
+def subtree_end(nodes: list, at: int) -> int:
+    """The index just past the subtree that starts at nodes[at], in a valid node list."""
+    need = 0
+    for i in range(at, len(nodes)):
+        kind = nodes[i][0]
+        need += (len(nodes[i][1]) if kind == "big_face_split" else 2 if kind in SPLITS else 0) - 1
+        if need < 0:
+            return i + 1
+    raise ValueError("the node list ends inside the subtree")
 
 
 def corrupt(doc: dict, how: str, data) -> None:
     """Break one thing in a certificate document, in place."""
-    nodes, stack = [], [doc["root"]]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(nodes[-1]["children"])
-    splits = [node for node in nodes if node["kind"] in SPLITS]
+    nodes = doc["nodes"]
+    splits = [node for node in nodes if node[0] in SPLITS]
     if how == "drop_key":
-        holder = data.draw(st.sampled_from([doc] + nodes))
-        del holder[data.draw(st.sampled_from(sorted(holder)))]
+        del doc[data.draw(st.sampled_from(sorted(doc)))]
     elif how == "retype_key":
-        holder = data.draw(st.sampled_from([doc] + nodes))
-        holder[data.draw(st.sampled_from(sorted(holder)))] = data.draw(st.sampled_from(WRONG_VALUES))
+        doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(st.sampled_from(WRONG_VALUES))
+    elif how == "retype_field":
+        node = data.draw(st.sampled_from(nodes))
+        node[data.draw(st.integers(0, len(node) - 1))] = data.draw(st.sampled_from(WRONG_VALUES))
+    elif how == "shorten_node":
+        node = data.draw(st.sampled_from(nodes))
+        del node[data.draw(st.integers(0, len(node) - 1)) :]
+    elif how == "extend_node":
+        data.draw(st.sampled_from(nodes)).append(data.draw(st.sampled_from([0, None, [0], "base"])))
     elif how in ("out_of_range", "repeat_vertex"):
         node = data.draw(st.sampled_from(splits))
-        key = "face" if "face" in node else data.draw(st.sampled_from(["cut", "side"]))
+        fields = FIELDS[node[0]]
+        key = data.draw(st.sampled_from(sorted(fields)))
         bad = data.draw(st.sampled_from([-1, 10**6]))
         if how == "repeat_vertex":
-            key = "face" if "face" in node else "side"
-            node[key].append(node[key][-1])
+            held = node[fields["face" if "face" in fields else "side"]]
+            held.append(held[-1])
         elif key == "cut":
-            node["cut"] = bad
+            node[fields["cut"]] = bad
         else:
-            node[key][data.draw(st.integers(0, len(node[key]) - 1))] = bad
+            held = node[fields[key]]
+            held[data.draw(st.integers(0, len(held) - 1))] = bad
     elif how == "swap_kind":
         node = data.draw(st.sampled_from(nodes))
-        others = SPLITS if node["kind"] not in SPLITS else KINDS
-        node["kind"] = data.draw(st.sampled_from([kind for kind in others if kind != node["kind"]]))
-    elif how == "add_child":
-        data.draw(st.sampled_from(nodes))["children"].append({"kind": "base", "children": []})
-    else:  # remove_child
-        node = data.draw(st.sampled_from(splits))
-        node["children"].pop(data.draw(st.integers(0, len(node["children"]) - 1)))
+        others = SPLITS if node[0] not in SPLITS else KINDS
+        node[0] = data.draw(st.sampled_from([kind for kind in others if kind != node[0]]))
+    elif how == "drop_node":
+        del nodes[data.draw(st.integers(0, len(nodes) - 1))]
+    elif how == "duplicate_node":
+        at = data.draw(st.integers(0, len(nodes) - 1))
+        nodes.insert(at, json.loads(json.dumps(nodes[at])))
+    else:  # insert_node
+        leaf = [data.draw(st.sampled_from(["edgeless", "base", "maximal_leaf"]))]
+        nodes.insert(data.draw(st.integers(0, len(nodes))), leaf)
+
+
+CORRUPTIONS = [
+    "drop_key", "retype_key", "retype_field", "shorten_node", "extend_node", "out_of_range",
+    "repeat_vertex", "swap_kind", "drop_node", "duplicate_node", "insert_node",
+]
 
 
 @LARGE
-@given(
-    seeds,
-    st.integers(20, 150),
-    st.integers(3, 8),
-    st.sampled_from(
-        ["drop_key", "retype_key", "out_of_range", "repeat_vertex", "swap_kind", "add_child", "remove_child"]
-    ),
-    st.data(),
-)
+@given(seeds, st.integers(20, 150), st.integers(3, 8), st.sampled_from(CORRUPTIONS), st.data())
 def test_corrupted_certificates_are_rejected(seed, size, k, how, data):
     n, edges = random_ckfree_host(seed, size, k)
     cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(n, edges)), k)
@@ -622,8 +651,8 @@ MORE_MUTATIONS = (
 
 
 def mutate(doc: dict, how: str, data) -> None:
-    """corrupt(), or move one recorded selection, recast a node as a maximal
-    leaf, or add an edge to the certified graph."""
+    """corrupt(), or move one recorded selection, recast a subtree as a
+    maximal leaf, or add an edge to the certified graph."""
     if how not in MORE_MUTATIONS:
         corrupt(doc, how, data)
         return
@@ -634,31 +663,27 @@ def mutate(doc: dict, how: str, data) -> None:
         if pair not in doc["graph"]["edges"]:
             doc["graph"]["edges"].append(pair)
         return
-    nodes, stack = [], [doc["root"]]
-    while stack:
-        nodes.append(stack.pop())
-        stack.extend(nodes[-1]["children"])
+    nodes = doc["nodes"]
     if how == "recast_leaf":
-        node = data.draw(st.sampled_from(nodes))
-        node["kind"], node["children"] = "maximal_leaf", []
-        node.pop("face", None)
+        at = data.draw(st.integers(0, len(nodes) - 1))
+        nodes[at : subtree_end(nodes, at)] = [["maximal_leaf"]]
         return
     key = "face" if how.endswith("_face") or how == "replace_face_vertex" else "side"
-    holders = [node for node in nodes if key in node]
+    holders = [node for node in nodes if key in FIELDS.get(node[0], ())]
     if not holders:
         return
     node = data.draw(st.sampled_from(holders))
     if how == "rotate_face":
-        r = data.draw(st.integers(1, len(node["face"]) - 1))
-        node["face"] = node["face"][r:] + node["face"][:r]
+        r = data.draw(st.integers(1, len(node[1]) - 1))
+        node[1] = node[1][r:] + node[1][:r]
     elif how == "reflect_face":
-        node["face"].reverse()
+        node[1].reverse()
     elif how == "replace_face_vertex":
-        node["face"][data.draw(st.integers(0, len(node["face"]) - 1))] = data.draw(st.integers(0, n - 1))
+        node[1][data.draw(st.integers(0, len(node[1]) - 1))] = data.draw(st.integers(0, n - 1))
     elif how == "random_side":
-        node["side"] = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        node[2] = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
     else:  # random_cut
-        node["cut"] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        node[1] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -668,8 +693,7 @@ def mutate(doc: dict, how: str, data) -> None:
     st.sampled_from(["ckfree", "ladder"]),
     st.integers(3, 8),
     st.sampled_from(
-        ["none", "drop_key", "retype_key", "out_of_range", "repeat_vertex", "swap_kind", "add_child", "remove_child"]
-        + list(MORE_MUTATIONS)
+        ["none"] + CORRUPTIONS + list(MORE_MUTATIONS)
     ),
     st.data(),
 )

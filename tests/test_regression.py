@@ -2,13 +2,15 @@
 
 The embedding digest and the cycle tuples were recorded from the quadratic
 recognition and cycle-region code that the linear versions replaced; both
-must keep producing exactly these results. The certificate digest was
-recorded when certificates began to store only the selections (format 2);
-the splits are those the balanced builder chose before. The disconnected
-tie was recorded when the builder grouped components on their own, before
-they hung from one hub in its block-cut forest. The `analyze`
-digests were recorded when every face structure still rebuilt its own
-faces; reading them all off one weak dual must give the same bytes.
+must keep producing exactly these results. The certificate digests were
+recorded when certificates became a flat preorder list of nodes (format
+3), for the same trees that the format-2 documents held; each test reads
+its document back before the digest. The splits are those the balanced
+builder chose before. The disconnected tie was recorded when the builder
+grouped components on their own, before they hung from one hub in its
+block-cut forest. The `analyze` digests were recorded when every face
+structure still rebuilt its own faces; reading them all off one weak dual
+must give the same bytes.
 """
 
 import hashlib
@@ -31,9 +33,9 @@ def sha256(text: str) -> str:
 
 def test_certificate_json_digest_chain_5_16():
     cert = op.build_certificate(op.build_chain(5, 16), 5)
-    assert sha256(op.certificate_to_json(cert)) == (
-        "6341cc917905df4ac4281c071195b5b5665d946e093d1a29d245e7d82cca0773"
-    )
+    text = op.certificate_to_json(cert)
+    assert op.certificate_from_json(text) == cert
+    assert sha256(text) == "27c013340560523b1ba29a82932d4889fe533f2cc5008742b3bec47dc013eeda"
 
 
 def test_certificate_json_digest_disconnected_tie():
@@ -42,9 +44,9 @@ def test_certificate_json_digest_disconnected_tie():
     g = op.make_graph(12, [(5, 6), (6, 7), (5, 7), (7, 11), (8, 9), (9, 10), (8, 10), (1, 8)])
     cert = op.build_certificate(op.recognize_outerplanar(g), 4)
     assert (cert.root.cut, cert.root.side) == (None, (0,))
-    assert sha256(op.certificate_to_json(cert)) == (
-        "040494c8912934d1147da1251193d6b0577a153fed5c93aa5d98dc3ca744caf4"
-    )
+    text = op.certificate_to_json(cert)
+    assert op.certificate_from_json(text) == cert
+    assert sha256(text) == "b9f1d4cb804841b69ae5b1687a122dbd5047257c270d85292c1c82884abdb628"
 
 
 def test_embedding_json_digest_chain_6_24():
