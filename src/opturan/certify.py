@@ -35,17 +35,18 @@ each is again a connected set of the block's faces. Only the peel, with vL
 merged into v1, is not a subgraph; it has n* <= k-2 vertices, so it has no
 k-cycle, and it is recognised afresh.
 
-Work model. The builder builds a weak dual once for the caller's embedding
-and once for each contracted peel, the only graphs it builds. A cut split's
-children are whole blocks and bridges, so the builder splits lists of them,
-in the embedding's labels, on their block-cut forest. A lone block is the
-set of its faces, and every 2-connected node below it is a connected
-subset: the builder picks the big face or the peel off the sub-forest on
-those faces and passes each child its branch of faces. A node whose faces
-are all triangles is a maximal leaf with n = 2 + sum(size - 2). Choices are
-made in the embedding's labels and recorded as ranks among the node's
-vertices; the node graph is relabelled in increasing order, so its faces
-and tie-breaks are the same. The contracted peels are recognised in
+Work model. The builder and the verifier each loop over a stack of work
+items, so a certificate as deep as its input takes no recursion. The
+builder builds a weak dual once for the caller's embedding and once for
+each contracted peel, the only graphs it builds. A cut split's children are
+whole blocks and bridges, split as lists on their block-cut forest. A lone
+block is the set of its faces, and every 2-connected node below it is a
+connected subset: the builder picks the big face or the peel off the
+sub-forest on those faces and passes each child its branch of faces. A node
+whose faces are all triangles is a maximal leaf with n = 2 + sum(size - 2).
+Choices are made in the embedding's labels and recorded as ranks among the
+node's vertices, in increasing order like the node graph's labels, so its
+faces and tie-breaks are the same. The contracted peels are recognised in
 O(k log k) each. No node builds a triangular-block partition. The verifier
 derives every split's children from the node graph alone, so it builds no
 weak dual and checks the builder independently, and it passes no
@@ -106,7 +107,7 @@ give shallow certificates:
 Chains and forests thus certify at depth O(log n). Terminal peels still
 take one face per level, and so does a cut split whose heaviest branch is
 one large block carrying many small ones: a long polygon with a pendant
-edge at every vertex still gives a certificate as deep as the polygon.
+edge at every vertex gives a certificate as deep as the polygon.
 """
 
 from __future__ import annotations
@@ -198,7 +199,13 @@ class Certificate:
 
 
 def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
-    """Decomposition certificate for a k-cycle-free outerplane graph."""
+    """Decomposition certificate for a k-cycle-free outerplane graph.
+
+    Each step pops ("units", units, src), ("faces", faces, src) (no faces:
+    an edge alone, a base leaf) or ("peel", graph, src), recognised only
+    now, and gives its node's format-3 entry and its children's items. The
+    entries come in preorder, and the reader's _tree assembles them.
+    """
     if k < 3:
         raise ValueError(f"cycle length must be >= 3, got {k}")
     g = emb.graph
@@ -206,9 +213,21 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
         raise ValueError(f"certification needs n >= 2, got n={g.n}")
     if k in cycle_length_set(emb, k):
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
-    if not g.e:
-        return Certificate(k=k, graph=g, root=CertNode(kind=EDGELESS))
-    return Certificate(k=k, graph=g, root=_decompose(emb, k))
+    # an edgeless graph is one leaf, any other starts from its units
+    nodes, work = ([], [("units", *_decompose(emb, k))]) if g.e else ([[EDGELESS]], [])
+    while work:
+        what, item, src = work.pop()
+        if what == "peel":
+            what, item, src = "units", *_decompose(recognize_outerplanar(item), k)
+        if what == "units" and len(item) == 1:  # a lone block is its faces, a bridge none
+            what, item = "faces", list(item[0][2] or ())
+        if what == "units":
+            entry, children = _cut_split(item, src)
+        else:
+            entry, children = _face_step(src, item) if item else ([BASE], [])
+        nodes.append(entry)
+        work += reversed(children)
+    return Certificate(k=k, graph=g, root=_tree(nodes))
 
 
 class _Source(NamedTuple):
@@ -223,10 +242,10 @@ class _Source(NamedTuple):
 Unit = tuple[tuple[int, ...], int, range | None]  # vertices, edges, the block's faces
 
 
-def _decompose(emb: OuterplaneEmbedding, k: int) -> CertNode:
-    """The decomposition of emb's graph without its isolated vertices: its
-    blocks (with their faces in emb's weak dual, built here once) and then
-    its bridges, each sorted by vertices, go to the unit split."""
+def _decompose(emb: OuterplaneEmbedding, k: int) -> tuple[list[Unit], _Source]:
+    """The units of emb's graph without its isolated vertices: its blocks
+    (with their faces in emb's weak dual, built here once) and then its
+    bridges, each sorted by vertices."""
     dual = weak_dual(emb)
     links: list[list[tuple[int, Edge]]] = [[] for _ in dual.faces]
     for (a, b), shared in zip(dual.edges, dual.shared_edges):
@@ -238,18 +257,13 @@ def _decompose(emb: OuterplaneEmbedding, k: int) -> CertNode:
         blocks.append((tuple(sorted(block.outer)), len(block.outer) + len(block.chords), faces))
         first = faces.stop
     units: list[Unit] = sorted(blocks, key=lambda u: u[0]) + [(e, 1, None) for e in sorted(emb.bridges)]
-    return _build_units(units, _Source(emb.graph, dual, links, k))
+    return units, _Source(emb.graph, dual, links, k)
 
 
-def _build_units(units: list[Unit], src: _Source) -> CertNode:
-    """The decomposition of the union of these units, relabelled 0.. in
-    increasing order: cut splits are read off the units' block-cut forest
-    and record ranks, which keeps every choice and tie-break of the node
-    graph's own, and each child keeps whole units in their order. A lone
-    block is decomposed on its faces."""
-    if len(units) == 1:  # a bridge is a base leaf
-        faces = units[0][2]
-        return CertNode(kind=BASE) if faces is None else _build_faces(src, list(faces))
+def _cut_split(units: list[Unit], src: _Source) -> tuple[list, list[tuple]]:
+    """The cut split of the union of two or more units, read off their
+    block-cut forest: its entry and its children's items, each with whole
+    units in their order."""
     m = len(units)  # block-cut forest: the units, then the cut vertices ascending
     count = Counter(chain.from_iterable(u[0] for u in units))
     cuts = sorted(v for v, c in count.items() if c > 1)
@@ -282,45 +296,18 @@ def _build_units(units: list[Unit], src: _Source) -> CertNode:
         # a unit's least vertex other than the cut is one of its first two
         least.append(min(v for x in part for v in units[x][0][:2] if v != cut))
         first.update(part)
-    children = tuple(
-        _build_units([u for x, u in enumerate(units) if (x in first) == which], src)
-        for which in (True, False)
-    )
     ranks = sorted(count)
-    side = tuple(sorted(bisect_left(ranks, v) for v in least))
-    return CertNode(CUT_SPLIT, children, None if cut is None else bisect_left(ranks, cut), side)
+    side = sorted(bisect_left(ranks, v) for v in least)
+    halves = [[u for x, u in enumerate(units) if (x in first) == which] for which in (True, False)]
+    entry = [CUT_SPLIT, None if cut is None else bisect_left(ranks, cut), side]
+    return entry, [("units", half, src) for half in halves]
 
 
-def _build_faces(src: _Source, faces: list[int]) -> CertNode:
-    """The decomposition of the union of `faces`, a connected set of
-    src.dual's faces, relabelled 0.. in increasing order: a 2-connected
-    graph whose weak dual is the sub-forest on those faces. One frame per
-    level, holding only its children's faces."""
-    step = _face_step(src, faces)
-    if step is None:
-        return CertNode(kind=MAXIMAL_LEAF)
-    kind, face, branches, peel = step
-    children = []
-    for branch in branches:
-        children.append(_build_faces(src, branch) if branch else CertNode(kind=BASE))
-    if peel is not None:
-        children.append(_decompose(recognize_outerplanar(peel), src.k))
-    return CertNode(kind, tuple(children), face=face)
-
-
-def _face_step(
-    src: _Source, faces: list[int]
-) -> tuple[str, tuple[int, ...], list[list[int]], Graph | None] | None:
-    """The step at the node made of `faces`: None for a maximal leaf, else
-    its kind, its face, the faces behind each face edge of a big face (none
-    for the edge alone, a base leaf) or behind a peel's closing edge (the
-    rest), and the contracted peel.
-
-    The sub-forest on `faces` is the node's weak dual. The selection is
-    made in src.dual's labels and recorded as ranks among the node's
-    vertices, which keeps every choice and canonical tie-break of the node
-    graph's own.
-    """
+def _face_step(src: _Source, faces: list[int]) -> tuple[list, list[tuple]]:
+    """The step at the node made of `faces`, whose weak dual is the
+    sub-forest on them: its entry and its children's items, the faces
+    behind each face edge of a big face or behind a peel's closing edge
+    (the rest), and the contracted peel."""
     k = src.k
     index = {f: i for i, f in enumerate(faces)}
     shared = [(index[f], index[g], e) for f in faces for g, e in src.links[f] if f < g and g in index]
@@ -334,7 +321,7 @@ def _face_step(
         n = 2 + len(faces)
         if n > k - 1:
             raise CoverageError(f"maximal leaf conditions failed at n={n}, e={2 * n - 3}, k={k}")
-        return None
+        return [MAXIMAL_LEAF], []
     if largest >= k + 1:
         kind, ring = BIG_FACE_SPLIT, _select_big_face(sub, k)
     else:
@@ -348,12 +335,12 @@ def _face_step(
         c = across.get(edge_key(ring[i], ring[(i + 1) % size]))
         sides.append([] if c is None else [faces[x] for x in _behind(adj, s, [c])])
     vertices = sorted({v for face in sub.faces for v in face.vertices})
-    face = tuple(bisect_left(vertices, v) for v in ring)
+    entry = [kind, [bisect_left(vertices, v) for v in ring]]
     if kind == BIG_FACE_SPLIT:
-        return kind, face, sides, None
+        return entry, [("faces", side, src) for side in sides]
     peeled = {faces[s]}.union(*sides)  # every other face lies behind the closing edge
     rest = [f for f in faces if f not in peeled]
-    return kind, face, [rest], _contracted_peel(src, ring, sides)
+    return entry, [("faces", rest, src), ("peel", _contracted_peel(src, ring, sides), src)]
 
 
 def _contracted_peel(src: _Source, ring: tuple[int, ...], sides: list[list[int]]) -> Graph:
@@ -516,8 +503,11 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     except GraphError as exc:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
-        if k >= 3:  # no node can be audited for shorter cycles
-            _verify_node(cert.root, _root_graph(cert.graph), False, k, "root", audit)
+        # no node can be audited for shorter cycles; the stack keeps preorder
+        stack = [(cert.root, _root_graph(cert.graph), False, "root")] if k >= 3 else []
+        while stack:
+            node, g, vouched, path = stack.pop()
+            stack.extend(reversed(_verify_node(node, g, vouched, k, path, audit)))
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
@@ -533,8 +523,9 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
 
 def _verify_node(
     node: CertNode, g: Graph, vouched: bool, k: int, path: str, audit: _Audit
-) -> None:
-    """Audit one node and its subtree.
+) -> list[tuple[CertNode, Graph, bool, str]]:
+    """Audit one node; returns its children to audit, each with its graph,
+    its flag and its path.
 
     `vouched` says that g keeps only edges of an outerplanar parent, so it
     passes both checks by heredity; otherwise g is checked in full:
@@ -542,7 +533,7 @@ def _verify_node(
     """
     if node.kind not in _KINDS:
         audit.fail(path, f"unknown node kind {node.kind!r}")
-        return
+        return []
     before = len(audit.failures)
     if not vouched:
         try:
@@ -601,8 +592,10 @@ def _verify_node(
         )
     )
     # every child but the contracted peel (no vertex map) keeps only edges of g
-    for i, (child, (child_graph, to_parent)) in enumerate(zip(node.children, children)):
-        _verify_node(child, child_graph, vouched and to_parent is not None, k, f"{path}.{i}", audit)
+    return [
+        (child, child_graph, vouched and to_parent is not None, f"{path}.{i}")
+        for i, (child, (child_graph, to_parent)) in enumerate(zip(node.children, children))
+    ]
 
 
 def _verify_split(
@@ -798,10 +791,15 @@ def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
 
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as one line of JSON: its nodes in preorder, each as
-    its kind and its selection, read off an explicit stack."""
+    its kind and its selection, read off an explicit stack. A node of an
+    unknown kind or another _arity would read back as another tree, so it
+    raises CertificateFormatError."""
     nodes, stack = [], [cert.root]
     while stack:
         node = stack.pop()
+        if node.kind not in _KINDS or len(node.children) != _arity(node.kind, node.face):
+            count = len(node.children)
+            raise CertificateFormatError(f"cannot write a {node.kind!r} node whose child count is {count}")
         if node.kind == CUT_SPLIT:
             nodes.append([node.kind, node.cut, list(node.side)])
         elif node.face is not None:
@@ -833,12 +831,16 @@ def _ints(value: object) -> tuple[int, ...]:
     return tuple(_int(x) for x in value)
 
 
+def _arity(kind: str, face: tuple[int, ...] | None) -> int:
+    """Children of a node: none for a leaf, two for a cut split or a peel, L for a big face."""
+    return 0 if kind in _LEAVES else len(face or ()) if kind == BIG_FACE_SPLIT else 2
+
+
 def _tree(nodes: object) -> CertNode:
     """The tree whose preorder is `nodes`, rebuilt in one reverse scan.
 
     Every subtree is complete before its parent is read, so each node takes
-    the trees on top of the stack as its children: none for a leaf, two for
-    a cut split or a peel, one per face vertex for a big face.
+    the trees on top of the stack as its children, as many as its _arity.
     """
     if not isinstance(nodes, list):
         raise CertificateFormatError(f"expected a list of nodes, got {nodes!r:.80}")
@@ -857,7 +859,7 @@ def _tree(nodes: object) -> CertNode:
             face = _ints(fields[0])
         elif fields or kind not in _LEAVES:
             raise CertificateFormatError(f"malformed {kind} node: {item!r:.80}")
-        count = 0 if kind in _LEAVES else len(face) if kind == BIG_FACE_SPLIT else 2
+        count = _arity(kind, face)
         if count > len(trees):
             raise CertificateFormatError(f"the node list ends before the children of a {kind} node")
         at = len(trees) - count

@@ -3,8 +3,8 @@
 Subcommands: construct, bound, oracle, certify, analyze. All machine
 output is exact integers or integer pairs; identical invocations produce
 byte-identical files. Exit codes: 0 success, 1 verification or bound
-failure, 2 invalid input, 3 resource refusal (including an input graph
-above the vertex cap and an input too deep for the recursion limit).
+failure, 2 invalid input, 3 resource refusal (an oracle run above its
+cap, or a chain or input graph above the vertex cap).
 """
 
 from __future__ import annotations
@@ -283,9 +283,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (OracleCapError, ChainSizeError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
-    except RecursionError as exc:
-        print(f"refused: input needs deeper recursion than Python allows ({exc})", file=sys.stderr)
         return EXIT_REFUSED
     except OracleCheckError as exc:
         print(f"oracle check failed: {exc}", file=sys.stderr)

@@ -366,7 +366,7 @@ def cycle_length_set(emb: OuterplaneEmbedding, limit: int | None = None) -> froz
     swept bottom-up with bitmask arithmetic, each cut at the limit: a face
     adds at least 1, so a sum past the limit never comes back within it.
     """
-    mask = -1 if limit is None else (1 << max(limit - 1, 0)) - 1  # bit s: length s + 2
+    mask = -1 if limit is None else (1 << max(min(limit, emb.graph.n) - 1, 0)) - 1  # bit s: length s + 2
     lengths: set[int] = set()
     for block in emb.blocks:
         faces, across = _scan_faces(len(block.outer), block.chords)

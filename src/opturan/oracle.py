@@ -179,11 +179,11 @@ def exact_ex(n: int, k: int, *, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     if n > cap:
         raise OracleCapError(
             f"n={n} exceeds the oracle cap {cap}: the interval DP combines "
-            f"{(n - 1) ** 2 // 4} (length, apex) pairs over up to 2^{k - 1} "
+            f"{(n - 1) ** 2 // 4} (length, apex) pairs over up to 2^{min(k, n + 1) - 1} "
             "path-length sets per side; raise the cap explicitly to proceed"
         )
     started = time.monotonic()
-    opened, closed = _tables(n, k)
+    opened, closed = _tables(n, min(k, n + 1))  # no path or cycle is longer than n
     mask, (value, _, _) = next(iter(closed[n - 1].items()))
     edges = _witness_edges(opened, closed, mask)
     _check_witness(n, k, value, edges)

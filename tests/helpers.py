@@ -252,6 +252,12 @@ def ladder(m: int) -> op.Graph:
     return op.make_graph(2 * m, rungs + rails)
 
 
+def pendant_polygon(m: int) -> op.Graph:
+    """An m-gon with a pendant edge at every vertex: at k=5 every step but
+    the last cuts one pendant off the polygon."""
+    return op.make_graph(2 * m, [(i, (i + 1) % m) for i in range(m)] + [(i, m + i) for i in range(m)])
+
+
 def rand_ckfree_subgraph(rng: random.Random, n: int, k: int) -> op.Graph:
     """Random subgraph of a random triangulation with all k-cycles destroyed."""
     g = rand_subgraph(rng, rand_triangulation(rng, n).graph, keep=0.85)
@@ -416,6 +422,7 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
 
     def root_audit(node, g, vouched, k, path, audit):
         node_audit(node, g, None, path, audit)
+        return []  # the whole tree is audited: verify_certificate's loop has nothing left
 
     with mock.patch.object(certify_module, "_verify_node", root_audit):
         return op.verify_certificate(cert, k)

@@ -4,6 +4,7 @@ import json
 from collections import Counter
 import math
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,7 +23,9 @@ from opturan.certify import (
 )
 from opturan.dual import branch_weights
 
-from helpers import ladder, rand_ckfree_subgraph
+from helpers import ladder, pendant_polygon, rand_ckfree_subgraph
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def certify(g_or_emb, k):
@@ -236,6 +239,34 @@ class TestVerifier:
         text = op.certificate_to_json(op.Certificate(k=5, graph=op.make_graph(2, [(0, 1)]), root=root))
         assert op.certificate_to_json(op.certificate_from_json(text)) == text
 
+    def test_deep_inputs_certify_under_a_low_recursion_limit(self, tmp_path):
+        """Build, verify, write and read each loop over a stack of their own,
+        so certificates about 300 levels deep pass at recursion limit 120."""
+        script = (
+            "import sys\n"
+            "import opturan as op\n"
+            "graphs = [op.graph_from_text(open(p).read()) for p in sys.argv[1:]]\n"
+            "sys.setrecursionlimit(120)\n"
+            "for g in graphs:\n"
+            "    cert = op.build_certificate(op.recognize_outerplanar(g), 5)\n"
+            "    lines = op.verify_certificate(cert, 5).format_lines()\n"
+            "    text = op.certificate_to_json(cert)\n"
+            "    again = op.certificate_from_json(text)\n"
+            "    same = op.certificate_to_json(again) == text\n"
+            "    print(lines[-1], same, op.verify_certificate(again, 5).format_lines() == lines)\n"
+        )
+        paths = []
+        for name, graph in (("ladder", ladder(300)), ("pendants", pendant_polygon(300))):
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(op.graph_to_json(graph))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *map(str, paths)],
+            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stderr == ""
+        # slack (2k-5)(kn-k-1) - e(k^2-2k-1) at k=5, n=600: e=898 and e=600
+        assert done.stdout.splitlines() == [f"verdict=true root_slack={slack} True True" for slack in (2398, 6570)]
+
     def test_benchmark_certificates_read_back_equal(self, monkeypatch):
         """Every certificate of the benchmark's chain_certify ops and of its
         host_cli hosts for seed 1 reads back as the tree that was written."""
@@ -296,46 +327,72 @@ def _pop_child(root):
     return dataclasses.replace(root, children=root.children[:-1])
 
 
+def _second_tree(nodes):
+    nodes.append(BASE_LEAF)
+
+
+def _unknown_root(nodes):
+    nodes[0][0] = "mystery"
+
+
 class TestSelections:
     """Each selection that does not fit its graph is one audit failure at its node.
 
     A document's child counts follow from its kinds, so a tree whose node
     has another number of children, or a kind with no count, exists only
-    in memory: written out, it reads back as a format error.
+    in memory: the writer refuses it, and a document edited to the same
+    shape reads back as a format error.
     """
 
     CASES = [
-        # (graph, k, change to the root node, the one failure, the format error or None)
+        # (graph, k, change to the root node, the one failure,
+        #  None or (the writer's error, an edit of the valid document's nodes, the reader's error))
         (PATH9, 5, _set("cut", -1), "cut -1 is not a vertex of the node graph", None),
         (PATH9, 5, _set("cut", 9), "cut 9 is not a vertex of the node graph", None),
         (PATH9, 5, _set("side", (10**6,)), "side [1000000] " + BAD_SIDE, None),
         (PATH9, 5, _set("side", (0, 0)), "side [0, 0] " + BAD_SIDE, None),
         (PATH9, 5, _set("side", (4,)), "side [4] " + BAD_SIDE, None),
         (PATH9, 5, _set("side", ()), "side [] " + BAD_SIDE, None),
-        (PATH9, 5, _add_child, "expected 2 children, found 3", "holds 2 trees"),
+        (
+            PATH9, 5, _add_child, "expected 2 children, found 3",
+            ("cannot write a 'cut_split' node whose child count is 3", _second_tree, "holds 2 trees"),
+        ),
         (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 99)), NOT_A_FACE, None),
         (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 4)), NOT_A_FACE, None),
         (CHAIN51, 5, _set("face", (0, 1, 2), keep=3), "face of size 3 is below k+1 = 6", None),
-        (CHAIN51, 5, _pop_child, "expected 6 children, found 5", "ends before the children"),
+        (
+            CHAIN51, 5, _pop_child, "expected 6 children, found 5",
+            ("cannot write a 'big_face_split' node whose child count is 5", list.pop, "ends before the children"),
+        ),
         (LADDER, 5, _set("face", (1, 0, 3, 2)), "a peeled face edge lies in a non-terminal block", None),
         (LADDER, 5, _set("face", (0, 1, 2, 4, 5, 3)), "face size 6 outside 4..4", None),
         (LADDER, 5, _set("face", (0, 1, 2, 4)), NOT_A_FACE, None),  # no chord, but 4-0 is no edge
-        (op.fan(4).graph, 5, _add_child, "leaf node must not have children", "holds 2 trees"),
-        (op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'", "unknown node kind 'mystery'"),
+        (
+            op.fan(4).graph, 5, _add_child, "leaf node must not have children",
+            ("cannot write a 'maximal_leaf' node whose child count is 1", _second_tree, "holds 2 trees"),
+        ),
+        (
+            op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'",
+            ("cannot write a 'mystery' node whose child count is 0", _unknown_root, "unknown node kind 'mystery'"),
+        ),
     ]
 
-    @pytest.mark.parametrize("graph, k, change, failure, error", CASES, ids=[case[3] for case in CASES])
-    def test_failure_not_exception(self, graph, k, change, failure, error):
+    @pytest.mark.parametrize("graph, k, change, failure, shape", CASES, ids=[case[3] for case in CASES])
+    def test_failure_not_exception(self, graph, k, change, failure, shape):
         cert = op.build_certificate(op.recognize_outerplanar(graph), k)
         bad = dataclasses.replace(cert, root=change(cert.root))
         assert op.verify_certificate(bad, k).failures == (f"root: {failure}",)
-        text = op.certificate_to_json(bad)
-        if error is not None:
-            with pytest.raises(op.CertificateFormatError, match=error):
-                op.certificate_from_json(text)
-        else:
-            report = op.verify_certificate(op.certificate_from_json(text), k)
+        if shape is None:
+            report = op.verify_certificate(op.certificate_from_json(op.certificate_to_json(bad)), k)
             assert report.failures == (f"root: {failure}",)
+            return
+        written, edit, read = shape
+        with pytest.raises(op.CertificateFormatError, match=written):
+            op.certificate_to_json(bad)
+        data = json.loads(op.certificate_to_json(cert))
+        edit(data["nodes"])
+        with pytest.raises(op.CertificateFormatError, match=read):
+            op.certificate_from_json(json.dumps(data))
 
     def test_big_face_split_needs_every_part_across_one_edge(self):
         # the pendant edge hangs at one face vertex, not across a face edge

@@ -1,4 +1,3 @@
-import json
 import resource
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from opturan.certify import CoverageError
 from opturan.cli import main
 from opturan.turan import BoundValue
 
-from helpers import ladder
+from helpers import ladder, pendant_polygon
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -146,6 +145,18 @@ class TestOracle:
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
 
+    @pytest.mark.parametrize("command", ["oracle", "certify"])
+    def test_huge_k_is_clamped_to_the_vertex_count(self, tmp_path, command):
+        """No cycle is longer than n, so a -k far past n builds no k-bit
+        table: the oracle's DP stops at n+1 and the spectrum at n."""
+        square = tmp_path / "square.json"
+        square.write_text(op.graph_to_json(op.make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])))
+        source = ["-n", "5"] if command == "oracle" else ["--in", str(square)]
+        done = run_capped(command, "-k", "100000000000", *source)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert ("value=7 " if command == "oracle" else "verdict=true") in done.stdout
+
     @pytest.mark.parametrize("cap", ["1", "0", "-5"])
     def test_cap_below_two_is_invalid_input(self, capsys, cap):
         code, out, err = run(capsys, "oracle", "-k", "4", "-n", "3", "--cap", cap)
@@ -269,32 +280,22 @@ class TestCertify:
         assert err == "certificate construction failed: no decomposition step applies\n"
 
     def test_deep_certificate_is_written_and_reads_back(self, tmp_path):
-        """A 600-rung ladder peels one square per level, so its certificate
-        is about 600 nodes deep; the file holds them as one flat list."""
-        graph_path, cert_path = tmp_path / "ladder.json", tmp_path / "ladder.cert.json"
-        graph_path.write_text(op.graph_to_json(ladder(600)))
-        done = subprocess.run(
-            [sys.executable, "-m", "opturan", "certify", "-k", "5", "--in", str(graph_path), "--out", str(cert_path)],
-            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        report = op.verify_certificate(op.certificate_from_json(cert_path.read_text()), 5)
-        assert report.format_lines() + [f"wrote {cert_path}"] == done.stdout.splitlines()
-
-    def test_too_deep_input_is_a_refusal(self, tmp_path):
-        """A 600-gon with a pendant edge at every vertex: one cut split per pendant."""
-        n = 600
-        edges = [[i, (i + 1) % n] for i in range(n)] + [[i, n + i] for i in range(n)]
-        graph_path = tmp_path / "ladder.json"
-        graph_path.write_text(json.dumps({"n": 2 * n, "edges": edges}))
-        done = subprocess.run(
-            [sys.executable, "-m", "opturan", "certify", "-k", "5", "--in", str(graph_path)],
-            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 3, done.stderr
-        assert done.stderr.startswith("refused: ")
-        assert "Traceback" not in done.stderr
-        assert done.stdout == ""
+        """A 600-rung ladder peels one square per level, and a 600-gon with a
+        pendant edge at every vertex cuts one pendant off per level, so both
+        certificates are about 600 nodes deep. Both are built and verified
+        at Python's default recursion limit, and each file holds its nodes
+        as one flat list that reads back to the same audit."""
+        for name, graph in (("ladder", ladder(600)), ("pendants", pendant_polygon(600))):
+            graph_path, cert_path = tmp_path / f"{name}.json", tmp_path / f"{name}.cert.json"
+            graph_path.write_text(op.graph_to_json(graph))
+            done = subprocess.run(
+                [sys.executable, "-m", "opturan", "certify", "-k", "5", "--in", str(graph_path), "--out", str(cert_path)],
+                env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (0, ""), name
+            assert done.stdout.splitlines()[-2].startswith("verdict=true "), name
+            report = op.verify_certificate(op.certificate_from_json(cert_path.read_text()), 5)
+            assert report.format_lines() + [f"wrote {cert_path}"] == done.stdout.splitlines(), name
 
 
 class TestGraphInput:

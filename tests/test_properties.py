@@ -461,42 +461,48 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
     its block's weak dual) is a node whose graph, derived from its parent's
     by _big_face_children, _peel_children or _cut_children, has exactly
     those faces and dual edges once mapped to ranks: weak_dual of its
-    recognised embedding. Every 2-connected node is decomposed that way."""
-    forests = {}
-    build = certify_module._build_faces
+    recognised embedding. Every 2-connected node is decomposed that way.
+    The builder makes its nodes in preorder, so the face steps' forests,
+    in call order, belong to the 2-connected nodes in preorder."""
+    forests = []
+    step = certify_module._face_step
 
     def record(src, faces):
-        node = build(src, faces)
         chosen = set(faces)
         pairs = [(f, g, e) for f in faces for g, e in src.links[f] if f < g and g in chosen]
         at = {f: i for i, f in enumerate(faces)}
-        forests[id(node)] = forest_form(
-            [src.dual.faces[f].vertices for f in faces],
-            [e for _, _, e in pairs],
-            [(at[f], at[g]) for f, g, _ in pairs],
-            {v for f in faces for v in src.dual.faces[f].vertices},
+        forests.append(
+            forest_form(
+                [src.dual.faces[f].vertices for f in faces],
+                [e for _, _, e in pairs],
+                [(at[f], at[g]) for f, g, _ in pairs],
+                {v for f in faces for v in src.dual.faces[f].vertices},
+            )
         )
-        return node
+        return step(src, faces)
 
     g, k = shaped_host(seed, size, k, shape)
-    with mock.patch.object(certify_module, "_build_faces", record):
+    with mock.patch.object(certify_module, "_face_step", record):
         cert = op.build_certificate(op.recognize_outerplanar(g), k)
     derive = {
         certify_module.CUT_SPLIT: lambda g, node: certify_module._cut_children(g, node.cut, node.side),
         certify_module.BIG_FACE_SPLIT: lambda g, node: certify_module._big_face_children(g, node.face),
         certify_module.TERMINAL_PEEL: lambda g, node: certify_module._peel_children(g, node.face),
     }
+    face_kinds = (certify_module.BIG_FACE_SPLIT, certify_module.TERMINAL_PEEL, certify_module.MAXIMAL_LEAF)
     stack = [(cert.root, certify_module._root_graph(g))] if g.e else []
+    faced = 0  # the 2-connected nodes met so far, in preorder
     while stack:
         node, graph = stack.pop()
-        two_connected = node.kind in (certify_module.BIG_FACE_SPLIT, certify_module.TERMINAL_PEEL)
-        assert (id(node) in forests) == (two_connected or node.kind == certify_module.MAXIMAL_LEAF)
-        if id(node) in forests:
+        if node.kind in face_kinds:
             dual = op.weak_dual(op.recognize_outerplanar(graph))
             expected = forest_form([f.vertices for f in dual.faces], dual.shared_edges, dual.edges, range(graph.n))
-            assert forests[id(node)] == expected
+            assert forests[faced] == expected
+            faced += 1
         if node.kind in derive:
-            stack.extend(zip(node.children, (c for c, _ in derive[node.kind](graph, node))))
+            children = (c for c, _ in derive[node.kind](graph, node))
+            stack.extend(reversed(list(zip(node.children, children))))
+    assert faced == len(forests)
 
 
 @LARGE

@@ -84,3 +84,40 @@ def test_builder_reads_no_embedding_off_a_parent():
     tree = ast.parse((PACKAGE / "certify.py").read_text())
     names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) for n in ast.walk(tree)}
     assert names & {"restrict_embedding", "_embedded", "_block_graph"} == set()
+
+
+def _recursive_functions(package: Path) -> set[str]:
+    """Names of the package's functions, methods and named lambdas that can
+    call themselves again, on the call graph keyed by the called name."""
+    calls: dict[str, set[str]] = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+                name, body = getattr(node.targets[0], "id", "<lambda>"), node.value
+            else:
+                continue
+            called = calls.setdefault(name, set())
+            for call in ast.walk(body):  # nested functions and lambdas included
+                if isinstance(call, ast.Call):
+                    called.add(getattr(call.func, "id", getattr(call.func, "attr", None)))
+    found = set()
+    for start in calls:
+        stack, seen = [start], set()
+        while stack:
+            for callee in calls.get(stack.pop(), ()):
+                if callee == start:
+                    found.add(start)
+                if callee in calls and callee not in seen:
+                    seen.add(callee)
+                    stack.append(callee)
+    return found
+
+
+def test_no_recursion_but_the_triangulation_enumerator():
+    """A certificate can be as deep as its input, so no function of the
+    package may reach itself again: the builder and the verifier each loop
+    over a work stack. The one exception is oracle._chord_sets, which
+    enumerates the triangulations of small polygons for the tests."""
+    assert _recursive_functions(PACKAGE) == {"_chord_sets"}
