@@ -32,32 +32,34 @@ node every inner face is a face of its block, and the weak dual is a tree:
 a face split's children and a peel's rest are the branches of that tree
 behind the chosen face's edges (an edge with no branch is a base leaf), so
 each is again a connected set of the block's faces. Only the peel, with vL
-merged into v1, is not a subgraph; it has n* <= k-2 vertices, so it has no
-k-cycle, and it is recognised afresh.
+merged into v1, is not a subgraph but a minor: the peeled sides and the
+edge v1vL with that edge contracted. Outerplanarity passes to minors (no
+K4 and no K2,3 minor), and n* <= k-2 leaves no room for a k-cycle.
 
 Work model. The builder and the verifier each loop over a stack of work
 items, so a certificate as deep as its input takes no recursion. The
-builder builds a weak dual once for the caller's embedding and once for
-each contracted peel, the only graphs it builds. A cut split's children are
-whole blocks and bridges, split as lists on their block-cut forest. A lone
-block is the set of its faces, and every 2-connected node below it is a
-connected subset: the builder picks the big face or the peel off the
-sub-forest on those faces and passes each child its branch of faces. A node
-whose faces are all triangles is a maximal leaf with n = 2 + sum(size - 2).
-Choices are made in the embedding's labels and recorded as ranks among the
-node's vertices, in increasing order like the node graph's labels, so its
-faces and tie-breaks are the same. The contracted peels are recognised in
-O(k log k) each. No node builds a triangular-block partition. The verifier
-derives every split's children from the node graph alone, so it builds no
-weak dual and checks the builder independently, and it passes no
-embedding down: heredity is a flag. It gives the full checks, recognition
-and the exhaustive k-cycle search (which never looks at faces), only to
-the root and to each peel; a peel has fewer than k vertices, so its search
-is skipped. Every other node is vouched for by heredity, since its edges
-are the parent edges that the verifier's own derivation kept. A vouched
-maximal leaf is settled by e = 2n-3 and n <= k-1 alone: on a graph known
-to be outerplanar, e = 2n-3 is exactly edge-maximality, so it is not
-recognised again. Below a root that is not outerplanar nothing is vouched
+builder builds one weak dual, for the caller's embedding, and neither
+builds nor recognises a graph. A cut split's children are whole blocks
+and bridges, split as lists on their block-cut forest. A lone block is the
+set of its faces, and every 2-connected node below it is a connected
+subset: the builder picks the big face or the peel on those faces and
+passes each child its branch of them. A contracted peel is 2-connected,
+and its faces are the face v1..v(L-1) and the peeled triangles with vL
+renamed v1, which the builder adds to its faces. A node whose faces are
+all triangles is a maximal leaf with n = 2 + sum(size - 2). Choices are
+made in the embedding's labels, each peel's vL merged into its v1 < vL,
+and recorded as ranks among the node's vertices, in increasing order like
+the node graph's labels; the merge keeps the order of the other vertices,
+so faces and tie-breaks are the same. No node builds a triangular-block
+partition. The verifier derives every split's children from the node
+graph alone, so it builds no weak dual and checks the builder
+independently, and it passes no embedding down: heredity is a flag. It
+gives the full checks, recognition and the exhaustive k-cycle search
+(which never looks at faces), only to the root, and to a recorded peel on
+k or more vertices, which its parent's n* check fails. Every other node is
+vouched for by heredity. A vouched maximal leaf is settled by e = 2n-3 and
+n <= k-1 alone: on a graph known to be outerplanar, e = 2n-3 is exactly
+edge-maximality. Below a root that is not outerplanar nothing is vouched
 for, so each node there gets the full checks.
 
 Node kinds, their selections and their bookkeeping:
@@ -136,7 +138,7 @@ from .embedding import (
     cycle_length_set,
     recognize_outerplanar,
 )
-from .dual import WeakDualForest, branch_weights, find_reducible_face, weak_dual
+from .dual import branch_weights, reducible_face, weak_dual
 from .turan import bound_holds
 
 EDGELESS = "edgeless"
@@ -201,10 +203,10 @@ class Certificate:
 def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
     """Decomposition certificate for a k-cycle-free outerplane graph.
 
-    Each step pops ("units", units, src), ("faces", faces, src) (no faces:
-    an edge alone, a base leaf) or ("peel", graph, src), recognised only
-    now, and gives its node's format-3 entry and its children's items. The
-    entries come in preorder, and the reader's _tree assembles them.
+    Each step pops ("units", units) or ("faces", faces) (no faces: an edge
+    alone, a base leaf) and gives its node's format-3 entry and its
+    children's items. The entries come in preorder, and the reader's _tree
+    assembles them.
     """
     if k < 3:
         raise ValueError(f"cycle length must be >= 3, got {k}")
@@ -213,16 +215,15 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
         raise ValueError(f"certification needs n >= 2, got n={g.n}")
     if k in cycle_length_set(emb, k):
         raise ContainsForbiddenCycleError(f"graph contains a cycle of length {k}")
+    units, src = _decompose(emb, k)
     # an edgeless graph is one leaf, any other starts from its units
-    nodes, work = ([], [("units", *_decompose(emb, k))]) if g.e else ([[EDGELESS]], [])
+    nodes, work = ([], [("units", units)]) if g.e else ([[EDGELESS]], [])
     while work:
-        what, item, src = work.pop()
-        if what == "peel":
-            what, item, src = "units", *_decompose(recognize_outerplanar(item), k)
+        what, item = work.pop()
         if what == "units" and len(item) == 1:  # a lone block is its faces, a bridge none
             what, item = "faces", list(item[0][2] or ())
         if what == "units":
-            entry, children = _cut_split(item, src)
+            entry, children = _cut_split(item)
         else:
             entry, children = _face_step(src, item) if item else ([BASE], [])
         nodes.append(entry)
@@ -231,10 +232,9 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
 
 
 class _Source(NamedTuple):
-    """The embedding a lone block's faces come from, as the builder walks it."""
+    """The faces the builder walks: the embedding's, then each contracted peel's."""
 
-    graph: Graph  # the embedded graph
-    dual: WeakDualForest
+    faces: list[tuple[int, ...]]  # canonical boundaries
     links: list[list[tuple[int, Edge]]]  # per face: (neighbour, shared edge)
     k: int
 
@@ -257,10 +257,10 @@ def _decompose(emb: OuterplaneEmbedding, k: int) -> tuple[list[Unit], _Source]:
         blocks.append((tuple(sorted(block.outer)), len(block.outer) + len(block.chords), faces))
         first = faces.stop
     units: list[Unit] = sorted(blocks, key=lambda u: u[0]) + [(e, 1, None) for e in sorted(emb.bridges)]
-    return units, _Source(emb.graph, dual, links, k)
+    return units, _Source([face.vertices for face in dual.faces], links, k)
 
 
-def _cut_split(units: list[Unit], src: _Source) -> tuple[list, list[tuple]]:
+def _cut_split(units: list[Unit]) -> tuple[list, list[tuple]]:
     """The cut split of the union of two or more units, read off their
     block-cut forest: its entry and its children's items, each with whole
     units in their order."""
@@ -300,64 +300,77 @@ def _cut_split(units: list[Unit], src: _Source) -> tuple[list, list[tuple]]:
     side = sorted(bisect_left(ranks, v) for v in least)
     halves = [[u for x, u in enumerate(units) if (x in first) == which] for which in (True, False)]
     entry = [CUT_SPLIT, None if cut is None else bisect_left(ranks, cut), side]
-    return entry, [("units", half, src) for half in halves]
+    return entry, [("units", half) for half in halves]
 
 
 def _face_step(src: _Source, faces: list[int]) -> tuple[list, list[tuple]]:
-    """The step at the node made of `faces`, whose weak dual is the
-    sub-forest on them: its entry and its children's items, the faces
-    behind each face edge of a big face or behind a peel's closing edge
-    (the rest), and the contracted peel."""
+    """The step at the node made of `faces`, a connected set of one block's
+    or one contracted peel's faces: its entry and its children's items, the
+    faces behind each face edge of a big face, or a peel's rest (the faces
+    behind its closing edge) and the contracted peel."""
     k = src.k
-    index = {f: i for i, f in enumerate(faces)}
-    shared = [(index[f], index[g], e) for f in faces for g, e in src.links[f] if f < g and g in index]
-    sub = WeakDualForest(
-        faces=tuple(src.dual.faces[f] for f in faces),
-        edges=tuple((a, b) for a, b, _ in shared),
-        shared_edges=tuple(e for _, _, e in shared),
-    )
-    largest = max([len(face.vertices) for face in sub.faces])
+    bounds = [src.faces[f] for f in faces]
+    largest = max(map(len, bounds))
     if largest < 4:  # all triangles: n = 2 + sum(size - 2), e = 2n-3
         n = 2 + len(faces)
         if n > k - 1:
             raise CoverageError(f"maximal leaf conditions failed at n={n}, e={2 * n - 3}, k={k}")
         return [MAXIMAL_LEAF], []
-    if largest >= k + 1:
-        kind, ring = BIG_FACE_SPLIT, _select_big_face(sub, k)
-    else:
-        kind, ring = TERMINAL_PEEL, _select_peel(sub, k)
-    size = len(ring)
-    s = [face.vertices for face in sub.faces].index(canonical_cycle(ring))
-    across = {e: index[g] for g, e in src.links[faces[s]] if g in index}
+    index = {f: i for i, f in enumerate(faces)}
     adj = [[index[g] for g, _ in src.links[f] if g in index] for f in faces]
+    if largest >= k + 1:
+        # the child across a face edge holds sum(size - 1) + 1 edges of its faces
+        branches = branch_weights(adj, [len(b) - 1 for b in bounds])
+        big = (i for i, b in enumerate(bounds) if len(b) >= k + 1)
+        kind, s = BIG_FACE_SPLIT, min(big, key=lambda i: (max(branches[i], default=0), bounds[i]))
+    else:
+        kind, (s, held) = TERMINAL_PEEL, reducible_face(bounds, adj)
+    across = {e: index[g] for g, e in src.links[faces[s]] if g in index}
+    ring, size = list(bounds[s]), len(bounds[s])
+    if kind == TERMINAL_PEEL:
+        if not 4 <= size <= k - 1:
+            raise CoverageError(f"reducible face size {size} outside 4..{k - 1}")
+        # the edge in a non-terminal block, if any, joins the last vertex to the first
+        skip = next((i for i in range(size) if across.get(edge_key(ring[i], ring[(i + 1) % size])) in held), 0)
+        ring = ring[skip + 1 :] + ring[: skip + 1]
+        if ring[0] > ring[-1]:
+            ring.reverse()  # same closing edge, and v1 < vL for determinism
     sides = []  # the faces behind face edge i, from ring[i] to ring[i+1]
     for i in range(size if kind == BIG_FACE_SPLIT else size - 1):
         c = across.get(edge_key(ring[i], ring[(i + 1) % size]))
         sides.append([] if c is None else [faces[x] for x in _behind(adj, s, [c])])
-    vertices = sorted({v for face in sub.faces for v in face.vertices})
+    vertices = sorted({v for b in bounds for v in b})
     entry = [kind, [bisect_left(vertices, v) for v in ring]]
     if kind == BIG_FACE_SPLIT:
-        return entry, [("faces", side, src) for side in sides]
+        return entry, [("faces", side) for side in sides]
     peeled = {faces[s]}.union(*sides)  # every other face lies behind the closing edge
     rest = [f for f in faces if f not in peeled]
-    return entry, [("faces", rest, src), ("peel", _contracted_peel(src, ring, sides), src)]
+    return entry, [("faces", rest), _contracted_peel(src, ring, sides)]
 
 
-def _contracted_peel(src: _Source, ring: tuple[int, ...], sides: list[list[int]]) -> Graph:
+def _contracted_peel(src: _Source, ring: list[int], sides: list[list[int]]) -> tuple[str, list[int]]:
     """Face edges ring[0]ring[1] .. ring[-2]ring[-1] with the faces behind
-    them, which must all be triangles, and ring[-1] merged into ring[0]:
-    the only graph the builder builds."""
-    edges = set()
+    them, which must all be triangles, and ring[-1] merged into ring[0],
+    added to src as the face ring[:-1] and the renamed triangles."""
+    at = len(src.faces)
+    renamed = {f: at + 1 + i for i, f in enumerate(chain.from_iterable(sides))}
+
+    def merged(*vertices: int) -> list[int]:
+        return [ring[0] if v == ring[-1] else v for v in vertices]
+
+    src.faces.append(canonical_cycle(ring[:-1]))
+    src.links.append([])
     for i, side in enumerate(sides):
-        edges.add(edge_key(ring[i], ring[i + 1]))
         for f in side:
-            face = src.dual.faces[f]
-            if face.size >= 4:
+            if len(src.faces[f]) >= 4:
                 raise CoverageError("a peeled face edge lies in a non-terminal block")
-            edges.update(face.boundary_edges())
-    v1, vl = ring[0], ring[-1]
-    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in edges]
-    return subgraph_on_edges(src.graph, merged)[0]
+            src.faces.append(canonical_cycle(merged(*src.faces[f])))
+            src.links.append([(renamed[g], edge_key(*merged(*e))) for g, e in src.links[f] if g in renamed])
+        if side:  # _behind starts at the triangle across the face edge
+            e = edge_key(*merged(ring[i], ring[i + 1]))
+            src.links[at].append((renamed[side[0]], e))
+            src.links[renamed[side[0]]].append((at, e))
+    return "faces", list(range(at, len(src.faces)))
 
 
 def _halves(weights: list[int]) -> tuple[list[int], list[int]]:
@@ -389,36 +402,6 @@ def _behind(adj: list[list[int]], at: int, starts: list[int]) -> list[int]:
                 seen.add(y)
                 stack.append(y)
     return reached
-
-
-def _select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
-    """The face of size >= k+1 whose largest child has the fewest edges."""
-    faces = dual.faces
-    # the child across a face edge holds sum(size - 1) + 1 edges of its faces
-    branches = branch_weights(dual.adjacency(), [f.size - 1 for f in faces])
-    at = min(
-        (i for i, f in enumerate(faces) if f.size >= k + 1),
-        key=lambda i: (max(branches[i], default=0), faces[i].vertices),
-    )
-    return faces[at].vertices
-
-
-def _select_peel(dual: WeakDualForest, k: int) -> tuple[int, ...]:
-    """The reducible face, rotated so that its edge in a non-terminal block
-    (if any) joins the last vertex to the first, and face[0] < face[-1]."""
-    found = find_reducible_face(dual)
-    if found is None:
-        raise CoverageError("no reducible face although a (4+)-face exists")
-    face_obj, held = found
-    size = face_obj.size
-    if not 4 <= size <= k - 1:
-        raise CoverageError(f"reducible face size {size} outside 4..{k - 1}")
-    ring = list(face_obj.vertices)
-    skip = next((i for i in range(size) if edge_key(ring[i], ring[(i + 1) % size]) in held), 0)
-    ring = ring[skip + 1 :] + ring[: skip + 1]
-    if ring[0] > ring[-1]:
-        ring.reverse()  # same closing edge, and v1 < vL for determinism
-    return tuple(ring)
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +467,12 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     Derives every node's graph from the certified graph and the recorded
     selections. It recognises the root's graph and searches it exhaustively
     for a k-cycle (not via the face spectrum). Children that are subgraphs
-    of their parent inherit both properties (see the module docstring), so
-    a flag stands for them; each contracted peel is recognised afresh, and
-    searched if it has k or more vertices. At every node it checks whether
-    the selection fits the graph, the split bookkeeping identities, the
-    leaf conditions and the integer inequality chain. Failures are
-    pinpointed by node path.
+    of their parent inherit both properties (see the module docstring), and
+    so does a contracted peel, a minor of its parent, on fewer than k
+    vertices, so a flag stands for them; a peel on more is recognised and
+    searched afresh. At every node it checks whether the selection fits
+    the graph, the split bookkeeping identities, the leaf conditions and
+    the integer inequality chain. Failures are pinpointed by node path.
     """
     audit = _Audit(k)
     if k != cert.k:
@@ -591,9 +574,11 @@ def _verify_node(
             note=note,
         )
     )
-    # every child but the contracted peel (no vertex map) keeps only edges of g
+    # every child but the contracted peel (no vertex map) keeps only edges
+    # of g; the peel is a minor of g, and with fewer than k vertices it has
+    # no k-cycle
     return [
-        (child, child_graph, vouched and to_parent is not None, f"{path}.{i}")
+        (child, child_graph, vouched and (to_parent is not None or child_graph.n < k), f"{path}.{i}")
         for i, (child, (child_graph, to_parent)) in enumerate(zip(node.children, children))
     ]
 
@@ -792,20 +777,24 @@ def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
 def certificate_to_json(cert: Certificate) -> str:
     """The certificate as one line of JSON: its nodes in preorder, each as
     its kind and its selection, read off an explicit stack. A node of an
-    unknown kind or another _arity would read back as another tree, so it
-    raises CertificateFormatError."""
+    unknown kind or another _arity would read back as another tree, and
+    one whose selection fields are not its kind's would not read back, so
+    either raises CertificateFormatError."""
     nodes, stack = [], [cert.root]
     while stack:
         node = stack.pop()
-        if node.kind not in _KINDS or len(node.children) != _arity(node.kind, node.face):
-            count = len(node.children)
-            raise CertificateFormatError(f"cannot write a {node.kind!r} node whose child count is {count}")
-        if node.kind == CUT_SPLIT:
-            nodes.append([node.kind, node.cut, list(node.side)])
-        elif node.face is not None:
-            nodes.append([node.kind, list(node.face)])
+        kind, cut, side, face = node.kind, node.cut, node.side, node.face
+        if kind not in _KINDS or len(node.children) != _arity(kind, face):
+            raise CertificateFormatError(f"cannot write a {kind!r} node whose child count is {len(node.children)}")
+        # the fields _tree reads for each kind: cut and side, face, or none
+        if kind == CUT_SPLIT and side is not None and face is None:
+            nodes.append([kind, cut, list(side)])
+        elif kind in (BIG_FACE_SPLIT, TERMINAL_PEEL) and face is not None and cut is None and side is None:
+            nodes.append([kind, list(face)])
+        elif kind in _LEAVES and cut is None and side is None and face is None:
+            nodes.append([kind])
         else:
-            nodes.append([node.kind])
+            raise CertificateFormatError(f"cannot write a {kind} node with cut={cut}, side={side}, face={face}")
         stack.extend(reversed(node.children))
     return json.dumps(
         {

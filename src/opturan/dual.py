@@ -19,6 +19,8 @@ exists whenever a (4+)-face does: in each dual tree the (4+)-faces span a
 subtree, and a leaf of it (or its only node) qualifies.
 
 Everything after weak_dual reads its faces off a dual the caller built once.
+The rule itself, reducible_face, needs only face boundaries and adjacency,
+so the certificate builder applies it to the face lists it keeps.
 """
 
 from __future__ import annotations
@@ -236,24 +238,32 @@ def branch_weights(adj: list[list[int]], weight: list[int]) -> list[list[int]]:
     ]
 
 
-def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] | None:
-    """A (4+)-inner-face with at most one dual branch around it that holds a (4+)-face.
-
-    Returns (face, its edges in a non-terminal block: at most one), or None
-    when every inner face is a triangle. Among qualifying faces the
-    lexicographically least boundary wins, for reproducible output.
-    """
-    big = [int(f.size >= 4) for f in dual.faces]
+def reducible_face(boundaries: list[tuple[int, ...]], adj: list[list[int]]) -> tuple[int, list[int]] | None:
+    """The reducible face of a weak dual given as boundaries and adjacency:
+    its index and its neighbours whose branch holds a (4+)-face (at most
+    one), or None when every face is a triangle. Among qualifying faces the
+    least boundary wins, for reproducible output."""
+    big = [int(len(b) >= 4) for b in boundaries]
     if not any(big):
         return None
-    branches = branch_weights(dual.adjacency(), big)
+    branches = branch_weights(adj, big)
     qualifying = [f for f, b in enumerate(branches) if big[f] and len(b) - b.count(0) <= 1]
     if not qualifying:
         raise EmbeddingInvariantError("no reducible face despite a (4+)-face being present")
-    chosen = min(qualifying, key=lambda f: dual.faces[f].vertices)
-    # the chosen face's shared edges in adjacency() order, which follows dual.edges
-    across = [e for (a, b), e in zip(dual.edges, dual.shared_edges) if chosen in (a, b)]
-    return dual.faces[chosen], tuple(e for e, w in zip(across, branches[chosen]) if w)
+    chosen = min(qualifying, key=boundaries.__getitem__)
+    return chosen, [u for u, w in zip(adj[chosen], branches[chosen]) if w]
+
+
+def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] | None:
+    """The (4+)-inner-face reducible_face picks, with at most one dual branch
+    around it that holds a (4+)-face, and its edges in a non-terminal block
+    (at most one); None when every inner face is a triangle."""
+    found = reducible_face([f.vertices for f in dual.faces], dual.adjacency())
+    if found is None:
+        return None
+    chosen, held = found
+    across = {a + b - chosen: e for (a, b), e in zip(dual.edges, dual.shared_edges) if chosen in (a, b)}
+    return dual.faces[chosen], tuple(across[u] for u in held)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from unittest import mock
 import opturan as op
 import opturan.certify as certify_module
 import opturan.construct as construct_module
-from opturan.dual import branch_weights
+from opturan.dual import WeakDualForest, branch_weights, find_reducible_face
 from opturan.embedding import (
     EdgeNotOnOuterFaceError,
     EmbeddingInvariantError,
@@ -462,12 +462,42 @@ def reference_select_cut(g: op.Graph, dec: op.BlockCutDecomposition) -> tuple[in
     return cut, tuple(sorted(side))
 
 
+def reference_select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
+    """The face of size >= k+1 whose largest child has the fewest edges."""
+    faces = dual.faces
+    # the child across a face edge holds sum(size - 1) + 1 edges of its faces
+    branches = branch_weights(dual.adjacency(), [f.size - 1 for f in faces])
+    at = min(
+        (i for i, f in enumerate(faces) if f.size >= k + 1),
+        key=lambda i: (max(branches[i], default=0), faces[i].vertices),
+    )
+    return faces[at].vertices
+
+
+def reference_select_peel(dual: WeakDualForest, k: int) -> tuple[int, ...]:
+    """The reducible face, rotated so that its edge in a non-terminal block
+    (if any) joins the last vertex to the first, and face[0] < face[-1]."""
+    found = find_reducible_face(dual)
+    if found is None:
+        raise certify_module.CoverageError("no reducible face although a (4+)-face exists")
+    face_obj, held = found
+    size = face_obj.size
+    if not 4 <= size <= k - 1:
+        raise certify_module.CoverageError(f"reducible face size {size} outside 4..{k - 1}")
+    ring = list(face_obj.vertices)
+    skip = next((i for i in range(size) if op.edge_key(ring[i], ring[(i + 1) % size]) in held), 0)
+    ring = ring[skip + 1 :] + ring[: skip + 1]
+    if ring[0] > ring[-1]:
+        ring.reverse()  # same closing edge, and v1 < vL for determinism
+    return tuple(ring)
+
+
 def reference_build(emb: op.OuterplaneEmbedding, k: int) -> op.Certificate:
     """build_certificate with every node decomposed on its node graph: the
     root graph is g without its isolated vertices; a graph of several
     blocks and bridges is cut where reference_select_cut says; a block is
-    split at _select_big_face or peeled at _select_peel on its own weak
-    dual. The children come from the verifier's derivations, each with its
+    split at reference_select_big_face or peeled at reference_select_peel
+    on its own weak dual. The children come from the verifier's derivations, each with its
     embedding read off the parent's by restrict_embedding, or recognised
     for the contracted peel."""
     g = emb.graph
@@ -484,10 +514,10 @@ def reference_build(emb: op.OuterplaneEmbedding, k: int) -> op.Certificate:
         else:
             dual = op.weak_dual(emb)
             if any(f.size >= k + 1 for f in dual.faces):
-                kind, face = certify_module.BIG_FACE_SPLIT, certify_module._select_big_face(dual, k)
+                kind, face = certify_module.BIG_FACE_SPLIT, reference_select_big_face(dual, k)
                 children = certify_module._big_face_children(g, face)
             elif any(f.size >= 4 for f in dual.faces):
-                kind, face = certify_module.TERMINAL_PEEL, certify_module._select_peel(dual, k)
+                kind, face = certify_module.TERMINAL_PEEL, reference_select_peel(dual, k)
                 children = certify_module._peel_children(g, face)
             elif op.is_edge_maximal(emb) and g.n <= k - 1:
                 return op.CertNode(kind=certify_module.MAXIMAL_LEAF)

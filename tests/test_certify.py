@@ -438,6 +438,26 @@ class TestSelections:
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json(text)
 
+    # in-memory roots whose selection fields are not their kind's: the
+    # document each would give does not read back, so the writer refuses it
+    UNWRITABLE = [
+        (op.make_graph(3, [(0, 1), (1, 2)]), 4, "side", None, "cut_split node with cut=1, side=None, face=None"),
+        (LADDER, 5, "face", None, "terminal_peel node with cut=None, side=None, face=None"),
+        (op.fan(4).graph, 5, "face", (0, 1, 2), r"maximal_leaf node with cut=None, side=None, face=\(0, 1, 2\)"),
+        (PATH9, 5, "face", (0, 1, 2), r"cut_split node with cut=4, side=\(0,\), face=\(0, 1, 2\)"),
+    ]
+
+    @pytest.mark.parametrize(
+        "graph, k, key, value, written",
+        UNWRITABLE,
+        ids=["cut split without side", "peel without face", "leaf with a face", "cut split with a face"],
+    )
+    def test_writer_refuses_fields_of_another_kind(self, graph, k, key, value, written):
+        cert = op.build_certificate(op.recognize_outerplanar(graph), k)
+        bad = dataclasses.replace(cert, root=dataclasses.replace(cert.root, **{key: value}))
+        with pytest.raises(op.CertificateFormatError, match=f"cannot write a {written}"):
+            op.certificate_to_json(bad)
+
     # the root split of each graph, and sides naming other vertices of the same parts
     SIDES = [
         (PATH9, 5, 4, (0,), ([3], [1, 2])),
@@ -574,11 +594,11 @@ class TestBalancedSplits:
 
 class TestWorkModel:
     """Children inherit outerplanarity and k-cycle-freeness from their parents.
-    The builder walks each block on its weak dual and builds a graph only for
-    the contracted peels; the verifier recognises only the root and the
-    contracted peels, and searches only the root."""
+    The builder walks the faces of the input's weak dual and keeps each
+    contracted peel as faces too, so it builds no graph; the verifier
+    recognises and searches only the root."""
 
-    def test_recognition_only_at_the_root_and_the_peels(self, monkeypatch):
+    def test_recognition_only_at_the_root(self, monkeypatch):
         import opturan.certify as certify_module
         import opturan.embedding as embedding_module
 
@@ -593,57 +613,39 @@ class TestWorkModel:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        def vouched_leaves(node):
-            """Maximal leaves other than contracted peels (child 1 of a peel)."""
-            count, stack = 0, [(node, False)]
-            while stack:
-                node, contracted = stack.pop()
-                count += node.kind == MAXIMAL_LEAF and not contracted
-                stack.extend(
-                    (child, node.kind == TERMINAL_PEEL and i == 1)
-                    for i, child in enumerate(node.children)
-                )
-            return count
-
         assert not hasattr(certify_module, "restrict_embedding")
         names = ("recognize_outerplanar", "has_cycle_of_length", "subgraph_on_edges", "_cut_children")
         for name in names:
             counted(name)
         counted("biconnected_decomposition", embedding_module)
-        for g, peels, leaves in ((ladder(12), 11, 0), (CHAIN51, 0, 6), (HEXAGON_WITH_PENDANT, 0, 0)):
+        for g, peels, leaves in ((ladder(12), 11, 11), (CHAIN51, 0, 6), (HEXAGON_WITH_PENDANT, 0, 0)):
             emb = op.recognize_outerplanar(g)
             calls.clear()
             cert = op.build_certificate(emb, 5)
             kinds = node_kinds(cert.root)
             assert kinds.count(TERMINAL_PEEL) == peels
-            assert vouched_leaves(cert.root) == leaves
-            # the builder builds, recognises and decomposes only the
-            # contracted peels; every other node is a set of blocks and
-            # bridges or a set of one block's faces
-            assert calls == Counter(
-                recognize_outerplanar=peels,
-                subgraph_on_edges=peels,
-                biconnected_decomposition=peels,
-            )
-            calls.clear()
+            assert kinds.count(MAXIMAL_LEAF) == leaves
+            # every node is a set of blocks and bridges or a set of faces
+            # of the input or of a contracted peel
+            assert calls == Counter()
             assert op.verify_certificate(cert, 5).verdict
             # the verifier reads no embedding off a parent's; it derives
-            # every node graph (one subgraph each), settles a maximal leaf
-            # its parent vouches for by e = 2n-3 with no recognition, and
-            # derives every cut split's children from the node graph
-            recognised = 1 + peels
+            # every node graph (one subgraph each), vouches for every child
+            # but a contracted peel on k or more vertices, settles a vouched
+            # maximal leaf by e = 2n-3 with no recognition, and derives
+            # every cut split's children from the node graph
             assert calls == Counter(
-                recognize_outerplanar=recognised,
+                recognize_outerplanar=1,
                 has_cycle_of_length=1,
                 subgraph_on_edges=len(kinds),
-                biconnected_decomposition=recognised,
+                biconnected_decomposition=1,
                 _cut_children=kinds.count(CUT_SPLIT),
             )
 
-    def test_one_weak_dual_per_embedding(self, monkeypatch):
-        """The builder builds one weak dual for the input embedding and one
-        for each contracted peel, and picks every big face and peel off a
-        sub-forest of it, without a block partition. Every split derives
+    def test_one_weak_dual_per_build(self, monkeypatch):
+        """The builder builds one weak dual, for the input embedding, and
+        picks every big face and peel off a set of its faces or of a
+        contracted peel's, without a block partition. Every split derives
         its children from the node graph alone, so the verifier builds no
         dual structure."""
         import opturan.certify as certify_module
@@ -665,6 +667,7 @@ class TestWorkModel:
                 "weak_dual",
                 "triangular_blocks",
                 "classify_terminal",
+                "reducible_face",
                 "find_reducible_face",
             ):
                 if hasattr(module, name):
@@ -675,10 +678,55 @@ class TestWorkModel:
             kinds = node_kinds(cert.root)
             assert kinds.count(TERMINAL_PEEL) == peels
             assert kinds.count(MAXIMAL_LEAF) > 0
-            assert calls == Counter(weak_dual=1 + peels, find_reducible_face=peels)
+            assert calls == Counter(weak_dual=1, reducible_face=peels)
             calls.clear()
             assert op.verify_certificate(cert, 5).verdict
             assert calls == Counter()
+
+    def test_certify_command_recognises_twice(self, monkeypatch, tmp_path, capsys):
+        """`certify` recognises its input once to build, and the verifier
+        recognises the root once, however many peels the certificate has."""
+        import opturan.certify as certify_module
+        import opturan.cli as cli_module
+
+        calls = Counter()
+        original = op.recognize_outerplanar
+
+        def counted(g):
+            calls[g.n] += 1
+            return original(g)
+
+        for module in (certify_module, cli_module):
+            monkeypatch.setattr(module, "recognize_outerplanar", counted)
+        path = tmp_path / "ladder.json"
+        path.write_text(op.graph_to_json(ladder(12)))
+        assert cli_module.main(["certify", "-k", "5", "--in", str(path)]) == 0
+        assert "verdict=true" in capsys.readouterr().out
+        assert calls == Counter({24: 2})
+
+    def test_contracted_peel_on_k_or_more_vertices_is_searched(self):
+        """A contracted peel is a minor of its outerplanar parent, which
+        vouches for it only when it has fewer than k vertices. A recorded
+        peel on more keeps the full checks and reports its own k-cycle."""
+        # a 4-face 0-1-2-3 with a triangle on each of its edges 01, 12, 23;
+        # merging 3 into 0 gives a peel on 6 vertices with the 5-cycle 0-4-1-5-2
+        graph = op.make_graph(
+            7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]
+        )
+        data = {
+            "format": 3,
+            "k": 5,
+            "graph": json.loads(op.graph_to_json(graph)),
+            "nodes": [["terminal_peel", [0, 1, 2, 3]], BASE_LEAF, ["maximal_leaf"]],
+        }
+        report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
+        assert report.failures == (
+            "root: node graph contains a cycle of length 5",
+            "root: contracted peel has n* = 6 >= k-1 = 4",
+            "root.1: node graph contains a cycle of length 5",
+            "root.1: maximal leaf has n=6 > k-1=4",
+            "root.1: inequality fails: 126 > 120",
+        )
 
     def test_graph_that_is_not_outerplanar_fails_without_exception(self):
         # K4 on 0..3 with a pendant edge 3-4, recorded as a cut split at 3

@@ -376,7 +376,7 @@ def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_see
                 restrict_embedding(emb, [(sub, to_parent)])
 
 
-SHAPES = ("connected", "forest", "disconnected", "isolated", "ladder", "pendants", "run", "chain")
+SHAPES = ("connected", "forest", "disconnected", "isolated", "ladder", "pendants", "run", "chain", "fans")
 
 
 def face_run(rng: random.Random, size: int, k: int) -> list[tuple[int, int]]:
@@ -401,12 +401,35 @@ def face_run(rng: random.Random, size: int, k: int) -> list[tuple[int, int]]:
     return edges
 
 
+def polygon_fans(rng: random.Random, size: int, k: int) -> list[tuple[int, int]]:
+    """Polygons of 5..k-1 vertices (k >= 6), each glued at one vertex to
+    one before it and carrying a triangulated fan on some of its edges, up
+    to k-1 vertices in all, so every block is k-cycle-free. Each polygon is
+    peeled, and so is its contracted peel, a polygon one vertex shorter
+    that keeps the fans."""
+    edges, n = [], 1
+    while n < size:
+        p = rng.randint(5, k - 1)
+        ring = [rng.randrange(n)] + list(range(n, n + p - 1))
+        n += p - 1
+        edges += [(ring[i], ring[(i + 1) % p]) for i in range(p)]
+        spare = k - 1 - p  # the vertices the block's fans may add
+        for i in rng.sample(range(p), p):
+            extra = rng.randint(0, spare)
+            spare -= extra
+            apex, far = (ring[i], ring[(i + 1) % p])[:: rng.choice((1, -1))]
+            path = list(range(n, n + extra)) + [far]
+            n += extra
+            edges += [(path[j], path[j + 1]) for j in range(extra)] + [(apex, v) for v in path[:-1]]
+    return edges
+
+
 def shaped_host(seed: int, size: int, k: int, shape: str) -> tuple[op.Graph, int]:
     """A k-cycle-free host of the given shape, relabelled at random, and the
     k it avoids: one random_ckfree_host, a forest, two to four hosts side
     by side, one host with isolated vertices, a ladder P2 x Pm with m =
     3..60 (odd k, since its cycles are even), a polygon with pendant edges,
-    a face_run, or a small extremal chain."""
+    a face_run, a small extremal chain, or polygon_fans (k >= 6)."""
     rng = random.Random(seed)
     count = {"connected": 1, "isolated": 1, "forest": rng.randint(1, 4), "disconnected": rng.randint(2, 4)}
     n, edges = 0, []
@@ -426,6 +449,10 @@ def shaped_host(seed: int, size: int, k: int, shape: str) -> tuple[op.Graph, int
         k = max(k, 4)
         whole = op.build_chain(k, 1 + size % 3).graph
         n, edges = whole.n, list(whole.edges)
+    elif shape == "fans":
+        k = max(k, 6) + size % 4
+        edges = polygon_fans(rng, size, k)
+        n = max(v for e in edges for v in e) + 1
     for _ in range(count.get(shape, 0)):
         if shape == "forest":
             p = rng.randint(2, size)
@@ -458,9 +485,10 @@ def forest_form(faces, shared_edges, pairs, vertices) -> tuple:
 @given(seeds, st.integers(20, 200), st.integers(3, 8), st.sampled_from(SHAPES))
 def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
     """Every node the builder decomposes on a set of faces (a sub-forest of
-    its block's weak dual) is a node whose graph, derived from its parent's
-    by _big_face_children, _peel_children or _cut_children, has exactly
-    those faces and dual edges once mapped to ranks: weak_dual of its
+    its block's weak dual, or of the faces it added for a contracted peel,
+    peels inside peels included) is a node whose graph, derived from its
+    parent's by _big_face_children, _peel_children or _cut_children, has
+    exactly those faces and dual edges once mapped to ranks: weak_dual of its
     recognised embedding. Every 2-connected node is decomposed that way.
     The builder makes its nodes in preorder, so the face steps' forests,
     in call order, belong to the 2-connected nodes in preorder."""
@@ -473,10 +501,10 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
         at = {f: i for i, f in enumerate(faces)}
         forests.append(
             forest_form(
-                [src.dual.faces[f].vertices for f in faces],
+                [src.faces[f] for f in faces],
                 [e for _, _, e in pairs],
                 [(at[f], at[g]) for f, g, _ in pairs],
-                {v for f in faces for v in src.dual.faces[f].vertices},
+                {v for f in faces for v in src.faces[f]},
             )
         )
         return step(src, faces)
@@ -509,8 +537,9 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
 @given(seeds, st.integers(20, 200), st.integers(3, 8), st.sampled_from(SHAPES))
 def test_unit_cut_splits_equal_the_graph_level_reference(seed, size, k, shape):
     """Cut splits read off the units' block-cut forest, and face splits and
-    peels read off each block's weak dual, give the certificate that
-    decomposing every node on its node graph gives, byte for byte."""
+    peels read off each block's weak dual and each contracted peel's added
+    faces, give the certificate that decomposing every node on its node
+    graph gives, byte for byte."""
     g, k = shaped_host(seed, size, k, shape)
     emb = op.recognize_outerplanar(g)
     expected = op.certificate_to_json(reference_build(emb, k))

@@ -79,11 +79,20 @@ def test_verifier_reads_no_embedding_off_a_parent():
 
 
 def test_builder_reads_no_embedding_off_a_parent():
-    """The builder walks each block on its weak dual, so certify.py names no
-    embedding restriction and no graph-level builder."""
-    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    """The builder walks the faces of one weak dual and keeps each contracted
+    peel as faces, so certify.py names no embedding restriction and no
+    graph-level builder, and the builder's code, from build_certificate up
+    to the Verifier section, neither recognises nor builds a graph."""
+    source = (PACKAGE / "certify.py").read_text()
+    tree = ast.parse(source)
     names = {getattr(n, "id", getattr(n, "attr", getattr(n, "name", None))) for n in ast.walk(tree)}
     assert names & {"restrict_embedding", "_embedded", "_block_graph"} == set()
+    start = next(n.lineno for n in tree.body if getattr(n, "name", None) == "build_certificate")
+    end = source.splitlines().index("# Verifier") + 1
+    builder = [n for n in tree.body if start <= n.lineno < end]
+    assert {"_face_step", "_contracted_peel", "_cut_split"} <= {getattr(n, "name", None) for n in builder}
+    used = {getattr(n, "id", getattr(n, "attr", None)) for node in builder for n in ast.walk(node)}
+    assert used & {"recognize_outerplanar", "subgraph_on_edges"} == set()
 
 
 def _recursive_functions(package: Path) -> set[str]:
