@@ -178,7 +178,9 @@ class CertNode:
     """One decomposition step: its kind, its selection and its children.
 
     The node's graph is not stored; it is derived from the parent's graph
-    and selection. Only the selection fields of the node's kind are set.
+    and selection. A node is checked when it is made, read or built alike:
+    a known kind, exactly its kind's selection fields, of plain ints, and
+    its kind's _arity of children, else CertificateFormatError.
     """
 
     kind: str
@@ -186,6 +188,26 @@ class CertNode:
     cut: int | None = None  # cut_split; None splits a disconnected graph
     side: tuple[int, ...] | None = None  # cut_split: least vertex of each child-0 part
     face: tuple[int, ...] | None = None  # big_face_split, terminal_peel: cyclic order
+
+    def __post_init__(self) -> None:
+        kind, cut, side, face = self.kind, self.cut, self.side, self.face
+        if kind == CUT_SPLIT:
+            fits = (cut is None or type(cut) is int) and _is_ints(side) and face is None
+        elif kind in (BIG_FACE_SPLIT, TERMINAL_PEEL):
+            fits = _is_ints(face) and cut is None and side is None
+        elif kind in _LEAVES:
+            fits = cut is None and side is None and face is None
+        else:
+            raise CertificateFormatError(f"{kind!r:.80} is not a node kind")
+        if not fits:
+            held = f"cut={cut!r:.40}, side={side!r:.40}, face={face!r:.40}"
+            raise CertificateFormatError(f"a {kind} node cannot hold {held}")
+        if len(self.children) != _arity(kind, face):
+            raise CertificateFormatError(f"a {kind} node takes {_arity(kind, face)} children, not {len(self.children)}")
+
+
+def _is_ints(value: object) -> bool:
+    return type(value) is tuple and all(type(x) is int for x in value)
 
 
 @dataclass(frozen=True)
@@ -464,15 +486,16 @@ class _Audit:
 def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     """Independent audit of a certificate; never raises on bad content.
 
-    Derives every node's graph from the certified graph and the recorded
-    selections. It recognises the root's graph and searches it exhaustively
-    for a k-cycle (not via the face spectrum). Children that are subgraphs
-    of their parent inherit both properties (see the module docstring), and
-    so does a contracted peel, a minor of its parent, on fewer than k
-    vertices, so a flag stands for them; a peel on more is recognised and
-    searched afresh. At every node it checks whether the selection fits
-    the graph, the split bookkeeping identities, the leaf conditions and
-    the integer inequality chain. Failures are pinpointed by node path.
+    Each node's kind, fields and child count were checked when it was made.
+    The audit derives every node's graph from the certified graph and the
+    recorded selections, recognises the root's graph and searches it
+    exhaustively for a k-cycle (not via the face spectrum). Children that
+    are subgraphs of their parent inherit both properties (see the module
+    docstring), as does a contracted peel, a minor of its parent, on fewer
+    than k vertices, so a flag stands for them; a peel on more is recognised
+    and searched afresh. At every node it checks the selection against the
+    graph, the split bookkeeping identities, the leaf conditions and the
+    integer inequality chain. Failures are pinpointed by node path.
     """
     audit = _Audit(k)
     if k != cert.k:
@@ -514,9 +537,6 @@ def _verify_node(
     passes both checks by heredity; otherwise g is checked in full:
     recognised and searched.
     """
-    if node.kind not in _KINDS:
-        audit.fail(path, f"unknown node kind {node.kind!r}")
-        return []
     before = len(audit.failures)
     if not vouched:
         try:
@@ -533,8 +553,6 @@ def _verify_node(
     note = ""
     children: list[Derived] = []
 
-    if node.kind in _LEAVES and node.children:
-        audit.fail(path, "leaf node must not have children")
     if node.kind == EDGELESS:
         if g.e != 0:
             audit.fail(path, "edgeless node has edges")
@@ -588,32 +606,24 @@ def _verify_split(
 ) -> list[Derived]:
     """A split node's derived children after its bookkeeping checks.
 
-    Returns no children when they cannot be derived: the selection does not
-    fit, a face is recorded on a graph that is not known to be outerplanar,
-    or the recorded tree has another number of children.
+    Returns none when the selection does not fit or a face is recorded on a
+    graph not known to be outerplanar, else as many as the node's, its _arity.
     """
-    face = node.face or ()
-    size = len(face)
     try:
         if node.kind == CUT_SPLIT:
-            if node.side is None:
-                raise SelectionError("cut split lacks its side")
             children = _cut_children(g, node.cut, node.side)
         elif not vouched:
             return []  # not outerplanar, reported above
         elif node.kind == BIG_FACE_SPLIT:
-            if size < k + 1:
-                raise SelectionError(f"face of size {size} is below k+1 = {k + 1}")
-            children = _big_face_children(g, face)
+            if len(node.face) < k + 1:
+                raise SelectionError(f"face of size {len(node.face)} is below k+1 = {k + 1}")
+            children = _big_face_children(g, node.face)
         else:
-            if not 4 <= size <= k - 1:
-                raise SelectionError(f"face size {size} outside 4..{k - 1}")
-            children = _peel_children(g, face)
+            if not 4 <= len(node.face) <= k - 1:
+                raise SelectionError(f"face size {len(node.face)} outside 4..{k - 1}")
+            children = _peel_children(g, node.face)
     except SelectionError as exc:
         audit.fail(path, str(exc))
-        return []
-    if len(children) != len(node.children):
-        audit.fail(path, f"expected {len(children)} children, found {len(node.children)}")
         return []
 
     n_sum = sum(c.n for c, _ in children)
@@ -622,6 +632,7 @@ def _verify_split(
     if e_sum != g.e:
         audit.fail(path, f"children hold {e_sum} edges, the node {g.e}")
     if node.kind == BIG_FACE_SPLIT:
+        size = len(node.face)
         if n_sum != g.n + size:
             audit.fail(path, f"sum n_i = {n_sum} differs from n+L = {g.n + size}")
         mid = audit.coeff * (k * (g.n + size) - k * size - size)
@@ -775,26 +786,17 @@ def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """The certificate as one line of JSON: its nodes in preorder, each as
-    its kind and its selection, read off an explicit stack. A node of an
-    unknown kind or another _arity would read back as another tree, and
-    one whose selection fields are not its kind's would not read back, so
-    either raises CertificateFormatError."""
+    """The certificate as one line of JSON: its nodes in preorder, each as its
+    kind and its selection, read off an explicit stack; CertNode checked each."""
     nodes, stack = [], [cert.root]
     while stack:
         node = stack.pop()
-        kind, cut, side, face = node.kind, node.cut, node.side, node.face
-        if kind not in _KINDS or len(node.children) != _arity(kind, face):
-            raise CertificateFormatError(f"cannot write a {kind!r} node whose child count is {len(node.children)}")
-        # the fields _tree reads for each kind: cut and side, face, or none
-        if kind == CUT_SPLIT and side is not None and face is None:
-            nodes.append([kind, cut, list(side)])
-        elif kind in (BIG_FACE_SPLIT, TERMINAL_PEEL) and face is not None and cut is None and side is None:
-            nodes.append([kind, list(face)])
-        elif kind in _LEAVES and cut is None and side is None and face is None:
-            nodes.append([kind])
+        if node.kind == CUT_SPLIT:
+            nodes.append([node.kind, node.cut, list(node.side)])
+        elif node.face is not None:
+            nodes.append([node.kind, list(node.face)])
         else:
-            raise CertificateFormatError(f"cannot write a {kind} node with cut={cut}, side={side}, face={face}")
+            nodes.append([node.kind])
         stack.extend(reversed(node.children))
     return json.dumps(
         {
@@ -808,21 +810,9 @@ def certificate_to_json(cert: Certificate) -> str:
     )
 
 
-def _int(value: object) -> int:
-    if type(value) is not int:
-        raise CertificateFormatError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _ints(value: object) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise CertificateFormatError(f"expected a list of integers, got {value!r}")
-    return tuple(_int(x) for x in value)
-
-
-def _arity(kind: str, face: tuple[int, ...] | None) -> int:
-    """Children of a node: none for a leaf, two for a cut split or a peel, L for a big face."""
-    return 0 if kind in _LEAVES else len(face or ()) if kind == BIG_FACE_SPLIT else 2
+def _arity(kind: str, face: object) -> int:
+    """Children of a node: none for a leaf, L for a big face, else two (CertNode refuses a non-tuple face)."""
+    return 0 if kind in _LEAVES else len(face) if kind == BIG_FACE_SPLIT and type(face) is tuple else 2
 
 
 def _tree(nodes: object) -> CertNode:
@@ -830,6 +820,7 @@ def _tree(nodes: object) -> CertNode:
 
     Every subtree is complete before its parent is read, so each node takes
     the trees on top of the stack as its children, as many as its _arity.
+    Lists become tuples; CertNode checks the rest.
     """
     if not isinstance(nodes, list):
         raise CertificateFormatError(f"expected a list of nodes, got {nodes!r:.80}")
@@ -837,15 +828,14 @@ def _tree(nodes: object) -> CertNode:
     for item in reversed(nodes):
         if not (isinstance(item, list) and item and isinstance(item[0], str)):
             raise CertificateFormatError(f"malformed certificate node: {item!r:.80}")
-        kind, fields = item[0], item[1:]
+        kind, fields = item[0], [tuple(x) if type(x) is list else x for x in item[1:]]
         if kind not in _KINDS:
             raise CertificateFormatError(f"unknown node kind {kind!r}")
         cut = side = face = None
         if kind == CUT_SPLIT and len(fields) == 2:
-            cut = None if fields[0] is None else _int(fields[0])
-            side = _ints(fields[1])
+            cut, side = fields
         elif kind in (BIG_FACE_SPLIT, TERMINAL_PEEL) and len(fields) == 1:
-            face = _ints(fields[0])
+            face = fields[0]
         elif fields or kind not in _LEAVES:
             raise CertificateFormatError(f"malformed {kind} node: {item!r:.80}")
         count = _arity(kind, face)
@@ -880,4 +870,6 @@ def certificate_from_json(text: str) -> Certificate:
         graph = make_graph(data["graph"]["n"], data["graph"]["edges"])
     except (KeyError, TypeError, GraphError) as exc:
         raise CertificateFormatError(f"malformed certified graph: {exc}") from exc
-    return Certificate(k=_int(data["k"]), graph=graph, root=_tree(data["nodes"]))
+    if type(data["k"]) is not int:
+        raise CertificateFormatError(f"expected an integer, got {data['k']!r}")
+    return Certificate(k=data["k"], graph=graph, root=_tree(data["nodes"]))

@@ -4,7 +4,8 @@ Subcommands: construct, bound, oracle, certify, analyze. All machine
 output is exact integers or integer pairs; identical invocations produce
 byte-identical files. Exit codes: 0 success, 1 verification or bound
 failure, 2 invalid input, 3 resource refusal (an oracle run above its
-cap, or a chain or input graph above the vertex cap).
+cap, a chain or input graph above the vertex cap, or graph6 output above
+its own).
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ def _emit_graph_files(
 def _cmd_construct(args: argparse.Namespace) -> int:
     emb = build_chain(args.k, args.m)
     g = emb.graph
+    if args.out and "g6" in args.formats and g.n > construct.MAX_G6_VERTICES:
+        raise ChainSizeError(f"graph6 of {g.n} vertices is above the cap {construct.MAX_G6_VERTICES}")
     check = bound_holds(g.e, args.k, g.n)
     sharp = sharp_residue(args.k, g.n)
     print(

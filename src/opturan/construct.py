@@ -29,10 +29,14 @@ from .embedding import OuterplaneEmbedding, recognize_outerplanar
 # copies) and the most a graph read by the CLI may have: each vertex takes
 # about 1 KiB while a graph is recognised
 MAX_CHAIN_VERTICES = 1_000_000
+# the most vertices of a chain that `construct` writes as graph6, which
+# stores one bit per vertex pair: 2^15 vertices take about 89 MB of text
+MAX_G6_VERTICES = 1 << 15
 
 
 class ChainSizeError(RuntimeError):
-    """Refusal of a chain or an input graph whose vertices exceed MAX_CHAIN_VERTICES."""
+    """Refusal of a chain or an input graph whose vertices exceed MAX_CHAIN_VERTICES,
+    or of graph6 output for a chain above MAX_G6_VERTICES."""
 
 
 @dataclass(frozen=True)

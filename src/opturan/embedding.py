@@ -18,8 +18,8 @@ out crossings, once per block.
 The union of a connected set of a block's inner faces needs no recognition
 either: it is 2-connected, its inner faces are exactly those faces, and its
 weak dual is the subtree on them. The certificate builder walks each block
-that way, on the weak dual it builds once, and recognises only graphs that
-are not such unions.
+that way, on the weak dual it builds once, and keeps each contracted peel
+as faces too, so it recognises no graph at all.
 
 Faces are read off each block by a single monotone stack scan over chord
 endpoints in cycle order; no geometry is ever computed. The same scan gives

@@ -362,7 +362,11 @@ _G6_HEADER = ">>graph6<<"
 
 
 def graph_to_graph6(g: Graph) -> str:
-    """Compact ASCII encoding (upper triangle, column-major, 6-bit chunks)."""
+    """Compact ASCII encoding (upper triangle, column-major, 6-bit chunks).
+
+    Bit j(j-1)/2 + i stands for the edge (i, j), i < j, most significant
+    first in each chunk; the chunks are set in place, one byte each.
+    """
     n = g.n
     if n <= 62:
         prefix = chr(n + 63)
@@ -370,22 +374,15 @@ def graph_to_graph6(g: Graph) -> str:
         prefix = "~" + "".join(chr(((n >> shift) & 63) + 63) for shift in (12, 6, 0))
     else:
         raise GraphError(f"graph6 encoding limited to n <= 258047, got {n}")
-    present = g.edge_set()
-    bits: list[int] = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for at in range(0, len(bits), 6):
-        val = 0
-        for b in bits[at : at + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return prefix + "".join(chars)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for i, j in g.edges:
+        at = j * (j - 1) // 2 + i
+        body[at // 6] |= 32 >> at % 6
+    return prefix + body.translate(_G6_CHARS).decode("ascii")
 
 
+# each six-bit chunk as its graph6 character, as a bytes.translate table
+_G6_CHARS = bytes((x + 63) & 255 for x in range(256))
 # each graph6 body character as its six bits, most significant first
 _G6_BITS = {63 + x: f"{x:06b}" for x in range(64)}
 

@@ -338,57 +338,57 @@ def _unknown_root(nodes):
 class TestSelections:
     """Each selection that does not fit its graph is one audit failure at its node.
 
-    A document's child counts follow from its kinds, so a tree whose node
-    has another number of children, or a kind with no count, exists only
-    in memory: the writer refuses it, and a document edited to the same
-    shape reads back as a format error.
+    A node of another shape, with a kind that is none, the selection fields
+    of another kind or another number of children, cannot be made: CertNode
+    refuses it, and a document edited to the same shape reads back as a
+    format error.
     """
 
     CASES = [
-        # (graph, k, change to the root node, the one failure,
-        #  None or (the writer's error, an edit of the valid document's nodes, the reader's error))
-        (PATH9, 5, _set("cut", -1), "cut -1 is not a vertex of the node graph", None),
-        (PATH9, 5, _set("cut", 9), "cut 9 is not a vertex of the node graph", None),
-        (PATH9, 5, _set("side", (10**6,)), "side [1000000] " + BAD_SIDE, None),
-        (PATH9, 5, _set("side", (0, 0)), "side [0, 0] " + BAD_SIDE, None),
-        (PATH9, 5, _set("side", (4,)), "side [4] " + BAD_SIDE, None),
-        (PATH9, 5, _set("side", ()), "side [] " + BAD_SIDE, None),
-        (
-            PATH9, 5, _add_child, "expected 2 children, found 3",
-            ("cannot write a 'cut_split' node whose child count is 3", _second_tree, "holds 2 trees"),
-        ),
-        (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 99)), NOT_A_FACE, None),
-        (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 4)), NOT_A_FACE, None),
-        (CHAIN51, 5, _set("face", (0, 1, 2), keep=3), "face of size 3 is below k+1 = 6", None),
-        (
-            CHAIN51, 5, _pop_child, "expected 6 children, found 5",
-            ("cannot write a 'big_face_split' node whose child count is 5", list.pop, "ends before the children"),
-        ),
-        (LADDER, 5, _set("face", (1, 0, 3, 2)), "a peeled face edge lies in a non-terminal block", None),
-        (LADDER, 5, _set("face", (0, 1, 2, 4, 5, 3)), "face size 6 outside 4..4", None),
-        (LADDER, 5, _set("face", (0, 1, 2, 4)), NOT_A_FACE, None),  # no chord, but 4-0 is no edge
-        (
-            op.fan(4).graph, 5, _add_child, "leaf node must not have children",
-            ("cannot write a 'maximal_leaf' node whose child count is 1", _second_tree, "holds 2 trees"),
-        ),
-        (
-            op.fan(4).graph, 5, _set("kind", "mystery"), "unknown node kind 'mystery'",
-            ("cannot write a 'mystery' node whose child count is 0", _unknown_root, "unknown node kind 'mystery'"),
-        ),
+        # (graph, k, change to the root node, the one failure)
+        (PATH9, 5, _set("cut", -1), "cut -1 is not a vertex of the node graph"),
+        (PATH9, 5, _set("cut", 9), "cut 9 is not a vertex of the node graph"),
+        (PATH9, 5, _set("side", (10**6,)), "side [1000000] " + BAD_SIDE),
+        (PATH9, 5, _set("side", (0, 0)), "side [0, 0] " + BAD_SIDE),
+        (PATH9, 5, _set("side", (4,)), "side [4] " + BAD_SIDE),
+        (PATH9, 5, _set("side", ()), "side [] " + BAD_SIDE),
+        (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 99)), NOT_A_FACE),
+        (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 4)), NOT_A_FACE),
+        (CHAIN51, 5, _set("face", (0, 1, 2), keep=3), "face of size 3 is below k+1 = 6"),
+        (LADDER, 5, _set("face", (1, 0, 3, 2)), "a peeled face edge lies in a non-terminal block"),
+        (LADDER, 5, _set("face", (0, 1, 2, 4, 5, 3)), "face size 6 outside 4..4"),
+        (LADDER, 5, _set("face", (0, 1, 2, 4)), NOT_A_FACE),  # no chord, but 4-0 is no edge
     ]
 
-    @pytest.mark.parametrize("graph, k, change, failure, shape", CASES, ids=[case[3] for case in CASES])
-    def test_failure_not_exception(self, graph, k, change, failure, shape):
+    @pytest.mark.parametrize("graph, k, change, failure", CASES, ids=[case[3] for case in CASES])
+    def test_failure_not_exception(self, graph, k, change, failure):
         cert = op.build_certificate(op.recognize_outerplanar(graph), k)
         bad = dataclasses.replace(cert, root=change(cert.root))
         assert op.verify_certificate(bad, k).failures == (f"root: {failure}",)
-        if shape is None:
-            report = op.verify_certificate(op.certificate_from_json(op.certificate_to_json(bad)), k)
-            assert report.failures == (f"root: {failure}",)
-            return
-        written, edit, read = shape
-        with pytest.raises(op.CertificateFormatError, match=written):
-            op.certificate_to_json(bad)
+        report = op.verify_certificate(op.certificate_from_json(op.certificate_to_json(bad)), k)
+        assert report.failures == (f"root: {failure}",)
+
+    SHAPES = [
+        # (graph, k, change to the root node, CertNode's error,
+        #  an edit of the valid document's nodes to the same shape, the reader's error)
+        (PATH9, 5, _add_child, "a cut_split node takes 2 children, not 3", _second_tree, "holds 2 trees"),
+        (CHAIN51, 5, _pop_child, "a big_face_split node takes 6 children, not 5", list.pop, "ends before the children"),
+        (op.fan(4).graph, 5, _add_child, "a maximal_leaf node takes 0 children, not 1", _second_tree, "holds 2 trees"),
+        (
+            op.fan(4).graph, 5, _set("kind", "mystery"), "'mystery' is not a node kind",
+            _unknown_root, "unknown node kind 'mystery'",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "graph, k, change, made, edit, read",
+        SHAPES,
+        ids=["cut split with 3 children", "big face with 5 of 6", "leaf with a child", "unknown kind"],
+    )
+    def test_misshapen_node_cannot_be_made(self, graph, k, change, made, edit, read):
+        cert = op.build_certificate(op.recognize_outerplanar(graph), k)
+        with pytest.raises(op.CertificateFormatError, match=made):
+            change(cert.root)
         data = json.loads(op.certificate_to_json(cert))
         edit(data["nodes"])
         with pytest.raises(op.CertificateFormatError, match=read):
@@ -432,31 +432,36 @@ class TestSelections:
 
     def test_cut_split_without_side(self):
         cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4)
-        bad = dataclasses.replace(cert, root=dataclasses.replace(cert.root, side=None))
-        assert op.verify_certificate(bad, 4).failures == ("root: cut split lacks its side",)
+        with pytest.raises(op.CertificateFormatError, match="cut_split node cannot hold cut=1, side=None"):
+            dataclasses.replace(cert.root, side=None)
         text = op.certificate_to_json(cert).replace('["cut_split",1,[0]]', '["cut_split",1]')
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json(text)
 
-    # in-memory roots whose selection fields are not their kind's: the
-    # document each would give does not read back, so the writer refuses it
+    # roots whose selection fields are not their kind's: the document each
+    # would give does not read back, so CertNode refuses them and the writer
+    # never meets one
     UNWRITABLE = [
-        (op.make_graph(3, [(0, 1), (1, 2)]), 4, "side", None, "cut_split node with cut=1, side=None, face=None"),
-        (LADDER, 5, "face", None, "terminal_peel node with cut=None, side=None, face=None"),
-        (op.fan(4).graph, 5, "face", (0, 1, 2), r"maximal_leaf node with cut=None, side=None, face=\(0, 1, 2\)"),
-        (PATH9, 5, "face", (0, 1, 2), r"cut_split node with cut=4, side=\(0,\), face=\(0, 1, 2\)"),
+        (op.make_graph(3, [(0, 1), (1, 2)]), 4, "side", None, "cut_split node cannot hold cut=1, side=None, face=None"),
+        (LADDER, 5, "face", None, "terminal_peel node cannot hold cut=None, side=None, face=None"),
+        (op.fan(4).graph, 5, "face", (0, 1, 2), r"maximal_leaf node cannot hold cut=None, side=None, face=\(0, 1, 2\)"),
+        (PATH9, 5, "face", (0, 1, 2), r"cut_split node cannot hold cut=4, side=\(0,\), face=\(0, 1, 2\)"),
+        (PATH9, 5, "side", (True,), r"cut_split node cannot hold cut=4, side=\(True,\), face=None"),
+        (CHAIN51, 5, "face", [0, 1, 2, 3, 4, 5], r"big_face_split node cannot hold .* face=\[0, 1, 2, 3, 4, 5\]"),
     ]
 
     @pytest.mark.parametrize(
         "graph, k, key, value, written",
         UNWRITABLE,
-        ids=["cut split without side", "peel without face", "leaf with a face", "cut split with a face"],
+        ids=[
+            "cut split without side", "peel without face", "leaf with a face", "cut split with a face",
+            "bool vertex", "face as a list",
+        ],
     )
     def test_writer_refuses_fields_of_another_kind(self, graph, k, key, value, written):
         cert = op.build_certificate(op.recognize_outerplanar(graph), k)
-        bad = dataclasses.replace(cert, root=dataclasses.replace(cert.root, **{key: value}))
-        with pytest.raises(op.CertificateFormatError, match=f"cannot write a {written}"):
-            op.certificate_to_json(bad)
+        with pytest.raises(op.CertificateFormatError, match=f"a {written}"):
+            dataclasses.replace(cert.root, **{key: value})
 
     # the root split of each graph, and sides naming other vertices of the same parts
     SIDES = [

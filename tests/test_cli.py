@@ -80,6 +80,25 @@ class TestConstruct:
         assert (done.returncode, done.stderr) == (0, "")
         assert " n=1000 e=1997 " in done.stdout
 
+    def test_large_chain_is_written_as_graph6_in_capped_memory(self, tmp_path):
+        """graph6 sets one bit per vertex pair in place, so the 28,004
+        vertices of k=5 m=2000 (65 MB of text) fit under the memory cap."""
+        done = run_capped("construct", "-k", "5", "-m", "2000", "--out", str(tmp_path), "--formats", "g6")
+        assert (done.returncode, done.stderr) == (0, "")
+        path, n = tmp_path / "chain_k5_m2000.g6", 28004
+        assert path.stat().st_size == len("~xyz") + (n * (n - 1) // 2 + 5) // 6 + len("\n")
+        with path.open("rb") as f:
+            assert f.read(4) == b"~Etc"  # n = 6*64^2 + 53*64 + 36, each digit plus 63
+        path.unlink()
+
+    def test_graph6_above_its_cap_is_refused(self, tmp_path):
+        # k=5, m=2400 has 33,604 vertices, above the 2^15 of MAX_G6_VERTICES
+        assert construct_module.MAX_G6_VERTICES == 1 << 15
+        done = run_capped("construct", "-k", "5", "-m", "2400", "--out", str(tmp_path), "--formats", "json,g6")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "refused: graph6 of 33604 vertices is above the cap 32768\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_file_output_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):

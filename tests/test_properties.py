@@ -735,7 +735,9 @@ def mutate(doc: dict, how: str, data) -> None:
 def test_heredity_flag_matches_the_restricted_embeddings(seed, size, host, k, how, data):
     """Vouching for derived children by a flag gives the audit that reading
     each child's embedding off its parent's gave, line for line, on valid
-    certificates and on broken ones."""
+    certificates and on broken ones. Every document the reader accepts is
+    also written back and reads again as the same tree: the writer needs
+    no checks of its own."""
     if host == "ladder":
         g, k = ladder(3 + size % 10), 5 if k < 7 else 7  # a ladder's cycles are even
     else:
@@ -747,4 +749,5 @@ def test_heredity_flag_matches_the_restricted_embeddings(seed, size, host, k, ho
         cert = op.certificate_from_json(json.dumps(doc))
     except op.CertificateFormatError:
         return
+    assert op.certificate_from_json(op.certificate_to_json(cert)) == cert
     assert op.verify_certificate(cert, k).format_lines() == reference_verify(cert, k).format_lines()

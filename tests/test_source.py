@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "opturan"
@@ -93,6 +94,25 @@ def test_builder_reads_no_embedding_off_a_parent():
     assert {"_face_step", "_contracted_peel", "_cut_split"} <= {getattr(n, "name", None) for n in builder}
     used = {getattr(n, "id", getattr(n, "attr", None)) for node in builder for n in ast.walk(node)}
     assert used & {"recognize_outerplanar", "subgraph_on_edges"} == set()
+
+
+def test_one_owner_for_the_shape_of_a_node():
+    """CertNode checks a node's kind, selection fields and child count when
+    the node is made, so the writer and the verifier check none of them,
+    and only the reader names an unknown kind, a document's."""
+    source = (PACKAGE / "certify.py").read_text()
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert "__post_init__" in {n.name for n in defs["CertNode"].body if isinstance(n, ast.FunctionDef)}
+    for name in ("certificate_to_json", "_verify_node", "_verify_split"):
+        found = list(ast.walk(defs[name]))
+        assert "CertificateFormatError" not in {getattr(n, "id", getattr(n, "attr", None)) for n in found}, name
+        counts = [n for n in found if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "len"]
+        assert "node.children" not in {ast.unparse(n.args[0]) for n in counts}, name
+    texts = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    for gone in ("leaf node must not have children", "cut split lacks its side", r"expected .* children, found"):
+        assert not any(re.search(gone, text) for text in texts), gone
+    reader = ast.get_source_segment(source, defs["_tree"])
+    assert sum(text.count("unknown node kind") for text in texts) == reader.count("unknown node kind") == 1
 
 
 def _recursive_functions(package: Path) -> set[str]:
