@@ -12,16 +12,17 @@ integer inequalities that together establish
 at the root. A certificate stores the certified graph and, per node, only
 its kind and the selection that fixes the step, as a flat preorder list:
 a node's kind fixes its number of children, so no recursion writes or
-reads it. The root decomposes the certified graph without its isolated
-vertices (the graph itself when it has no edge), and each child graph
-follows from its parent's graph and selection through one derivation per
-kind, which the verifier calls at every split. A derived child keeps the
-parent's vertices that its edges touch, relabelled 0.. in increasing
-order. A selection that does not fit its graph makes the derivation raise
-SelectionError. A recorded face must be an induced cycle of the node
-graph, which in an outerplanar graph is exactly an inner face; the side
-of a face edge is the edge plus the parts of the graph minus the face's
-vertices that hang across it.
+reads it. Every vertex is named by its label in the certified graph, so a
+certificate reads against its input. The root decomposes the certified
+graph without its isolated vertices (the graph itself when it has no
+edge), and each child's edges follow from its parent's edges and
+selection through one derivation per kind, which the verifier calls at
+every split; a node's vertices are those its edges touch. A selection
+that does not fit its node makes the derivation raise SelectionError. A
+recorded face must be an induced cycle of the node graph, which in an
+outerplanar graph is exactly an inner face; the side of a face edge is
+the edge plus the parts of the graph minus the face's vertices that hang
+across it.
 
 Heredity. Outerplanarity and k-cycle-freeness pass to subgraphs, and every
 derived child but one is a subgraph of its parent: both sides of a cut
@@ -47,20 +48,19 @@ passes each child its branch of them. A contracted peel is 2-connected,
 and its faces are the face v1..v(L-1) and the peeled triangles with vL
 renamed v1, which the builder adds to its faces. A node whose faces are
 all triangles is a maximal leaf with n = 2 + sum(size - 2). Choices are
-made in the embedding's labels, each peel's vL merged into its v1 < vL,
-and recorded as ranks among the node's vertices, in increasing order like
-the node graph's labels; the merge keeps the order of the other vertices,
-so faces and tie-breaks are the same. No node builds a triangular-block
-partition. The verifier derives every split's children from the node
-graph alone, so it builds no weak dual and checks the builder
-independently, and it passes no embedding down: heredity is a flag. It
-gives the full checks, recognition and the exhaustive k-cycle search
-(which never looks at faces), only to the root, and to a recorded peel on
-k or more vertices, which its parent's n* check fails. Every other node is
-vouched for by heredity. A vouched maximal leaf is settled by e = 2n-3 and
-n <= k-1 alone: on a graph known to be outerplanar, e = 2n-3 is exactly
-edge-maximality. Below a root that is not outerplanar nothing is vouched
-for, so each node there gets the full checks.
+made and recorded in the embedding's labels, each peel's vL merged into
+its v1 < vL. No node builds a triangular-block partition. The verifier
+carries each node as its edge list in the same labels and derives every
+split's children from it alone, so it builds no weak dual and checks the
+builder independently, and it passes no embedding down: heredity is a
+flag. It gives the full checks, recognition and the exhaustive k-cycle
+search (which never looks at faces), on the node's graph relabelled 0..,
+only to the root, and to a recorded peel on k or more vertices, which its
+parent's n* check fails. Every other node is vouched for by heredity. A
+vouched maximal leaf is settled by e = 2n-3 and n <= k-1 alone: on a
+graph known to be outerplanar, e = 2n-3 is exactly edge-maximality. Below
+a root that is not outerplanar nothing is vouched for, so each node there
+gets the full checks.
 
 Node kinds, their selections and their bookkeeping:
 
@@ -115,7 +115,6 @@ edge at every vertex gives a certificate as deep as the polygon.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -150,7 +149,7 @@ MAXIMAL_LEAF = "maximal_leaf"
 
 _KINDS = {EDGELESS, BASE, CUT_SPLIT, BIG_FACE_SPLIT, TERMINAL_PEEL, MAXIMAL_LEAF}
 _LEAVES = {EDGELESS, BASE, MAXIMAL_LEAF}
-FORMAT = 3
+FORMAT = 4
 
 
 class ContainsForbiddenCycleError(ValueError):
@@ -185,6 +184,7 @@ class CertNode:
 
     kind: str
     children: tuple["CertNode", ...] = ()
+    # selections, in the certified graph's labels
     cut: int | None = None  # cut_split; None splits a disconnected graph
     side: tuple[int, ...] | None = None  # cut_split: least vertex of each child-0 part
     face: tuple[int, ...] | None = None  # big_face_split, terminal_peel: cyclic order
@@ -226,9 +226,9 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
     """Decomposition certificate for a k-cycle-free outerplane graph.
 
     Each step pops ("units", units) or ("faces", faces) (no faces: an edge
-    alone, a base leaf) and gives its node's format-3 entry and its
-    children's items. The entries come in preorder, and the reader's _tree
-    assembles them.
+    alone, a base leaf) and gives its node's entry, its selection in the
+    embedding's labels, and its children's items. The entries come in
+    preorder, and the reader's _tree assembles them.
     """
     if k < 3:
         raise ValueError(f"cycle length must be >= 3, got {k}")
@@ -318,11 +318,8 @@ def _cut_split(units: list[Unit]) -> tuple[list, list[tuple]]:
         # a unit's least vertex other than the cut is one of its first two
         least.append(min(v for x in part for v in units[x][0][:2] if v != cut))
         first.update(part)
-    ranks = sorted(count)
-    side = sorted(bisect_left(ranks, v) for v in least)
     halves = [[u for x, u in enumerate(units) if (x in first) == which] for which in (True, False)]
-    entry = [CUT_SPLIT, None if cut is None else bisect_left(ranks, cut), side]
-    return entry, [("units", half) for half in halves]
+    return [CUT_SPLIT, cut, sorted(least)], [("units", half) for half in halves]
 
 
 def _face_step(src: _Source, faces: list[int]) -> tuple[list, list[tuple]]:
@@ -361,13 +358,11 @@ def _face_step(src: _Source, faces: list[int]) -> tuple[list, list[tuple]]:
     for i in range(size if kind == BIG_FACE_SPLIT else size - 1):
         c = across.get(edge_key(ring[i], ring[(i + 1) % size]))
         sides.append([] if c is None else [faces[x] for x in _behind(adj, s, [c])])
-    vertices = sorted({v for b in bounds for v in b})
-    entry = [kind, [bisect_left(vertices, v) for v in ring]]
     if kind == BIG_FACE_SPLIT:
-        return entry, [("faces", side) for side in sides]
+        return [kind, ring], [("faces", side) for side in sides]
     peeled = {faces[s]}.union(*sides)  # every other face lies behind the closing edge
     rest = [f for f in faces if f not in peeled]
-    return entry, [("faces", rest), _contracted_peel(src, ring, sides)]
+    return [kind, ring], [("faces", rest), _contracted_peel(src, ring, sides)]
 
 
 def _contracted_peel(src: _Source, ring: list[int], sides: list[list[int]]) -> tuple[str, list[int]]:
@@ -487,14 +482,14 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     """Independent audit of a certificate; never raises on bad content.
 
     Each node's kind, fields and child count were checked when it was made.
-    The audit derives every node's graph from the certified graph and the
+    The audit derives every node's edges from the certified graph and the
     recorded selections, recognises the root's graph and searches it
     exhaustively for a k-cycle (not via the face spectrum). Children that
     are subgraphs of their parent inherit both properties (see the module
     docstring), as does a contracted peel, a minor of its parent, on fewer
     than k vertices, so a flag stands for them; a peel on more is recognised
     and searched afresh. At every node it checks the selection against the
-    graph, the split bookkeeping identities, the leaf conditions and the
+    node, the split bookkeeping identities, the leaf conditions and the
     integer inequality chain. Failures are pinpointed by node path.
     """
     audit = _Audit(k)
@@ -509,36 +504,37 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     except GraphError as exc:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
-        # no node can be audited for shorter cycles; the stack keeps preorder
-        stack = [(cert.root, _root_graph(cert.graph), False, "root")] if k >= 3 else []
+        # the root is the certified graph without its isolated vertices (the
+        # graph itself when it has no edge); no node can be audited for
+        # shorter cycles; the stack keeps preorder
+        edges = list(cert.graph.edges)
+        n = _vertex_count(edges) if edges else cert.graph.n
+        stack = [(cert.root, n, edges, False, "root")] if k >= 3 else []
         while stack:
-            node, g, vouched, path = stack.pop()
-            stack.extend(reversed(_verify_node(node, g, vouched, k, path, audit)))
+            node, n, edges, vouched, path = stack.pop()
+            stack.extend(reversed(_verify_node(node, n, edges, vouched, k, path, audit)))
 
     root_lhs = cert.graph.e * audit.den
     root_rhs = audit.rhs(cert.graph.n)
     if not audit.failures and not bound_holds(cert.graph.e, k, cert.graph.n).holds:
         audit.fail("root", "every node checks out but the root bound fails")
-    return AuditReport(
-        verdict=not audit.failures,
-        root_slack=root_rhs - root_lhs,
-        entries=tuple(audit.entries),
-        failures=tuple(audit.failures),
-    )
+    return AuditReport(not audit.failures, root_rhs - root_lhs, tuple(audit.entries), tuple(audit.failures))
 
 
 def _verify_node(
-    node: CertNode, g: Graph, vouched: bool, k: int, path: str, audit: _Audit
-) -> list[tuple[CertNode, Graph, bool, str]]:
-    """Audit one node; returns its children to audit, each with its graph,
-    its flag and its path.
-
-    `vouched` says that g keeps only edges of an outerplanar parent, so it
-    passes both checks by heredity; otherwise g is checked in full:
+    node: CertNode, n: int, edges: list[Edge], vouched: bool, k: int, path: str, audit: _Audit
+) -> list[tuple[CertNode, int, list[Edge], bool, str]]:
+    """Audit one node, on n vertices spanned by `edges` (in the certified
+    graph's labels); returns its children to audit, each with its vertex
+    count, its edges, its flag and its path. `vouched` says that the node
+    keeps only edges of an outerplanar parent, so it passes both checks by
+    heredity; otherwise its graph, relabelled 0.., is checked in full:
     recognised and searched.
     """
     before = len(audit.failures)
+    e = len(edges)
     if not vouched:
+        g = subgraph_on_edges(edges)[0]
         try:
             recognize_outerplanar(g)
         except (NotOuterplanarError, EmbeddingInvariantError) as exc:
@@ -548,28 +544,33 @@ def _verify_node(
         if g.n >= k and has_cycle_of_length(g, k):
             audit.fail(path, f"node graph contains a cycle of length {k}")
 
-    lhs = g.e * audit.den
-    rhs = audit.rhs(g.n)
+    lhs = e * audit.den
+    rhs = audit.rhs(n)
     note = ""
     children: list[Derived] = []
 
     if node.kind == EDGELESS:
-        if g.e != 0:
+        if e != 0:
             audit.fail(path, "edgeless node has edges")
-        if g.n < 2:
+        if n < 2:
             audit.fail(path, "edgeless node needs n >= 2")
     elif node.kind == BASE:
-        if g.n != 2 or g.e > 1:
-            audit.fail(path, f"base leaf requires n=2, e<=1; got n={g.n}, e={g.e}")
+        if n != 2 or e > 1:
+            audit.fail(path, f"base leaf requires n=2, e<=1; got n={n}, e={e}")
     elif node.kind == MAXIMAL_LEAF:
         # on an outerplanar graph, e = 2n-3 is exactly edge-maximality
-        if g.e != 2 * g.n - 3:
-            audit.fail(path, f"maximal leaf has e={g.e}, expected {2 * g.n - 3}")
-        if g.n > k - 1:
-            audit.fail(path, f"maximal leaf has n={g.n} > k-1={k - 1}")
+        if e != 2 * n - 3:
+            audit.fail(path, f"maximal leaf has e={e}, expected {2 * n - 3}")
+        if n > k - 1:
+            audit.fail(path, f"maximal leaf has n={n} > k-1={k - 1}")
         note = "e = 2n-3 leaf"
     else:
-        children = _verify_split(node, g, vouched, k, path, audit)
+        try:
+            children = _derive(node, edges, vouched, k)
+        except SelectionError as exc:
+            audit.fail(path, str(exc))
+        if children:
+            _verify_split(node, n, e, [(m, len(es)) for m, es, _ in children], k, path, audit)
         size = len(node.face or ())
         note = {
             CUT_SPLIT: "split at a cut",
@@ -579,114 +580,106 @@ def _verify_node(
 
     if lhs > rhs:
         audit.fail(path, f"inequality fails: {lhs} > {rhs}")
-    audit.entries.append(
-        AuditEntry(
-            path=path,
-            kind=node.kind,
-            n=g.n,
-            e=g.e,
-            lhs=lhs,
-            rhs=rhs,
-            slack=rhs - lhs,
-            ok=len(audit.failures) == before,
-            note=note,
-        )
-    )
-    # every child but the contracted peel (no vertex map) keeps only edges
-    # of g; the peel is a minor of g, and with fewer than k vertices it has
-    # no k-cycle
+    ok = len(audit.failures) == before
+    audit.entries.append(AuditEntry(path, node.kind, n, e, lhs, rhs, rhs - lhs, ok, note))
+    # every child but the contracted peel keeps only edges of the node; the
+    # peel is a minor of it, and with fewer than k vertices it has no k-cycle
     return [
-        (child, child_graph, vouched and (to_parent is not None or child_graph.n < k), f"{path}.{i}")
-        for i, (child, (child_graph, to_parent)) in enumerate(zip(node.children, children))
+        (child, m, es, vouched and (subgraph or m < k), f"{path}.{i}")
+        for i, (child, (m, es, subgraph)) in enumerate(zip(node.children, children))
     ]
 
 
 def _verify_split(
-    node: CertNode, g: Graph, vouched: bool, k: int, path: str, audit: _Audit
-) -> list[Derived]:
-    """A split node's derived children after its bookkeeping checks.
-
-    Returns none when the selection does not fit or a face is recorded on a
-    graph not known to be outerplanar, else as many as the node's, its _arity.
-    """
-    try:
-        if node.kind == CUT_SPLIT:
-            children = _cut_children(g, node.cut, node.side)
-        elif not vouched:
-            return []  # not outerplanar, reported above
-        elif node.kind == BIG_FACE_SPLIT:
-            if len(node.face) < k + 1:
-                raise SelectionError(f"face of size {len(node.face)} is below k+1 = {k + 1}")
-            children = _big_face_children(g, node.face)
-        else:
-            if not 4 <= len(node.face) <= k - 1:
-                raise SelectionError(f"face size {len(node.face)} outside 4..{k - 1}")
-            children = _peel_children(g, node.face)
-    except SelectionError as exc:
-        audit.fail(path, str(exc))
-        return []
-
-    n_sum = sum(c.n for c, _ in children)
-    e_sum = sum(c.e for c, _ in children)
-    child_rhs = sum(audit.rhs(c.n) for c, _ in children)
-    if e_sum != g.e:
-        audit.fail(path, f"children hold {e_sum} edges, the node {g.e}")
+    node: CertNode, n: int, e: int, sizes: list[tuple[int, int]], k: int, path: str, audit: _Audit
+) -> None:
+    """The bookkeeping of a split node on n vertices and e edges, its
+    derived children of these (vertex count, edge count) sizes."""
+    n_sum = sum(m for m, _ in sizes)
+    e_sum = sum(d for _, d in sizes)
+    child_rhs = sum(audit.rhs(m) for m, _ in sizes)
+    if e_sum != e:
+        audit.fail(path, f"children hold {e_sum} edges, the node {e}")
     if node.kind == BIG_FACE_SPLIT:
         size = len(node.face)
-        if n_sum != g.n + size:
-            audit.fail(path, f"sum n_i = {n_sum} differs from n+L = {g.n + size}")
-        mid = audit.coeff * (k * (g.n + size) - k * size - size)
+        if n_sum != n + size:
+            audit.fail(path, f"sum n_i = {n_sum} differs from n+L = {n + size}")
+        mid = audit.coeff * (k * (n + size) - k * size - size)
         if child_rhs != mid:
             audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
-        if mid > audit.rhs(g.n):
+        if mid > audit.rhs(n):
             audit.fail(path, "chain value exceeds the node bound (face too small?)")
-        return children
+        return
 
     # cut split and peel: two children on at most n+1 vertices
-    mid = audit.coeff * (k * (g.n + 1) - 2 * k - 2)
+    mid = audit.coeff * (k * (n + 1) - 2 * k - 2)
     if node.kind == CUT_SPLIT:
-        if n_sum > g.n + 1:
-            audit.fail(path, f"n1+n2 = {n_sum} exceeds n+1 = {g.n + 1}")
+        if n_sum > n + 1:
+            audit.fail(path, f"n1+n2 = {n_sum} exceeds n+1 = {n + 1}")
         if child_rhs > mid:
             audit.fail(path, f"children bounds {child_rhs} exceed chain value {mid}")
     else:
-        if n_sum != g.n + 1:
-            audit.fail(path, f"n'+n* = {n_sum} differs from n+1 = {g.n + 1}")
-        if children[1][0].n >= k - 1:
-            audit.fail(path, f"contracted peel has n* = {children[1][0].n} >= k-1 = {k - 1}")
+        if n_sum != n + 1:
+            audit.fail(path, f"n'+n* = {n_sum} differs from n+1 = {n + 1}")
+        if sizes[1][0] >= k - 1:
+            audit.fail(path, f"contracted peel has n* = {sizes[1][0]} >= k-1 = {k - 1}")
         if child_rhs != mid:
             audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
-    if mid >= audit.rhs(g.n):
+    if mid >= audit.rhs(n):
         audit.fail(path, "chain value must be strictly below the node bound")
-    return children
 
 
 # ---------------------------------------------------------------------------
-# Verifier: derivation of child graphs from the node graph and its selection
+# Verifier: derivation of the children's edges from the node's and its selection
 # ---------------------------------------------------------------------------
 
-# a child graph and its vertex map into the parent; None for the contracted peel
-Derived = tuple[Graph, tuple[int, ...] | None]
+# a child: its vertex count, its edges, and whether it is a subgraph (not the contracted peel)
+Derived = tuple[int, list[Edge], bool]
 
 
-def _root_graph(g: Graph) -> Graph:
-    """The graph the root node decomposes: g without its isolated vertices."""
-    return subgraph_on_edges(g, g.edges)[0] if g.e else g
+def _derive(node: CertNode, edges: list[Edge], vouched: bool, k: int) -> list[Derived]:
+    """A split node's children, as many as its _arity, from its edges and
+    its selection, or none for a face on a graph not known to be
+    outerplanar (its full check fails); SelectionError if it does not fit."""
+    if node.kind == CUT_SPLIT:
+        return _cut_children(edges, node.cut, node.side)
+    if not vouched:
+        return []
+    if node.kind == BIG_FACE_SPLIT:
+        if len(node.face) < k + 1:
+            raise SelectionError(f"face of size {len(node.face)} is below k+1 = {k + 1}")
+        return _big_face_children(edges, node.face)
+    if not 4 <= len(node.face) <= k - 1:
+        raise SelectionError(f"face size {len(node.face)} outside 4..{k - 1}")
+    return _peel_children(edges, node.face)
 
 
-def _parts(g: Graph, removed: Container[int]) -> list[tuple[list[int], list[Edge], set[int]]]:
-    """The components of g minus the `removed` vertices, in order of their least vertex.
+def _vertex_count(edges: list[Edge]) -> int:
+    return len(set(chain.from_iterable(edges)))
+
+
+def _adjacency(edges: list[Edge]) -> dict[int, list[int]]:
+    """The neighbours of each vertex that `edges` touch."""
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _parts(adj: dict[int, list[int]], removed: Container[int]) -> list[tuple[list[int], list[Edge], set[int]]]:
+    """The components of the graph of `adj` minus the `removed` vertices, in
+    order of their least vertex.
 
     Each comes as (its vertices, least first; its edges, those to removed
     vertices included; the removed vertices it touches).
     """
-    adj = g.adjacency()
-    seen = [v in removed for v in range(g.n)]
+    seen = set()
     parts = []
-    for start in range(g.n):
-        if seen[start]:
+    for start in sorted(adj):
+        if start in seen or start in removed:
             continue
-        seen[start] = True
+        seen.add(start)
         vertices, edges, touched = [start], [], set()
         for x in vertices:  # the list grows while it is read
             for y in adj[x]:
@@ -696,88 +689,90 @@ def _parts(g: Graph, removed: Container[int]) -> list[tuple[list[int], list[Edge
                     continue
                 if x < y:
                     edges.append((x, y))
-                if not seen[y]:
-                    seen[y] = True
+                if y not in seen:
+                    seen.add(y)
                     vertices.append(y)
         parts.append((vertices, edges, touched))
     return parts
 
 
-def _cut_children(g: Graph, cut: int | None, side: tuple[int, ...]) -> list[Derived]:
-    """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest.
+def _cut_children(edges: list[Edge], cut: int | None, side: tuple[int, ...]) -> list[Derived]:
+    """Child 0: the parts of the node minus `cut` holding a vertex of `side`;
+    child 1: the rest.
 
-    With cut None the parts are g's components. Each part keeps its edges
-    to the cut.
+    With cut None the parts are the node's components. Each part keeps its
+    edges to the cut.
     """
-    if cut is not None and not 0 <= cut < g.n:
+    adj = _adjacency(edges)
+    if cut is not None and cut not in adj:
         raise SelectionError(f"cut {cut} is not a vertex of the node graph")
     chosen = set(side)
-    if not side or len(chosen) < len(side) or not all(0 <= v < g.n and v != cut for v in side):
+    if not side or len(chosen) < len(side) or not all(v in adj and v != cut for v in side):
         raise SelectionError(f"side {list(side)} must name distinct vertices other than the cut")
     sides: tuple[list[Edge], list[Edge]] = ([], [])
-    for vertices, edges, _ in _parts(g, () if cut is None else (cut,)):
-        sides[chosen.isdisjoint(vertices)].extend(edges)
+    for vertices, part, _ in _parts(adj, () if cut is None else (cut,)):
+        sides[chosen.isdisjoint(vertices)].extend(part)
     if not (sides[0] and sides[1]):
         raise SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
-    return [subgraph_on_edges(g, edges) for edges in sides]
+    return [(_vertex_count(half), half, True) for half in sides]
 
 
 def _face_sides(
-    g: Graph, face: tuple[int, ...]
+    edges: list[Edge], face: tuple[int, ...]
 ) -> tuple[list[list[Edge]], list[tuple[int, list[Edge]]]]:
-    """The edges on each side of `face`, and the parts of g across no face edge.
+    """The edges on each side of `face`, and the parts of the node across no face edge.
 
     Side i holds face edge i, from face[i] to face[i+1], and the components
-    of g minus the face's vertices that touch that edge's two ends and no
-    other face vertex, with their edges to those ends. The other components
-    come as (least vertex, edges), in order of their least vertex. g is
-    outerplanar, so its inner faces are exactly its induced cycles, and
-    `face` is accepted when it is one.
+    of the node minus the face's vertices that touch that edge's two ends
+    and no other face vertex, with their edges to those ends. The other
+    components come as (least vertex, edges), in order of their least
+    vertex. The node is outerplanar, so its inner faces are exactly its
+    induced cycles, and `face` is accepted when it is one.
     """
     size = len(face)
     pos = {v: i for i, v in enumerate(face)}
     # the edges among the face's vertices, as steps along the face: an
     # induced cycle has L of them, each of one step (so none is a chord)
-    steps = [(pos[u] - pos[v]) % size for u, v in g.edges if u in pos and v in pos]
+    steps = [(pos[u] - pos[v]) % size for u, v in edges if u in pos and v in pos]
     if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
         raise SelectionError("recorded face is not an inner face of the node graph")
     sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
     loose = []
-    for vertices, edges, touched in _parts(g, pos):
+    for vertices, part, touched in _parts(_adjacency(edges), pos):
         ends = sorted(pos[v] for v in touched)
         if len(ends) == 2 and ends[1] - ends[0] in (1, size - 1):
-            sides[ends[0] if ends[1] == ends[0] + 1 else ends[1]].extend(edges)
+            sides[ends[0] if ends[1] == ends[0] + 1 else ends[1]].extend(part)
         else:
-            loose.append((vertices[0], edges))
+            loose.append((vertices[0], part))
     return sides, loose
 
 
-def _big_face_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
+def _big_face_children(edges: list[Edge], face: tuple[int, ...]) -> list[Derived]:
     """One child per edge of `face`: the edge plus everything across it."""
-    sides, loose = _face_sides(g, face)
+    sides, loose = _face_sides(edges, face)
     if loose:
         raise SelectionError(f"the part at vertex {loose[0][0]} does not hang across one face edge")
-    return [subgraph_on_edges(g, edges) for edges in sides]
+    return [(_vertex_count(side), side, True) for side in sides]
 
 
-def _peel_children(g: Graph, face: tuple[int, ...]) -> list[Derived]:
-    """The rest of g, and the sides of face edges 0..L-2 with face[-1] merged into face[0].
+def _peel_children(edges: list[Edge], face: tuple[int, ...]) -> list[Derived]:
+    """The rest of the node, and the sides of face edges 0..L-2 with face[-1] merged into face[0].
 
     A peeled side must be a terminal block made only of triangles, which in
-    the outerplanar g means e = 2n-3. The rest, the last side and every part
-    across no face edge, is a subgraph of g. The peel is not (its edges at
-    face[0] need not be edges of g), so it comes without a vertex map. Sides
-    share only face vertices, so for L >= 4 merging collapses no edge.
+    the outerplanar node means e = 2n-3. The rest, the last side and every
+    part across no face edge, is a subgraph of the node. The peel is not
+    (its edges at face[0] need not be edges of the node), and the merged
+    vertex keeps face[0]'s label. Sides share only face vertices, so for
+    L >= 4 merging collapses no edge.
     """
-    sides, loose = _face_sides(g, face)
+    sides, loose = _face_sides(edges, face)
     peel = sides[:-1]
-    if any(len(edges) != 2 * len({v for e in edges for v in e}) - 3 for edges in peel):
+    if any(len(side) != 2 * _vertex_count(side) - 3 for side in peel):
         raise SelectionError("a peeled face edge lies in a non-terminal block")
     v1, vl = face[0], face[-1]
-    peeled = [e for edges in peel for e in edges]
-    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for u, v in peeled]
-    rest = sides[-1] + [e for _, edges in loose for e in edges]
-    return [subgraph_on_edges(g, rest), (subgraph_on_edges(g, merged)[0], None)]
+    merged = [edge_key(v1 if u == vl else u, v1 if v == vl else v) for side in peel for u, v in side]
+    rest = sides[-1] + [e for _, part in loose for e in part]
+    return [(_vertex_count(rest), rest, True), (_vertex_count(merged), merged, False)]
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +846,12 @@ def _tree(nodes: object) -> CertNode:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Read a format-3 certificate; any other document is a CertificateFormatError.
+    """Read a format-4 certificate; any other document, formats 1 to 3
+    included, is a CertificateFormatError.
 
     Its `nodes` must list exactly one tree in preorder, each node as
-    [kind, *selection]; whether the selections fit is the verifier's to say.
+    [kind, *selection], the selection in the certified graph's labels;
+    whether the selections fit is the verifier's to say.
     """
     try:
         data = json.loads(text)

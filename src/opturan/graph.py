@@ -14,6 +14,7 @@ face-based cycle spectrum computed elsewhere.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -99,11 +100,11 @@ def make_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     return Graph(n, tuple(sorted(out)))
 
 
-def subgraph_on_edges(g: Graph, edges: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
-    """Dense re-labelled subgraph spanned by `edges`, distinct edges of g.
+def subgraph_on_edges(edges: Iterable[Edge]) -> tuple[Graph, tuple[int, ...]]:
+    """Dense re-labelled graph spanned by `edges`, distinct edges of a graph.
 
-    Returns (subgraph, to_parent) where to_parent[i] is the vertex of `g`
-    that local id i stands for. The edges come from a graph that is already
+    Returns (subgraph, to_parent) where to_parent[i] is the vertex that
+    local id i stands for. The edges come from a graph that is already
     valid, so the subgraph is built directly, not through make_graph:
     to_parent is increasing, and relabelling by its inverse keeps every
     pair simple, distinct and in range.
@@ -383,8 +384,9 @@ def graph_to_graph6(g: Graph) -> str:
 
 # each six-bit chunk as its graph6 character, as a bytes.translate table
 _G6_CHARS = bytes((x + 63) & 255 for x in range(256))
-# each graph6 body character as its six bits, most significant first
-_G6_BITS = {63 + x: f"{x:06b}" for x in range(64)}
+# a graph6 string after its header, and a body character with a bit set
+_G6_TEXT = re.compile(r"[?-~]*")
+_G6_SET = re.compile(r"[^?]")
 
 
 def graph_from_graph6(text: str) -> Graph:
@@ -393,30 +395,30 @@ def graph_from_graph6(text: str) -> Graph:
         s = s[len(_G6_HEADER) :].strip()
     if not s:
         raise GraphError("empty graph6 string")
-    if min(s) < "?" or max(s) > "~":
+    if not _G6_TEXT.fullmatch(s):
         raise GraphError("graph6 string contains characters outside 0x3F..0x7E")
     if s[0] == "~":  # 18-bit vertex count
         if len(s) < 4:
             raise GraphError("truncated graph6 vertex count")
-        n = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63)
-        body = s[4:]
+        n, start = ((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6) | (ord(s[3]) - 63), 4
     else:
-        n = ord(s[0]) - 63
-        body = s[1:]
+        n, start = ord(s[0]) - 63, 1
     need = n * (n - 1) // 2
-    bits = body.translate(_G6_BITS)
-    if len(bits) < need:
-        raise GraphError("graph6 string too short for its vertex count")
-    # bit at = j(j-1)/2 + i stands for the edge (i, j), i < j
+    chunks = (need + 5) // 6  # the body holds `need` bits, padded to whole chunks
+    if len(s) - start != chunks:
+        raise GraphError(f"graph6 string too {'short' if len(s) - start < chunks else 'long'} for its vertex count")
+    # bit at = j(j-1)/2 + i stands for the edge (i, j), i < j, most significant
+    # first in each chunk; only chunks other than '?' hold one, read in place
     edges = []
     j, col = 1, 0  # col = j(j-1)/2, the first bit of column j
-    at = bits.find("1", 0, need)
-    while at >= 0:
-        while at >= col + j:
-            col += j
-            j += 1
-        edges.append((at - col, j))
-        at = bits.find("1", at + 1, need)
+    for chunk in _G6_SET.finditer(s, start):
+        bits, first = ord(chunk.group()) - 63, 6 * (chunk.start() - start)
+        for at in range(first, min(first + 6, need)):
+            if bits & (32 >> (at - first)):
+                while at >= col + j:
+                    col += j
+                    j += 1
+                edges.append((at - col, j))
     return make_graph(n, edges)
 
 
@@ -429,6 +431,6 @@ def graph_from_text(text: str) -> Graph:
     """
     stripped = text.strip()
     body = stripped.removeprefix(_G6_HEADER).strip()
-    if not body or ("?" <= min(body) and max(body) <= "~"):
+    if _G6_TEXT.fullmatch(body):
         return graph_from_graph6(stripped)
     return graph_from_json(stripped)

@@ -357,14 +357,156 @@ def _restrict(
     )
 
 
+# ---------------------------------------------------------------------------
+# Reference derivations, on node graphs relabelled 0..
+# ---------------------------------------------------------------------------
+# A reference node is (g, labels): its graph on 0.., and the certified
+# graph's label of each local id, increasing. A selection is recorded in
+# labels and mapped to local ids here; every derived child is relabelled 0..
+# again. The verifier derives the same children in labels, with no
+# relabelling, so the two derivations check each other.
+
+NOT_A_FACE = "recorded face is not an inner face of the node graph"
+
+
+def root_node(g: op.Graph) -> tuple[op.Graph, tuple[int, ...]]:
+    """The graph the root decomposes: g without its isolated vertices, or g
+    itself when it has no edge, whose vertices then carry no label (no
+    selection can name them: they are touched by no edge)."""
+    return subgraph_on_edges(g.edges) if g.e else (g, ())
+
+
+def local_parts(g: op.Graph, removed) -> list[tuple[list[int], list[Edge], set[int]]]:
+    """The components of g minus the `removed` vertices, in order of their least vertex.
+
+    Each comes as (its vertices, least first; its edges, those to removed
+    vertices included; the removed vertices it touches).
+    """
+    adj = g.adjacency()
+    seen = [v in removed for v in range(g.n)]
+    parts = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        vertices, edges, touched = [start], [], set()
+        for x in vertices:
+            for y in adj[x]:
+                if y in removed:
+                    touched.add(y)
+                    edges.append(op.edge_key(x, y))
+                    continue
+                if x < y:
+                    edges.append((x, y))
+                if not seen[y]:
+                    seen[y] = True
+                    vertices.append(y)
+        parts.append((vertices, edges, touched))
+    return parts
+
+
+def _child(labels: tuple[int, ...], edges: list[Edge], subgraph: bool = True):
+    """The child spanned by `edges` (local ids of its parent) as (graph on
+    0.., labels, its vertex map into the parent or None for a minor)."""
+    child, to_parent = subgraph_on_edges(edges)
+    return child, tuple(labels[i] for i in to_parent), to_parent if subgraph else None
+
+
+def reference_cut_children(g: op.Graph, labels: tuple[int, ...], cut: int | None, side: tuple[int, ...]):
+    """Child 0: the parts of g - cut holding a vertex of `side`; child 1: the rest."""
+    index = {v: i for i, v in enumerate(labels)}
+    if cut is not None and cut not in index:
+        raise certify_module.SelectionError(f"cut {cut} is not a vertex of the node graph")
+    at = None if cut is None else index[cut]
+    local = [index.get(v, -1) for v in side]  # -1: no vertex of the node
+    chosen = set(local)
+    if not side or len(chosen) < len(side) or not all(0 <= v < g.n and v != at for v in local):
+        raise certify_module.SelectionError(f"side {list(side)} must name distinct vertices other than the cut")
+    sides: tuple[list[Edge], list[Edge]] = ([], [])
+    for vertices, edges, _ in local_parts(g, () if at is None else (at,)):
+        sides[chosen.isdisjoint(vertices)].extend(edges)
+    if not (sides[0] and sides[1]):
+        raise certify_module.SelectionError(f"cut {cut} with side {list(side)} leaves a child without edges")
+    return [_child(labels, edges) for edges in sides]
+
+
+def local_face_sides(g: op.Graph, face: tuple[int, ...]) -> tuple[list[list[Edge]], list[tuple[int, list[Edge]]]]:
+    """The edges on each side of `face` (local ids), and the parts of g
+    across no face edge as (least vertex, edges); `face` must be an induced
+    cycle of g."""
+    size = len(face)
+    pos = {v: i for i, v in enumerate(face)}
+    steps = [(pos[u] - pos[v]) % size for u, v in g.edges if u in pos and v in pos]
+    if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
+        raise certify_module.SelectionError(NOT_A_FACE)
+    sides = [[op.edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
+    loose = []
+    for vertices, edges, touched in local_parts(g, pos):
+        ends = sorted(pos[v] for v in touched)
+        if len(ends) == 2 and ends[1] - ends[0] in (1, size - 1):
+            sides[ends[0] if ends[1] == ends[0] + 1 else ends[1]].extend(edges)
+        else:
+            loose.append((vertices[0], edges))
+    return sides, loose
+
+
+def _local_face(labels: tuple[int, ...], face: tuple[int, ...]) -> tuple[int, ...]:
+    index = {v: i for i, v in enumerate(labels)}
+    if not all(v in index for v in face):
+        raise certify_module.SelectionError(NOT_A_FACE)
+    return tuple(index[v] for v in face)
+
+
+def reference_big_face_children(g: op.Graph, labels: tuple[int, ...], face: tuple[int, ...]):
+    """One child per edge of `face`: the edge plus everything across it."""
+    sides, loose = local_face_sides(g, _local_face(labels, face))
+    if loose:
+        raise certify_module.SelectionError(
+            f"the part at vertex {labels[loose[0][0]]} does not hang across one face edge"
+        )
+    return [_child(labels, edges) for edges in sides]
+
+
+def reference_peel_children(g: op.Graph, labels: tuple[int, ...], face: tuple[int, ...]):
+    """The rest of g, and the sides of face edges 0..L-2 with face[-1]
+    merged into face[0], which keeps face[0]'s label."""
+    face = _local_face(labels, face)
+    sides, loose = local_face_sides(g, face)
+    peel = sides[:-1]
+    if any(len(edges) != 2 * len({v for e in edges for v in e}) - 3 for edges in peel):
+        raise certify_module.SelectionError("a peeled face edge lies in a non-terminal block")
+    v1, vl = face[0], face[-1]
+    merged = [op.edge_key(v1 if u == vl else u, v1 if v == vl else v) for edges in peel for u, v in edges]
+    rest = sides[-1] + [e for _, edges in loose for e in edges]
+    return [_child(labels, rest), _child(labels, merged, subgraph=False)]
+
+
+def reference_derive(node: op.CertNode, g: op.Graph, labels: tuple[int, ...], vouched: bool, k: int):
+    """The children of a split node, each as (graph on 0.., labels, vertex
+    map into g or None); none for a face on a graph not known to be
+    outerplanar. Raises SelectionError as the verifier reports it."""
+    if node.kind == certify_module.CUT_SPLIT:
+        return reference_cut_children(g, labels, node.cut, node.side)
+    if not vouched:
+        return []
+    if node.kind == certify_module.BIG_FACE_SPLIT:
+        if len(node.face) < k + 1:
+            raise certify_module.SelectionError(f"face of size {len(node.face)} is below k+1 = {k + 1}")
+        return reference_big_face_children(g, labels, node.face)
+    if not 4 <= len(node.face) <= k - 1:
+        raise certify_module.SelectionError(f"face size {len(node.face)} outside 4..{k - 1}")
+    return reference_peel_children(g, labels, node.face)
+
+
 def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.AuditReport:
     """verify_certificate with a node audit that carries embeddings instead
-    of a heredity flag: each child's embedding is read off its parent's with
-    restrict_embedding, and a node without one is recognised and searched
-    in full. With heredity=False no embedding is passed down, so every node
-    gets the full checks."""
+    of a heredity flag, and node graphs relabelled 0.. (reference_derive)
+    instead of edges in labels: each child's embedding is read off its
+    parent's with restrict_embedding, and a node without one is recognised
+    and searched in full. With heredity=False no embedding is passed down,
+    so every node gets the full checks."""
 
-    def node_audit(node, g, emb, path, audit):
+    def node_audit(node, g, labels, emb, path, audit):
         before = len(audit.failures)
         if emb is None:
             try:
@@ -390,7 +532,13 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
                 audit.fail(path, f"maximal leaf has n={g.n} > k-1={k - 1}")
             note = "e = 2n-3 leaf"
         else:
-            children = certify_module._verify_split(node, g, emb is not None, k, path, audit)
+            try:
+                children = reference_derive(node, g, labels, emb is not None, k)
+            except certify_module.SelectionError as exc:
+                audit.fail(path, str(exc))
+            if children:
+                sizes = [(c.n, c.e) for c, _, _ in children]
+                certify_module._verify_split(node, g.n, g.e, sizes, k, path, audit)
             size = len(node.face or ())
             note = {
                 certify_module.CUT_SPLIT: "split at a cut",
@@ -406,17 +554,19 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
         )
         embeddings = [None] * len(children)
         if emb is not None and heredity:
-            subgraphs = [(c, m) for c, m in children if m is not None]
+            subgraphs = [(c, m) for c, _, m in children if m is not None]
             try:
                 found = iter(restrict_embedding(emb, subgraphs))
-                embeddings = [next(found) if m is not None else None for _, m in children]
+                embeddings = [next(found) if m is not None else None for _, _, m in children]
             except EmbeddingInvariantError:
                 pass
-        for i, (child, (child_graph, _), child_emb) in enumerate(zip(node.children, children, embeddings)):
-            node_audit(child, child_graph, child_emb, f"{path}.{i}", audit)
+        for i, (child, (child_graph, child_labels, _), child_emb) in enumerate(
+            zip(node.children, children, embeddings)
+        ):
+            node_audit(child, child_graph, child_labels, child_emb, f"{path}.{i}", audit)
 
-    def root_audit(node, g, vouched, k, path, audit):
-        node_audit(node, g, None, path, audit)
+    def root_audit(node, n, edges, vouched, k, path, audit):
+        node_audit(node, *root_node(cert.graph), None, path, audit)
         return []  # the whole tree is audited: verify_certificate's loop has nothing left
 
     with mock.patch.object(certify_module, "_verify_node", root_audit):
@@ -443,7 +593,7 @@ def reference_select_cut(g: op.Graph, dec: op.BlockCutDecomposition) -> tuple[in
                 adj[ui].append(node_of[v])
                 adj[node_of[v]].append(ui)
     if len(adj) - sum(map(len, adj)) // 2 > 1:
-        comps = certify_module._parts(g, ())
+        comps = local_parts(g, ())
         sizes = [len(edges) for _, edges, _ in comps]
         return None, tuple(sorted(comps[ci][0][0] for ci in certify_module._halves(sizes)[0]))
     weight = [len(b.edges) for b in dec.blocks] + [1] * len(dec.bridges) + [0] * len(node_of)
@@ -492,36 +642,39 @@ def reference_build(emb: op.OuterplaneEmbedding, k: int) -> op.Certificate:
     root graph is g without its isolated vertices; a graph of several
     blocks and bridges is cut where reference_select_cut says; a block is
     split at reference_select_big_face or peeled at reference_select_peel
-    on its own weak dual. The children come from the verifier's derivations, each with its
-    embedding read off the parent's by restrict_embedding, or recognised
-    for the contracted peel."""
+    on its own weak dual. Each choice is made in local ids and recorded in
+    labels. The children come from the reference derivations, each with
+    its embedding read off the parent's by restrict_embedding, or
+    recognised for the contracted peel."""
     g = emb.graph
     if not g.e:
         return op.build_certificate(emb, k)
 
-    def build(g: op.Graph, emb: op.OuterplaneEmbedding) -> op.CertNode:
+    def build(g: op.Graph, labels: tuple[int, ...], emb: op.OuterplaneEmbedding) -> op.CertNode:
         if g.n == 2:
             return op.CertNode(kind=certify_module.BASE)
         if len(emb.blocks) + len(emb.bridges) > 1:
             cut, side = reference_select_cut(g, embedding_decomposition(emb))
+            cut, side = None if cut is None else labels[cut], tuple(labels[v] for v in side)
             kind, selection = certify_module.CUT_SPLIT, {"cut": cut, "side": side}
-            children = certify_module._cut_children(g, cut, side)
+            children = reference_cut_children(g, labels, cut, side)
         else:
             dual = op.weak_dual(emb)
             if any(f.size >= k + 1 for f in dual.faces):
-                kind, face = certify_module.BIG_FACE_SPLIT, reference_select_big_face(dual, k)
-                children = certify_module._big_face_children(g, face)
+                kind, derive, face = certify_module.BIG_FACE_SPLIT, reference_big_face_children, reference_select_big_face(dual, k)
             elif any(f.size >= 4 for f in dual.faces):
-                kind, face = certify_module.TERMINAL_PEEL, reference_select_peel(dual, k)
-                children = certify_module._peel_children(g, face)
+                kind, derive, face = certify_module.TERMINAL_PEEL, reference_peel_children, reference_select_peel(dual, k)
             elif op.is_edge_maximal(emb) and g.n <= k - 1:
                 return op.CertNode(kind=certify_module.MAXIMAL_LEAF)
             else:
                 raise certify_module.CoverageError(f"maximal leaf conditions failed at n={g.n}, k={k}")
-            selection = {"face": face}
-        found = iter(restrict_embedding(emb, [(c, m) for c, m in children if m is not None]))
-        embedded = [(c, next(found) if m is not None else op.recognize_outerplanar(c)) for c, m in children]
-        return op.CertNode(kind, tuple(build(c, e) for c, e in embedded), **selection)
+            selection = {"face": tuple(labels[v] for v in face)}
+            children = derive(g, labels, selection["face"])
+        found = iter(restrict_embedding(emb, [(c, m) for c, _, m in children if m is not None]))
+        embedded = [
+            (c, ls, next(found) if m is not None else op.recognize_outerplanar(c)) for c, ls, m in children
+        ]
+        return op.CertNode(kind, tuple(build(*child) for child in embedded), **selection)
 
-    root, to_parent = subgraph_on_edges(g, g.edges)
-    return op.Certificate(k=k, graph=g, root=build(root, restrict_embedding(emb, [(root, to_parent)])[0]))
+    root, labels = root_node(g)
+    return op.Certificate(k=k, graph=g, root=build(root, labels, restrict_embedding(emb, [(root, labels)])[0]))

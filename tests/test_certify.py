@@ -215,7 +215,7 @@ class TestVerifier:
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json('{"k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
         with pytest.raises(op.CertificateFormatError):
-            op.certificate_from_json('{"format": 3, "k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
+            op.certificate_from_json('{"format": 4, "k": 5, "graph": {"n": 2, "edges": []}, "root": {"kind": "base"}}')
 
     def test_format_1_is_rejected(self):
         data = json.loads(op.certificate_to_json(op.build_certificate(op.fan(4), 5)))
@@ -397,7 +397,7 @@ class TestSelections:
     def test_big_face_split_needs_every_part_across_one_edge(self):
         # the pendant edge hangs at one face vertex, not across a face edge
         data = {
-            "format": 3,
+            "format": 4,
             "k": 5,
             "graph": json.loads(op.graph_to_json(HEXAGON_WITH_PENDANT)),
             "nodes": [["big_face_split", list(range(6))]] + [BASE_LEAF] * 6,
@@ -405,11 +405,11 @@ class TestSelections:
         report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), 5)
         assert report.failures == ("root: the part at vertex 6 does not hang across one face edge",)
 
-    # a 4-cycle 0-1-2-3 with a pendant edge at v1 = 0 or at the interior
-    # face vertex 1, peeled at the root: the pendant hangs across no face
-    # edge, so it stays in the rest
+    # a 4-cycle 0-1-2-3 with a pendant edge 0-4 or 1-4 (at v1 = 0 or at the
+    # interior face vertex 1), peeled at the root: the pendant hangs across
+    # no face edge, so it stays in the rest, the path 3-0-4 or 3-0 with 1-4
     PEELS = [
-        (0, ["cut_split", 0, [1]], ()),
+        (0, ["cut_split", 0, [3]], ()),
         (
             1,
             ["cut_split", None, [0]],
@@ -421,7 +421,7 @@ class TestSelections:
     def test_peel_keeps_parts_across_no_face_edge_in_the_rest(self, at, rest, failures):
         graph = op.make_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (at, 4)])
         data = {
-            "format": 3,
+            "format": 4,
             "k": 5,
             "graph": json.loads(op.graph_to_json(graph)),
             "nodes": [["terminal_peel", [0, 1, 2, 3]], rest, BASE_LEAF, BASE_LEAF, ["maximal_leaf"]],
@@ -478,7 +478,7 @@ class TestSelections:
         entries = op.verify_certificate(cert, k).entries
         data = json.loads(op.certificate_to_json(cert))
         for other in others:
-            assert _cut_children(graph, cut, tuple(other)) == _cut_children(graph, cut, side)
+            assert _cut_children(list(graph.edges), cut, tuple(other)) == _cut_children(list(graph.edges), cut, side)
             data["nodes"][0][2] = other
             report = op.verify_certificate(op.certificate_from_json(json.dumps(data)), k)
             assert report.verdict
@@ -635,14 +635,16 @@ class TestWorkModel:
             assert calls == Counter()
             assert op.verify_certificate(cert, 5).verdict
             # the verifier reads no embedding off a parent's; it derives
-            # every node graph (one subgraph each), vouches for every child
-            # but a contracted peel on k or more vertices, settles a vouched
-            # maximal leaf by e = 2n-3 with no recognition, and derives
-            # every cut split's children from the node graph
+            # every node's edges in the certified graph's labels, builds a
+            # graph (one subgraph, relabelled 0..) only for the root's full
+            # check, vouches for every child but a contracted peel on k or
+            # more vertices, settles a vouched maximal leaf by e = 2n-3 with
+            # no recognition, and derives every cut split's children from
+            # the node's edges
             assert calls == Counter(
                 recognize_outerplanar=1,
                 has_cycle_of_length=1,
-                subgraph_on_edges=len(kinds),
+                subgraph_on_edges=1,
                 biconnected_decomposition=1,
                 _cut_children=kinds.count(CUT_SPLIT),
             )
@@ -719,7 +721,7 @@ class TestWorkModel:
             7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 6), (3, 6)]
         )
         data = {
-            "format": 3,
+            "format": 4,
             "k": 5,
             "graph": json.loads(op.graph_to_json(graph)),
             "nodes": [["terminal_peel", [0, 1, 2, 3]], BASE_LEAF, ["maximal_leaf"]],
@@ -737,7 +739,7 @@ class TestWorkModel:
         # K4 on 0..3 with a pendant edge 3-4, recorded as a cut split at 3
         k4_pendant = op.make_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         data = {
-            "format": 3,
+            "format": 4,
             "k": 5,
             "graph": json.loads(op.graph_to_json(k4_pendant)),
             "nodes": [["cut_split", 3, [0]], ["maximal_leaf"], BASE_LEAF],
@@ -761,7 +763,7 @@ class TestWorkModel:
         """A deep tree is a flat list, but the JSON parser still recurses
         into nested arrays."""
         nested = "[" * 5000 + "]" * 5000
-        text = '{"format":3,"k":5,"graph":{"n":2,"edges":[[0,1]]},"nodes":' + nested + "}"
+        text = '{"format":4,"k":5,"graph":{"n":2,"edges":[[0,1]]},"nodes":' + nested + "}"
         with pytest.raises(op.CertificateFormatError, match="nested too deeply"):
             op.certificate_from_json(text)
 

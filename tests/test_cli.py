@@ -278,6 +278,38 @@ class TestCertify:
         assert code == 2 and out == ""
         assert "truncated graph6 vertex count" in err
 
+    def test_overlong_graph6_exit2(self, tmp_path, capsys):
+        # K2 with four more body characters: refused like a short body, not read as K2
+        graph_path = tmp_path / "long.g6"
+        graph_path.write_text("A_????\n")
+        code, out, err = run(capsys, "analyze", "--in", str(graph_path))
+        assert (code, out) == (2, "")
+        assert err == "invalid input: graph6 string too long for its vertex count\n"
+
+    def test_large_graph6_is_read_in_place(self, tmp_path):
+        """The body is scanned for its chunks other than '?', not expanded to
+        one character per vertex pair: reading back the 16 MB graph6 of chain
+        k=5 m=1000 (n = 14,004) raises the reader's peak RSS by under 10 MiB
+        (the expansion took about 100 MiB)."""
+        path = tmp_path / "chain.g6"
+        g = construct_module.build_chain_graph(5, 1000)
+        path.write_text(op.graph_to_graph6(g) + "\n")
+        script = (
+            "import resource, sys\n"
+            "from opturan.graph import graph_from_text\n"
+            "text = open(sys.argv[1]).read()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "g = graph_from_text(text)\n"
+            "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+            "print(g.n, g.e, hash(g.edges), grew < 10 * 1024)\n"  # ru_maxrss is in KiB
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env={"PYTHONPATH": SRC, "PATH": ""}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stderr == ""
+        assert done.stdout == f"{g.n} {g.e} {hash(g.edges)} True\n"
+
     def test_malformed_json_exit2(self, tmp_path, capsys):
         # nested past the recursion limit: bad input too, not a refusal
         nested = '{"n": 3, "edges": ' + "[" * 5000 + '"a"' + "]" * 5000 + "}"

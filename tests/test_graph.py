@@ -68,7 +68,7 @@ def test_subgraph_on_edges_equals_make_graph():
         g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(3, 30)).graph, 0.8)
         picked = [e[:: rng.choice((1, -1))] for e in g.edges if rng.random() < 0.6] or [g.edges[0]]
         rng.shuffle(picked)
-        sub, to_parent = subgraph_on_edges(g, picked)
+        sub, to_parent = subgraph_on_edges(picked)
         assert list(to_parent) == sorted({v for e in picked for v in e})
         index = {v: i for i, v in enumerate(to_parent)}
         assert sub == op.make_graph(len(to_parent), [(index[u], index[v]) for u, v in picked])
@@ -232,6 +232,8 @@ class TestSerialization:
             ("~", "truncated graph6 vertex count"),
             ("C", "too short for its vertex count"),
             ("~?@?" + "~" * 10, "too short for its vertex count"),
+            ("A_????", "too long for its vertex count"),  # K2 and four characters more
+            ("Cl?", "too long for its vertex count"),
         ],
     )
     def test_graph6_errors(self, text, message):

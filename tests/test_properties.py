@@ -27,6 +27,7 @@ import opturan as op  # noqa: E402
 import opturan.certify as certify_module  # noqa: E402
 from opturan.embedding import (  # noqa: E402
     EmbeddingInvariantError,
+    canonical_cycle,
     NotOuterplanarError,
     _crossing_chords,
 )
@@ -36,10 +37,12 @@ from helpers import (  # noqa: E402
     embedding_decomposition,
     ladder,
     reference_build,
+    reference_derive,
     reference_reducible_face,
     reference_verify,
     reference_weak_dual,
     restrict_embedding,
+    root_node,
 )
 
 LARGE = settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -301,7 +304,7 @@ def test_reducible_face_equals_the_incidence_forest_finder(seed, size, host, k, 
     exactly its edges whose block is non-terminal."""
     g = host_graph(host, seed, size, k)
     rng = random.Random(subset_seed)
-    sub, _ = subgraph_on_edges(g, [e for e in g.edges if rng.random() < 0.8] or [g.edges[0]])
+    sub, _ = subgraph_on_edges([e for e in g.edges if rng.random() < 0.8] or [g.edges[0]])
     for graph in (g, sub):
         emb = op.recognize_outerplanar(graph)
         assert op.find_reducible_face(op.weak_dual(emb)) == reference_reducible_face(emb)
@@ -328,7 +331,7 @@ def test_face_sides_accept_exactly_the_inner_faces(seed, size, host, k):
         ring = list(face.vertices)
         for turned in (ring, ring[::-1]):
             for r in range(len(ring)):
-                sides, loose = certify_module._face_sides(g, tuple(turned[r:] + turned[:r]))
+                sides, loose = certify_module._face_sides(list(g.edges), tuple(turned[r:] + turned[:r]))
                 held = [e for side in sides for e in side]
                 assert sorted(held + [e for _, edges in loose for e in edges]) == list(g.edges)
         if len(ring) >= 4:
@@ -338,7 +341,7 @@ def test_face_sides_accept_exactly_the_inner_faces(seed, size, host, k):
         not_faces.append(path_around(first, u, v) + path_around(second, v, u)[1:-1])
     for cycle in not_faces:
         with pytest.raises(certify_module.SelectionError, match="not an inner face"):
-            certify_module._face_sides(g, tuple(cycle))
+            certify_module._face_sides(list(g.edges), tuple(cycle))
 
 
 def restrictable(g: op.Graph, emb, subset: set) -> bool:
@@ -347,7 +350,7 @@ def restrictable(g: op.Graph, emb, subset: set) -> bool:
     for block in emb.blocks:
         kept = subset.intersection(block.cycle_edges() + block.chord_edges())
         if len(kept) > 1:
-            dec = op.biconnected_decomposition(subgraph_on_edges(g, sorted(kept))[0])
+            dec = op.biconnected_decomposition(subgraph_on_edges(sorted(kept))[0])
             if len(dec.blocks) != 1 or dec.bridges:
                 return False
     return True
@@ -366,7 +369,7 @@ def test_restricted_embedding_equals_recognition(seed, size, host, k, subset_see
     rng = random.Random(subset_seed)
     for keep in (rng.random(), 1 - rng.random() ** 4, 1.0):
         subset = {e for e in g.edges if rng.random() < keep} or {g.edges[0]}
-        sub, to_parent = subgraph_on_edges(g, sorted(subset))
+        sub, to_parent = subgraph_on_edges(sorted(subset))
         if restrictable(g, emb, subset):
             derived = restrict_embedding(emb, [(sub, to_parent)])[0]
             assert derived == op.recognize_outerplanar(sub)
@@ -487,8 +490,8 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
     """Every node the builder decomposes on a set of faces (a sub-forest of
     its block's weak dual, or of the faces it added for a contracted peel,
     peels inside peels included) is a node whose graph, derived from its
-    parent's by _big_face_children, _peel_children or _cut_children, has
-    exactly those faces and dual edges once mapped to ranks: weak_dual of its
+    parent's by the reference derivations (relabelled 0..), has exactly
+    those faces and dual edges once mapped to ranks: weak_dual of its
     recognised embedding. Every 2-connected node is decomposed that way.
     The builder makes its nodes in preorder, so the face steps' forests,
     in call order, belong to the 2-connected nodes in preorder."""
@@ -512,24 +515,19 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
     g, k = shaped_host(seed, size, k, shape)
     with mock.patch.object(certify_module, "_face_step", record):
         cert = op.build_certificate(op.recognize_outerplanar(g), k)
-    derive = {
-        certify_module.CUT_SPLIT: lambda g, node: certify_module._cut_children(g, node.cut, node.side),
-        certify_module.BIG_FACE_SPLIT: lambda g, node: certify_module._big_face_children(g, node.face),
-        certify_module.TERMINAL_PEEL: lambda g, node: certify_module._peel_children(g, node.face),
-    }
     face_kinds = (certify_module.BIG_FACE_SPLIT, certify_module.TERMINAL_PEEL, certify_module.MAXIMAL_LEAF)
-    stack = [(cert.root, certify_module._root_graph(g))] if g.e else []
+    stack = [(cert.root, *root_node(g))] if g.e else []
     faced = 0  # the 2-connected nodes met so far, in preorder
     while stack:
-        node, graph = stack.pop()
+        node, graph, labels = stack.pop()
         if node.kind in face_kinds:
             dual = op.weak_dual(op.recognize_outerplanar(graph))
             expected = forest_form([f.vertices for f in dual.faces], dual.shared_edges, dual.edges, range(graph.n))
             assert forests[faced] == expected
             faced += 1
-        if node.kind in derive:
-            children = (c for c, _ in derive[node.kind](graph, node))
-            stack.extend(reversed(list(zip(node.children, children))))
+        if node.children:
+            children = reference_derive(node, graph, labels, True, k)
+            stack.extend(reversed([(child, c, ls) for child, (c, ls, _) in zip(node.children, children)]))
     assert faced == len(forests)
 
 
@@ -601,6 +599,78 @@ def test_format_1_certificate_is_rejected():
 def test_format_2_certificate_is_rejected():
     with pytest.raises(op.CertificateFormatError):
         op.certificate_from_json(V2_FAN4)
+
+
+# format 3 recorded each selection as ranks among its node's vertices; the
+# same fan(4) certificate, intact, which format 4 reads as it stands
+V3_FAN4 = '{"format":3,"graph":{"edges":[[0,1],[0,2],[0,3],[1,2],[2,3]],"n":4},"k":5,"nodes":[["maximal_leaf"]]}'
+
+
+def test_format_3_certificate_is_rejected():
+    with pytest.raises(op.CertificateFormatError, match="unsupported certificate format 3"):
+        op.certificate_from_json(V3_FAN4)
+    v4 = op.certificate_from_json(V3_FAN4.replace('"format":3', '"format":4'))
+    assert op.verify_certificate(v4, 5).verdict
+
+
+def node_labels(cert: op.Certificate) -> list[tuple[str, tuple[int, ...]]]:
+    """Each node's path and the labels of its vertices, in preorder, as the
+    reference derivations give them on a valid certificate."""
+    found, stack = [], [(cert.root, *root_node(cert.graph), "root")]
+    while stack:
+        node, g, labels, path = stack.pop()
+        found.append((path, labels))
+        if node.children:
+            children = reference_derive(node, g, labels, True, cert.k)
+            stack.extend(
+                reversed([(child, c, ls, f"{path}.{i}") for i, (child, (c, ls, _)) in enumerate(zip(node.children, children))])
+            )
+    return found
+
+
+@LARGE
+@given(seeds, st.integers(20, 200), st.integers(3, 8), st.sampled_from(SHAPES), st.data())
+def test_selections_read_against_the_certified_graph(seed, size, k, shape, data):
+    """Selections are in the certified graph's own labels, so a certificate
+    reads against its input: every face recorded above all peels is an
+    inner face of the input's embedding, and every cut is a cut vertex of
+    the input. A cut or side that names a vertex of the certified graph
+    outside its node is the one audit failure, at that node, that the
+    reference derivations report too."""
+    g, k = shaped_host(seed, size, k, shape)
+    emb = op.recognize_outerplanar(g)
+    cert = op.build_certificate(emb, k)
+    faces = {face.vertices for face in op.inner_faces(emb)}
+    cuts = set(op.biconnected_decomposition(g).cut_vertices)
+    stack = [(cert.root, False)]
+    while stack:
+        node, below_peel = stack.pop()
+        if node.cut is not None:
+            assert node.cut in cuts
+        if node.face is not None and not below_peel:
+            assert canonical_cycle(node.face) in faces
+        stack.extend((child, below_peel or node.kind == certify_module.TERMINAL_PEEL) for child in node.children)
+
+    doc = json.loads(op.certificate_to_json(cert))
+    spots = [
+        (at, path, labels)
+        for at, (path, labels) in enumerate(node_labels(cert))
+        if doc["nodes"][at][0] == certify_module.CUT_SPLIT and len(labels) < g.n
+    ]
+    if not spots:
+        return
+    at, path, labels = data.draw(st.sampled_from(spots))
+    outside = data.draw(st.sampled_from(sorted(set(range(g.n)) - set(labels))))
+    if data.draw(st.booleans()):
+        doc["nodes"][at][1] = outside
+        failure = f"{path}: cut {outside} is not a vertex of the node graph"
+    else:
+        doc["nodes"][at][2] = [outside]
+        failure = f"{path}: side [{outside}] must name distinct vertices other than the cut"
+    bad = op.certificate_from_json(json.dumps(doc))
+    report = op.verify_certificate(bad, k)
+    assert report.failures == (failure,)
+    assert reference_verify(bad, k).format_lines() == report.format_lines()
 
 
 SPLITS = ("cut_split", "big_face_split", "terminal_peel")

@@ -3,9 +3,11 @@
 The embedding digest and the cycle tuples were recorded from the quadratic
 recognition and cycle-region code that the linear versions replaced; both
 must keep producing exactly these results. The certificate digests were
-recorded when certificates became a flat preorder list of nodes (format
-3), for the same trees that the format-2 documents held; each test reads
-its document back before the digest. The splits are those the balanced
+recorded when selections moved into the certified graph's own labels
+(format 4), for the same trees that the format-3 documents held with
+selections as ranks among each node's vertices (and format 2 before them,
+nested); only the recorded vertex numbers changed. Each test reads its
+document back before the digest. The splits are those the balanced
 builder chose before. The disconnected tie was recorded when the builder
 grouped components on their own, before they hung from one hub in its
 block-cut forest. The `analyze` digests were recorded when every face
@@ -35,18 +37,19 @@ def test_certificate_json_digest_chain_5_16():
     cert = op.build_certificate(op.build_chain(5, 16), 5)
     text = op.certificate_to_json(cert)
     assert op.certificate_from_json(text) == cert
-    assert sha256(text) == "27c013340560523b1ba29a82932d4889fe533f2cc5008742b3bec47dc013eeda"
+    assert sha256(text) == "804da7bb99bfb64bb57c9683a1c40322438e1f08baa9aee4586e2c89f4b55a83"
 
 
 def test_certificate_json_digest_disconnected_tie():
     # two components of 4 edges each; the one holding vertex 8 (and the least
-    # vertex, 1) comes second among the blocks but goes first to child 0
+    # vertex, 1, which names it) comes second among the blocks but goes first
+    # to child 0
     g = op.make_graph(12, [(5, 6), (6, 7), (5, 7), (7, 11), (8, 9), (9, 10), (8, 10), (1, 8)])
     cert = op.build_certificate(op.recognize_outerplanar(g), 4)
-    assert (cert.root.cut, cert.root.side) == (None, (0,))
+    assert (cert.root.cut, cert.root.side) == (None, (1,))
     text = op.certificate_to_json(cert)
     assert op.certificate_from_json(text) == cert
-    assert sha256(text) == "b9f1d4cb804841b69ae5b1687a122dbd5047257c270d85292c1c82884abdb628"
+    assert sha256(text) == "a43c3c9389c59f2ee182be2ac32bf0efc4aa5eac09a3d7aff5b70d7130c52373"
 
 
 def test_embedding_json_digest_chain_6_24():

@@ -22,6 +22,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_rank_bookkeeping():
+    """Selections are recorded in the certified graph's own labels, so no
+    module of the package ranks vertices by bisection."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in modules if name.split(".")[0] == "bisect"]
+    assert found == []
+
+
 def _bench_layers():
     path = PACKAGE.parents[1] / "bench" / "layers.py"
     spec = importlib.util.spec_from_file_location("bench_layers", path)
