@@ -16,7 +16,6 @@ from .graph import (
     VertexRangeError,
     biconnected_decomposition,
     edge_key,
-    find_cycle_of_length,
     graph_from_graph6,
     graph_from_json,
     graph_from_text,
@@ -30,10 +29,10 @@ from .embedding import (
     EdgeContraction,
     EdgeNotOnOuterFaceError,
     EmbeddingInvariantError,
-    Face,
     NotOuterplanarError,
     OuterplaneEmbedding,
     contract_outer_edge,
+    cycle_edges,
     cycle_length_set,
     embedding_from_json,
     embedding_to_dot,

@@ -134,6 +134,7 @@ from .embedding import (
     NotOuterplanarError,
     OuterplaneEmbedding,
     canonical_cycle,
+    cycle_edges,
     cycle_length_set,
     recognize_outerplanar,
 )
@@ -254,7 +255,8 @@ def build_certificate(emb: OuterplaneEmbedding, k: int) -> Certificate:
 
 
 class _Source(NamedTuple):
-    """The faces the builder walks: the embedding's, then each contracted peel's."""
+    """The faces the builder walks: the lists of the embedding's weak dual,
+    as built, to which each contracted peel's faces are appended."""
 
     faces: list[tuple[int, ...]]  # canonical boundaries
     links: list[list[tuple[int, Edge]]]  # per face: (neighbour, shared edge)
@@ -267,19 +269,15 @@ Unit = tuple[tuple[int, ...], int, range | None]  # vertices, edges, the block's
 def _decompose(emb: OuterplaneEmbedding, k: int) -> tuple[list[Unit], _Source]:
     """The units of emb's graph without its isolated vertices: its blocks
     (with their faces in emb's weak dual, built here once) and then its
-    bridges, each sorted by vertices."""
+    bridges, each sorted by vertices; and that dual as the builder's source."""
     dual = weak_dual(emb)
-    links: list[list[tuple[int, Edge]]] = [[] for _ in dual.faces]
-    for (a, b), shared in zip(dual.edges, dual.shared_edges):
-        links[a].append((b, shared))
-        links[b].append((a, shared))
     blocks, first = [], 0
     for block in emb.blocks:  # the dual lists each block's c+1 faces in turn
         faces = range(first, first + len(block.chords) + 1)
         blocks.append((tuple(sorted(block.outer)), len(block.outer) + len(block.chords), faces))
         first = faces.stop
     units: list[Unit] = sorted(blocks, key=lambda u: u[0]) + [(e, 1, None) for e in sorted(emb.bridges)]
-    return units, _Source([face.vertices for face in dual.faces], links, k)
+    return units, _Source(dual.faces, dual.links, k)
 
 
 def _cut_split(units: list[Unit]) -> tuple[list, list[tuple]]:
@@ -350,13 +348,13 @@ def _face_step(src: _Source, faces: list[int]) -> tuple[list, list[tuple]]:
         if not 4 <= size <= k - 1:
             raise CoverageError(f"reducible face size {size} outside 4..{k - 1}")
         # the edge in a non-terminal block, if any, joins the last vertex to the first
-        skip = next((i for i in range(size) if across.get(edge_key(ring[i], ring[(i + 1) % size])) in held), 0)
+        skip = next((i for i, e in enumerate(cycle_edges(ring)) if across.get(e) in held), 0)
         ring = ring[skip + 1 :] + ring[: skip + 1]
         if ring[0] > ring[-1]:
             ring.reverse()  # same closing edge, and v1 < vL for determinism
     sides = []  # the faces behind face edge i, from ring[i] to ring[i+1]
-    for i in range(size if kind == BIG_FACE_SPLIT else size - 1):
-        c = across.get(edge_key(ring[i], ring[(i + 1) % size]))
+    for e in cycle_edges(ring)[: size if kind == BIG_FACE_SPLIT else size - 1]:
+        c = across.get(e)
         sides.append([] if c is None else [faces[x] for x in _behind(adj, s, [c])])
     if kind == BIG_FACE_SPLIT:
         return [kind, ring], [("faces", side) for side in sides]

@@ -243,9 +243,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     partition = classify_terminal(triangular_blocks(dual, g.edges), dual)
     spectrum = sorted(cycle_length_set(emb))
     print(f"n={g.n} e={g.e}")
-    sizes = ",".join(str(f.size) for f in dual.faces)
+    sizes = ",".join(str(len(f)) for f in dual.faces)
     print(f"inner_faces={len(dual.faces)} sizes=[{sizes}]")
-    print(f"weak_dual_nodes={len(dual.faces)} weak_dual_edges={len(dual.edges)}")
+    print(f"weak_dual_nodes={len(dual.faces)} weak_dual_edges={sum(map(len, dual.links)) // 2}")
     trivial = sum(1 for b in partition.blocks if b.trivial)
     terminal = sum(1 for b in partition.blocks if b.terminal)
     print(
@@ -259,8 +259,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         face, held = found  # each face edge lies in its own block
         print(
-            f"reducible_face={'-'.join(map(str, face.vertices))} "
-            f"size={face.size} terminal_blocks={face.size - len(held)}"
+            f"reducible_face={'-'.join(map(str, face))} "
+            f"size={len(face)} terminal_blocks={len(face) - len(held)}"
         )
     print(f"cycle_lengths={spectrum}")
     if args.dot:

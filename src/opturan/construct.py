@@ -91,31 +91,28 @@ def gadget_distinguished_edge(k: int) -> Edge:
 def _gadget_graph(k: int) -> tuple[Graph, Edge, Edge]:
     """Gadget graph plus (distinguished edge, designated far boundary edge).
 
-    Face vertices are 0..k; face edges (i, i+1) each receive a fan copy with
-    apex at i, fresh vertices numbered consecutively from k+1; the edge
-    (0, k) stays free. The far edge sits on the fan attached to face edge
-    floor(k/2) and is where the next chain merge attaches.
+    Face vertices are 0..k; face edge (i, i+1) receives the edges of
+    fan_graph(k-1) but its edge (0, 1), with local 0 -> i, local 1 -> i+1 and
+    the other locals fresh, numbered consecutively from k+1; the edge (0, k)
+    stays free. The far edge is the copy of fan edge (1, 2) on face edge
+    floor(k/2), or that face edge itself when the fan is one edge (k = 3),
+    and is where the next chain merge attaches.
     """
     p = k - 1  # fan size
+    fan_edges = [e for e in fan_graph(p).edges if e != (0, 1)]
     edges: list[Edge] = [(i, i + 1) for i in range(k)] + [(0, k)]
-    far: Edge | None = (k // 2, k // 2 + 1) if p == 2 else None
+    far = (k // 2, k // 2 + 1)
     fresh = k + 1
     for i in range(k):
-        # glue fan(p): local 0 -> i, local 1 -> i+1, locals 2..p-1 fresh
         local = [i, i + 1] + list(range(fresh, fresh + p - 2))
         fresh += p - 2
-        for a in range(1, p - 1):
-            edges.append(edge_key(local[a], local[a + 1]))
-        if p >= 3:
-            edges.append(edge_key(local[0], local[p - 1]))
-        for j in range(2, p - 1):
-            edges.append(edge_key(local[0], local[j]))
+        edges += [edge_key(local[a], local[b]) for a, b in fan_edges]
         if i == k // 2 and p >= 3:
             far = edge_key(local[1], local[2])
     g = make_graph(fresh, sorted(set(edges)))
-    if g.e != len(edges) or far is None:
-        raise RuntimeError(f"gadget for k={k}: fan edge lists overlap or the far edge is unset")
-    return g, (0, k), far
+    if g.e != len(edges):
+        raise RuntimeError(f"gadget for k={k}: fan edge lists overlap")
+    return g, gadget_distinguished_edge(k), far
 
 
 def build_H(k: int) -> OuterplaneEmbedding:

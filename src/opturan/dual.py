@@ -18,9 +18,12 @@ another (4+)-face, so at least L-1 of its edges' blocks are terminal. One
 exists whenever a (4+)-face does: in each dual tree the (4+)-faces span a
 subtree, and a leaf of it (or its only node) qualifies.
 
-Everything after weak_dual reads its faces off a dual the caller built once.
-The rule itself, reducible_face, needs only face boundaries and adjacency,
-so the certificate builder applies it to the face lists it keeps.
+A face is its canonical boundary tuple, and the dual is the faces plus,
+per face, its links: (neighbour, shared edge) pairs sorted by the edge.
+Each block's face scan makes both, weak_dual only joins the blocks, and
+everything after it, the certificate builder included, reads that one
+dual as built. The rule itself, reducible_face, needs only face
+boundaries and adjacency, so the builder applies it to the faces it walks.
 """
 
 from __future__ import annotations
@@ -33,30 +36,20 @@ from functools import cached_property
 from .graph import Edge
 from .embedding import (
     EmbeddingInvariantError,
-    Face,
     OuterplaneEmbedding,
     block_faces,
+    cycle_edges,
 )
 
 
 @dataclass(frozen=True)
 class WeakDualForest:
-    """Faces plus adjacency between faces sharing an edge.
+    """Inner faces, as canonical boundaries, and the faces sharing an edge:
+    links[f] holds face f's (neighbour, shared edge) pairs, sorted by the
+    shared edge."""
 
-    `edges` holds index pairs into `faces`; `shared_edges` records, for each
-    dual edge, the graph edge the two faces share.
-    """
-
-    faces: tuple[Face, ...]
-    edges: tuple[tuple[int, int], ...]
-    shared_edges: tuple[Edge, ...]
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.faces]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+    faces: list[tuple[int, ...]]
+    links: list[list[tuple[int, Edge]]]
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ class BlockPartition:
 class FaceBlockIncidence:
     """Bipartite incidence between (4+)-faces and triangular blocks."""
 
-    faces: tuple[Face, ...]
+    faces: tuple[tuple[int, ...], ...]
     blocks: tuple[TriangularBlock, ...]
     edges: tuple[tuple[int, int], ...]  # (face index, block index)
 
@@ -114,20 +107,16 @@ def _assert_forest(node_count: int, edges: list[tuple[int, int]], what: str) -> 
 
 def weak_dual(emb: OuterplaneEmbedding) -> WeakDualForest:
     """Face-adjacency forest of the embedding (a tree per 2-connected block),
-    read off each block's face scan: faces in inner_faces order, dual edges
-    ordered by the chord the two faces share."""
-    faces: list[Face] = []
-    links: list[tuple[Edge, int, int]] = []
+    read off each block's face scan: faces in inner_faces order, each
+    block's links offset by the faces before it."""
+    faces: list[tuple[int, ...]] = []
+    links: list[list[tuple[int, Edge]]] = []
     for block in emb.blocks:
         faces_here, links_here = block_faces(block)
-        links.extend((chord, len(faces) + a, len(faces) + b) for chord, a, b in links_here)
+        links.extend([(len(faces) + g, e) for g, e in row] for row in links_here)
         faces.extend(faces_here)
-    links.sort()
-    dual_edges = [(a, b) for _, a, b in links]
-    _assert_forest(len(faces), dual_edges, "weak dual")
-    return WeakDualForest(
-        faces=tuple(faces), edges=tuple(dual_edges), shared_edges=tuple(e for e, _, _ in links)
-    )
+    _assert_forest(len(faces), [(f, g) for f, row in enumerate(links) for g, _ in row if f < g], "weak dual")
+    return WeakDualForest(faces, links)
 
 
 def triangular_blocks(dual: WeakDualForest, edges: tuple[Edge, ...]) -> BlockPartition:
@@ -137,14 +126,14 @@ def triangular_blocks(dual: WeakDualForest, edges: tuple[Edge, ...]) -> BlockPar
     of the triangles-only part of the weak dual; every edge bordering no
     triangle becomes its own trivial block. `edges` are all the graph's edges.
     """
-    tri = [fi for fi, f in enumerate(dual.faces) if f.size == 3]
-    tri_set = set(tri)
+    tri = [fi for fi, f in enumerate(dual.faces) if len(f) == 3]
     parent = list(range(len(dual.faces)))
-    for a, b in dual.edges:
-        if a in tri_set and b in tri_set:
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[ra] = rb
+    for a in tri:
+        for b, _ in dual.links[a]:
+            if len(dual.faces[b]) == 3:
+                ra, rb = _find(parent, a), _find(parent, b)
+                if ra != rb:
+                    parent[ra] = rb
     groups: dict[int, list[int]] = defaultdict(list)
     for fi in tri:
         groups[_find(parent, fi)].append(fi)
@@ -154,7 +143,7 @@ def triangular_blocks(dual: WeakDualForest, edges: tuple[Edge, ...]) -> BlockPar
     for members in groups.values():
         block_edges: set[Edge] = set()
         for fi in members:
-            block_edges.update(dual.faces[fi].boundary_edges())
+            block_edges.update(cycle_edges(dual.faces[fi]))
         verts = tuple(sorted({v for e in block_edges for v in e}))
         blocks.append(
             TriangularBlock(edges=tuple(sorted(block_edges)), vertices=verts, trivial=False)
@@ -175,9 +164,9 @@ def classify_terminal(partition: BlockPartition, dual: WeakDualForest) -> BlockP
     owner = partition.block_of_edge()
     touched: dict[int, set[int]] = defaultdict(set)
     for fi, face in enumerate(dual.faces):
-        if face.size < 4:
+        if len(face) < 4:
             continue
-        for e in face.boundary_edges():
+        for e in cycle_edges(face):
             touched[owner[e]].add(fi)
     blocks = tuple(
         dataclasses.replace(block, terminal=len(touched.get(bi, ())) <= 1)
@@ -190,10 +179,10 @@ def face_block_incidence(dual: WeakDualForest, partition: BlockPartition) -> Fac
     """The bipartite (4+)-face / block incidence graph of the dual's classified
     partition; always a forest."""
     owner = partition.block_of_edge()
-    big_faces = [f for f in dual.faces if f.size >= 4]
+    big_faces = [f for f in dual.faces if len(f) >= 4]
     pairs: set[tuple[int, int]] = set()
     for fi, face in enumerate(big_faces):
-        for e in face.boundary_edges():
+        for e in cycle_edges(face):
             pairs.add((fi, owner[e]))
     edges = sorted(pairs)
     offset = len(big_faces)
@@ -254,16 +243,15 @@ def reducible_face(boundaries: list[tuple[int, ...]], adj: list[list[int]]) -> t
     return chosen, [u for u, w in zip(adj[chosen], branches[chosen]) if w]
 
 
-def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] | None:
+def find_reducible_face(dual: WeakDualForest) -> tuple[tuple[int, ...], tuple[Edge, ...]] | None:
     """The (4+)-inner-face reducible_face picks, with at most one dual branch
     around it that holds a (4+)-face, and its edges in a non-terminal block
     (at most one); None when every inner face is a triangle."""
-    found = reducible_face([f.vertices for f in dual.faces], dual.adjacency())
+    found = reducible_face(dual.faces, [[g for g, _ in row] for row in dual.links])
     if found is None:
         return None
     chosen, held = found
-    across = {a + b - chosen: e for (a, b), e in zip(dual.edges, dual.shared_edges) if chosen in (a, b)}
-    return dual.faces[chosen], tuple(across[u] for u in held)
+    return dual.faces[chosen], tuple(e for g, e in dual.links[chosen] if g in held)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +260,13 @@ def find_reducible_face(dual: WeakDualForest) -> tuple[Face, tuple[Edge, ...]] |
 
 
 def weak_dual_to_dot(dual: WeakDualForest) -> str:
+    """DOT text: a node per face, then the dual edges sorted by the edge each crosses."""
     lines = ["graph WeakDual {"]
     for fi, face in enumerate(dual.faces):
-        label = "-".join(map(str, face.vertices))
+        label = "-".join(map(str, face))
         lines.append(f'  f{fi} [label="{label}"];')
-    for (a, b), shared in zip(dual.edges, dual.shared_edges):
-        lines.append(f'  f{a} -- f{b} [label="{shared[0]}-{shared[1]}"];')
+    for (u, v), a, b in sorted((e, f, g) for f, row in enumerate(dual.links) for g, e in row if f < g):
+        lines.append(f'  f{a} -- f{b} [label="{u}-{v}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -285,7 +274,7 @@ def weak_dual_to_dot(dual: WeakDualForest) -> str:
 def incidence_to_dot(inc: FaceBlockIncidence) -> str:
     lines = ["graph Incidence {"]
     for fi, face in enumerate(inc.faces):
-        label = "-".join(map(str, face.vertices))
+        label = "-".join(map(str, face))
         lines.append(f'  f{fi} [shape=box, label="face {label}"];')
     for bi, block in enumerate(inc.blocks):
         kind = "trivial" if block.trivial else "block"

@@ -62,25 +62,6 @@ class EdgeNotOnOuterFaceError(ValueError):
     """Operation requires an edge lying on the outer boundary."""
 
 
-@dataclass(frozen=True)
-class Face:
-    """Bounded face given by its boundary vertices in cyclic order.
-
-    The vertex list is canonicalised (rotated/reflected to the
-    lexicographically least form) so faces compare and sort deterministically.
-    """
-
-    vertices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    def boundary_edges(self) -> tuple[Edge, ...]:
-        vs = self.vertices
-        return tuple(edge_key(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-
-
 def canonical_cycle(vertices: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     """Least rotation/reflection of a cyclic vertex sequence."""
 
@@ -92,6 +73,12 @@ def canonical_cycle(vertices: list[int] | tuple[int, ...]) -> tuple[int, ...]:
     return min(from_min(vs), from_min(vs[::-1]))
 
 
+def cycle_edges(vertices: tuple[int, ...]) -> tuple[Edge, ...]:
+    """The edges of the cycle through `vertices` in order, the closing one last."""
+    p = len(vertices)
+    return tuple(edge_key(vertices[i], vertices[(i + 1) % p]) for i in range(p))
+
+
 @dataclass(frozen=True)
 class BlockEmbedding:
     """One 2-connected block: outer cycle plus chords as position pairs."""
@@ -101,10 +88,6 @@ class BlockEmbedding:
 
     def chord_edges(self) -> tuple[Edge, ...]:
         return tuple(edge_key(self.outer[i], self.outer[j]) for i, j in self.chords)
-
-    def cycle_edges(self) -> tuple[Edge, ...]:
-        p = len(self.outer)
-        return tuple(edge_key(self.outer[i], self.outer[(i + 1) % p]) for i in range(p))
 
 
 @dataclass(frozen=True)
@@ -137,7 +120,7 @@ def _validate_parts(emb: OuterplaneEmbedding) -> None:
                 raise EmbeddingInvariantError(f"chord positions ({i}, {j}) out of order")
             if j - i == 1 or (i == 0 and j == p - 1):
                 raise EmbeddingInvariantError(f"chord ({i}, {j}) duplicates a cycle edge")
-        claimed.extend(block.cycle_edges())
+        claimed.extend(cycle_edges(block.outer))
         claimed.extend(block.chord_edges())
     if len(claimed) != len(set(claimed)):
         raise EmbeddingInvariantError("edge claimed by two embedding parts")
@@ -218,8 +201,7 @@ def _embed_block(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> BlockEmb
 
     outer = canonical_cycle(cycle)
     pos = {v: i for i, v in enumerate(outer)}
-    p = len(outer)
-    boundary = {edge_key(outer[i], outer[(i + 1) % p]) for i in range(p)}
+    boundary = set(cycle_edges(outer))
     if not boundary <= real:
         raise NotOuterplanarError("reconstructed boundary uses a non-edge")
     chords = sorted(edge_key(pos[u], pos[v]) for u, v in real - boundary)
@@ -287,9 +269,10 @@ def _scan_faces(p: int, chords: tuple[tuple[int, int], ...]) -> tuple[list[list[
     return faces, across
 
 
-def block_faces(block: BlockEmbedding) -> tuple[list[Face], list[tuple[Edge, int, int]]]:
-    """The block's inner faces, sorted by canonical boundary, and its weak
-    dual as (shared chord, a, b) with a < b indices into that list."""
+def block_faces(block: BlockEmbedding) -> tuple[list[tuple[int, ...]], list[list[tuple[int, Edge]]]]:
+    """The block's inner faces, as canonical boundaries in sorted order, and
+    its weak dual as links: links[f] holds face f's (neighbour, shared
+    chord) pairs, sorted by the chord."""
     outer = block.outer
     scanned, across = _scan_faces(len(outer), block.chords)
     canon = [canonical_cycle([outer[i] for i in positions]) for positions in scanned]
@@ -297,16 +280,20 @@ def block_faces(block: BlockEmbedding) -> tuple[list[Face], list[tuple[Edge, int
     rank = [0] * len(order)
     for r, f in enumerate(order):
         rank[f] = r
-    links = []
+    links: list[list[tuple[int, Edge]]] = [[] for _ in order]
     for f, other in enumerate(across):
-        a, b = rank[f], rank[other]
         chord = edge_key(outer[scanned[f][0]], outer[scanned[f][-1]])
-        links.append((chord, a, b) if a < b else (chord, b, a))
-    return [Face(canon[f]) for f in order], links
+        links[rank[f]].append((rank[other], chord))
+        links[rank[other]].append((rank[f], chord))
+    for row in links:
+        row.sort(key=lambda link: link[1])
+    return [canon[f] for f in order], links
 
 
-def inner_faces(emb: OuterplaneEmbedding) -> list[Face]:
-    """All bounded faces, blockwise; bridges and isolated vertices bound none.
+def inner_faces(emb: OuterplaneEmbedding) -> list[tuple[int, ...]]:
+    """All bounded faces, blockwise, each as its canonical boundary (the least
+    rotation or reflection of its cyclic vertex order); bridges and isolated
+    vertices bound none.
 
     A block with c chords yields exactly c + 1 faces. Order is deterministic:
     blocks in embedding order, faces sorted by canonical boundary.
@@ -318,7 +305,7 @@ def outer_boundary_edges(emb: OuterplaneEmbedding) -> frozenset[Edge]:
     """Edges lying on the outer face: bridges plus block boundary cycles."""
     out: set[Edge] = set(emb.bridges)
     for block in emb.blocks:
-        out.update(block.cycle_edges())
+        out.update(cycle_edges(block.outer))
     return frozenset(out)
 
 
@@ -495,7 +482,7 @@ def embedding_from_json(text: str) -> OuterplaneEmbedding:
     edges: list[Edge] = list(bridges)
     touched: set[int] = set(isolated)
     for b in blocks:
-        edges.extend(b.cycle_edges())
+        edges.extend(cycle_edges(b.outer))
         edges.extend(b.chord_edges())
         touched.update(b.outer)
     touched.update(x for e in edges for x in e)

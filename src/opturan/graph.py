@@ -326,13 +326,9 @@ def _closed_path_search(
     return None
 
 
-def find_cycle_of_length(g: Graph, k: int) -> tuple[int, ...] | None:
-    return find_cycle_in_edges(g.n, g.edges, k)
-
-
 def has_cycle_of_length(g: Graph, k: int) -> bool:
     """True iff g contains a (not necessarily induced) cycle on exactly k vertices."""
-    return find_cycle_of_length(g, k) is not None
+    return find_cycle_in_edges(g.n, g.edges, k) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .construct import ChainParams
+
 
 class BoundDomainError(ValueError):
     """Arguments outside k >= 3, n >= 2."""
@@ -147,14 +149,12 @@ CSV_COLUMNS = (
 def construction_edge_count(k: int, n: int) -> int | None:
     """Edge count of the extremal chain on n vertices, when one exists.
 
-    Chains exist exactly at n = (k-1) + m*(k^2-2k-1) for integer m >= 0 and
-    then have (2k-5)(1+mk) edges.
+    Chains exist exactly at the sharp residues n >= k-1, one per merge count
+    m = (n - (k-1)) / (k^2-2k-1), and ChainParams gives their closed form.
     """
-    modulus = k * k - 2 * k - 1
-    if n < k - 1 or (n - (k - 1)) % modulus:
+    if n < k - 1 or not sharp_residue(k, n):
         return None
-    m = (n - (k - 1)) // modulus
-    return (2 * k - 5) * (1 + m * k)
+    return ChainParams(k, (n - (k - 1)) // (k * k - 2 * k - 1)).edge_count
 
 
 def comparison_rows(

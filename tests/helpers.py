@@ -151,24 +151,25 @@ def reference_first_cycle(n: int, edges, k: int) -> tuple[int, ...] | None:
 
 def reference_weak_dual(emb: op.OuterplaneEmbedding) -> op.WeakDualForest:
     """The weak dual by definition: inner faces are adjacent when they share
-    a boundary edge, dual edges ordered by that edge."""
-    faces = tuple(op.inner_faces(emb))
+    a boundary edge, each face's links ordered by that edge."""
+    faces = op.inner_faces(emb)
     by_edge: dict[tuple[int, int], list[int]] = defaultdict(list)
     for fi, face in enumerate(faces):
-        for e in face.boundary_edges():
+        for e in op.cycle_edges(face):
             by_edge[e].append(fi)
-    shared = sorted(e for e, users in by_edge.items() if len(users) == 2)
     assert all(len(users) <= 2 for users in by_edge.values())
-    return op.WeakDualForest(
-        faces=faces,
-        edges=tuple(tuple(sorted(by_edge[e])) for e in shared),
-        shared_edges=tuple(shared),
-    )
+    links: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in faces]
+    for e in sorted(by_edge):
+        if len(by_edge[e]) == 2:
+            a, b = by_edge[e]
+            links[a].append((b, e))
+            links[b].append((a, e))
+    return op.WeakDualForest(faces=faces, links=links)
 
 
 def reference_reducible_face(
     emb: op.OuterplaneEmbedding,
-) -> tuple[op.Face, tuple[tuple[int, int], ...]] | None:
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]] | None:
     """The reducible face from the face/block incidence forest over the
     classified triangular-block partition: the least (4+)-face with at most
     one non-terminal block among its neighbours, and the face edges whose
@@ -183,9 +184,9 @@ def reference_reducible_face(
         non_terminal[fi] += not inc.blocks[bi].terminal
     qualifying = [fi for fi in range(len(inc.faces)) if non_terminal[fi] <= 1]
     assert qualifying, "no reducible face despite a (4+)-face being present"
-    face = min((inc.faces[fi] for fi in qualifying), key=lambda f: f.vertices)
+    face = min(inc.faces[fi] for fi in qualifying)
     owner = partition.block_of_edge()
-    held = tuple(e for e in face.boundary_edges() if not partition.blocks[owner[e]].terminal)
+    held = tuple(e for e in op.cycle_edges(face) if not partition.blocks[owner[e]].terminal)
     return face, held
 
 
@@ -263,7 +264,7 @@ def rand_ckfree_subgraph(rng: random.Random, n: int, k: int) -> op.Graph:
     g = rand_subgraph(rng, rand_triangulation(rng, n).graph, keep=0.85)
     edges = list(g.edges)
     while True:
-        cyc = op.find_cycle_of_length(op.make_graph(n, edges), k)
+        cyc = find_cycle_in_edges(n, edges, k)
         if cyc is None:
             return op.make_graph(n, edges)
         kill = op.edge_key(*rng.choice([(cyc[i], cyc[(i + 1) % k]) for i in range(k)]))
@@ -303,7 +304,7 @@ def restrict_embedding(
     """
     block_of = dict.fromkeys(parent.graph.edges, -1)  # edge -> block index, -1 for a bridge
     for at, block in enumerate(parent.blocks):
-        for edge in block.cycle_edges() + block.chord_edges():
+        for edge in op.cycle_edges(block.outer) + block.chord_edges():
             block_of[edge] = at
     positions = [{v: i for i, v in enumerate(b.outer)} for b in parent.blocks]
     return [_restrict(block_of, positions, sub, to_parent) for sub, to_parent in subgraphs]
@@ -575,7 +576,7 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
 
 def embedding_decomposition(emb: op.OuterplaneEmbedding) -> op.BlockCutDecomposition:
     """The graph's blocks, bridges and cut vertices, read off its embedding."""
-    comps = [b.cycle_edges() + b.chord_edges() for b in emb.blocks]
+    comps = [op.cycle_edges(b.outer) + b.chord_edges() for b in emb.blocks]
     comps += [(e,) for e in emb.bridges]
     return block_cut_decomposition(emb.graph.n, comps, emb.isolated)
 
@@ -611,12 +612,12 @@ def reference_select_big_face(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     """The face of size >= k+1 whose largest child has the fewest edges."""
     faces = dual.faces
     # the child across a face edge holds sum(size - 1) + 1 edges of its faces
-    branches = branch_weights(dual.adjacency(), [f.size - 1 for f in faces])
+    branches = branch_weights([[g for g, _ in row] for row in dual.links], [len(f) - 1 for f in faces])
     at = min(
-        (i for i, f in enumerate(faces) if f.size >= k + 1),
-        key=lambda i: (max(branches[i], default=0), faces[i].vertices),
+        (i for i, f in enumerate(faces) if len(f) >= k + 1),
+        key=lambda i: (max(branches[i], default=0), faces[i]),
     )
-    return faces[at].vertices
+    return faces[at]
 
 
 def reference_select_peel(dual: WeakDualForest, k: int) -> tuple[int, ...]:
@@ -625,11 +626,11 @@ def reference_select_peel(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     found = find_reducible_face(dual)
     if found is None:
         raise certify_module.CoverageError("no reducible face although a (4+)-face exists")
-    face_obj, held = found
-    size = face_obj.size
+    face, held = found
+    size = len(face)
     if not 4 <= size <= k - 1:
         raise certify_module.CoverageError(f"reducible face size {size} outside 4..{k - 1}")
-    ring = list(face_obj.vertices)
+    ring = list(face)
     skip = next((i for i in range(size) if op.edge_key(ring[i], ring[(i + 1) % size]) in held), 0)
     ring = ring[skip + 1 :] + ring[: skip + 1]
     if ring[0] > ring[-1]:
@@ -660,9 +661,9 @@ def reference_build(emb: op.OuterplaneEmbedding, k: int) -> op.Certificate:
             children = reference_cut_children(g, labels, cut, side)
         else:
             dual = op.weak_dual(emb)
-            if any(f.size >= k + 1 for f in dual.faces):
+            if any(len(f) >= k + 1 for f in dual.faces):
                 kind, derive, face = certify_module.BIG_FACE_SPLIT, reference_big_face_children, reference_select_big_face(dual, k)
-            elif any(f.size >= 4 for f in dual.faces):
+            elif any(len(f) >= 4 for f in dual.faces):
                 kind, derive, face = certify_module.TERMINAL_PEEL, reference_peel_children, reference_select_peel(dual, k)
             elif op.is_edge_maximal(emb) and g.n <= k - 1:
                 return op.CertNode(kind=certify_module.MAXIMAL_LEAF)

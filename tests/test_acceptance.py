@@ -154,7 +154,7 @@ def test_criterion_5_structure_propositions():
         dual = op.weak_dual(emb)
         part = op.triangular_blocks(dual, g.edges)
         assert sorted(e for b in part.blocks for e in b.edges) == list(g.edges)
-        has_big = any(f.size >= 4 for f in op.inner_faces(emb))
+        has_big = any(len(f) >= 4 for f in op.inner_faces(emb))
         got = op.find_reducible_face(dual)
         assert (got is not None) == has_big
         if got is not None:
@@ -162,15 +162,8 @@ def test_criterion_5_structure_propositions():
             face, _ = got
             classified = op.classify_terminal(part, dual)
             owner = classified.block_of_edge()
-            ring = face.vertices
-            terminal = sum(
-                1
-                for i in range(face.size)
-                if classified.blocks[
-                    owner[op.edge_key(ring[i], ring[(i + 1) % face.size])]
-                ].terminal
-            )
-            assert terminal >= face.size - 1
+            terminal = sum(1 for e in op.cycle_edges(face) if classified.blocks[owner[e]].terminal)
+            assert terminal >= len(face) - 1
     assert checked_faces > 200
     _report(
         "criterion 5",

@@ -33,18 +33,18 @@ class TestWeakDual:
     def test_fan5_path(self):
         dual = op.weak_dual(op.fan(5))
         assert len(dual.faces) == 3
-        degs = sorted(len(row) for row in dual.adjacency())
+        degs = sorted(len(row) for row in dual.links)
         assert degs == [1, 1, 2]
 
     def test_c6_single_node(self):
         dual = op.weak_dual(op.recognize_outerplanar(C(6)))
-        assert len(dual.faces) == 1 and dual.edges == ()
+        assert len(dual.faces) == 1 and dual.links == [[]]
 
     def test_build_h5_star_of_paths(self):
         dual = op.weak_dual(op.build_H(5))
-        assert len(dual.faces) == 11 and len(dual.edges) == 10
-        adj = dual.adjacency()
-        hexagon = next(i for i, f in enumerate(dual.faces) if f.size == 6)
+        assert len(dual.faces) == 11 and sum(map(len, dual.links)) == 2 * 10
+        adj = dual.links
+        hexagon = next(i for i, f in enumerate(dual.faces) if len(f) == 6)
         assert len(adj[hexagon]) == 5
         # the rest split into five 2-node arms
         degs = sorted(len(row) for i, row in enumerate(adj) if i != hexagon)
@@ -212,16 +212,16 @@ class TestIncidence:
 class TestReducibleFace:
     def test_build_h5(self):
         face, held = op.find_reducible_face(op.weak_dual(op.build_H(5)))
-        assert face.size == 6
+        assert len(face) == 6
         assert held == ()  # all 6 blocks terminal; >= size - 1 required
 
     def test_c4(self):
         face, held = op.find_reducible_face(op.weak_dual(op.recognize_outerplanar(C(4))))
-        assert face.size == 4 and held == ()
+        assert len(face) == 4 and held == ()
 
     def test_glued_squares_hold_the_shared_edge(self):
         face, held = op.find_reducible_face(op.weak_dual(glued_squares()))
-        assert face.vertices == (0, 1, 2, 3) and held == ((2, 3),)
+        assert face == (0, 1, 2, 3) and held == ((2, 3),)
 
     def test_fan7_none(self):
         assert op.find_reducible_face(op.weak_dual(op.fan(7))) is None
@@ -232,7 +232,7 @@ class TestReducibleFace:
         for _ in range(400):
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(4, 14)).graph, 0.7)
             emb = op.recognize_outerplanar(g)
-            has_big = any(f.size >= 4 for f in op.inner_faces(emb))
+            has_big = any(len(f) >= 4 for f in op.inner_faces(emb))
             got = op.find_reducible_face(op.weak_dual(emb))
             assert (got is not None) == has_big
             if got is None:
@@ -241,12 +241,8 @@ class TestReducibleFace:
             face, _ = got
             _, part = classified(emb)
             owner = part.block_of_edge()
-            ring = face.vertices
-            blocks = [
-                part.blocks[owner[op.edge_key(ring[i], ring[(i + 1) % face.size])]]
-                for i in range(face.size)
-            ]
-            assert sum(1 for b in blocks if b.terminal) >= face.size - 1
+            blocks = [part.blocks[owner[e]] for e in op.cycle_edges(face)]
+            assert sum(1 for b in blocks if b.terminal) >= len(face) - 1
         assert found_some > 150  # the sample must actually exercise the lemma
 
 

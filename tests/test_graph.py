@@ -140,7 +140,7 @@ class TestCycleSearch:
         for _ in range(80):
             g = rand_subgraph(rng, rand_triangulation(rng, rng.randint(4, 10)).graph, 0.7)
             for k in range(3, g.n + 1):
-                cyc = op.find_cycle_of_length(g, k)
+                cyc = find_cycle_in_edges(g.n, g.edges, k)
                 if cyc is not None:
                     assert len(cyc) == k == len(set(cyc))
                     es = g.edge_set()

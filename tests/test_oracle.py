@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 import opturan as op
+from opturan.graph import find_cycle_in_edges
 from opturan.oracle import _pareto
 
 from helpers import brute_max_ckfree
@@ -99,7 +100,7 @@ class TestExactEx:
             for n in range(2, 41):
                 r = op.exact_ex(n, k)
                 assert r.witness.e == r.value
-                assert op.find_cycle_of_length(r.witness, k) is None, (k, n)
+                assert find_cycle_in_edges(r.witness.n, r.witness.edges, k) is None, (k, n)
                 emb = op.recognize_outerplanar(r.witness)
                 assert k not in op.cycle_length_set(emb), (k, n)
 

@@ -328,7 +328,7 @@ def test_face_sides_accept_exactly_the_inner_faces(seed, size, host, k):
     dual = op.weak_dual(op.recognize_outerplanar(g))
     not_faces = []
     for face in dual.faces:
-        ring = list(face.vertices)
+        ring = list(face)
         for turned in (ring, ring[::-1]):
             for r in range(len(ring)):
                 sides, loose = certify_module._face_sides(list(g.edges), tuple(turned[r:] + turned[:r]))
@@ -336,9 +336,11 @@ def test_face_sides_accept_exactly_the_inner_faces(seed, size, host, k):
                 assert sorted(held + [e for _, edges in loose for e in edges]) == list(g.edges)
         if len(ring) >= 4:
             not_faces.append([ring[1], ring[0]] + ring[2:])
-    for (a, b), (u, v) in zip(dual.edges, dual.shared_edges):
-        first, second = list(dual.faces[a].vertices), list(dual.faces[b].vertices)
-        not_faces.append(path_around(first, u, v) + path_around(second, v, u)[1:-1])
+    for a, row in enumerate(dual.links):
+        for b, (u, v) in row:
+            if a < b:
+                first, second = list(dual.faces[a]), list(dual.faces[b])
+                not_faces.append(path_around(first, u, v) + path_around(second, v, u)[1:-1])
     for cycle in not_faces:
         with pytest.raises(certify_module.SelectionError, match="not an inner face"):
             certify_module._face_sides(list(g.edges), tuple(cycle))
@@ -348,7 +350,7 @@ def restrictable(g: op.Graph, emb, subset: set) -> bool:
     """Whether every block of emb keeps at most one edge of `subset`, or a
     set of them that spans one block."""
     for block in emb.blocks:
-        kept = subset.intersection(block.cycle_edges() + block.chord_edges())
+        kept = subset.intersection(op.cycle_edges(block.outer) + block.chord_edges())
         if len(kept) > 1:
             dec = op.biconnected_decomposition(subgraph_on_edges(sorted(kept))[0])
             if len(dec.blocks) != 1 or dec.bridges:
@@ -471,17 +473,20 @@ def shaped_host(seed: int, size: int, k: int, shape: str) -> tuple[op.Graph, int
     return op.make_graph(n, [(perm[u], perm[v]) for u, v in edges]), k
 
 
-def forest_form(faces, shared_edges, pairs, vertices) -> tuple:
-    """A weak dual in a form that ignores the order of its faces and edges:
-    faces and shared edges in ranks among `vertices`, sorted, and each
-    shared edge with its two faces."""
+def forest_form(faces, links, vertices) -> tuple:
+    """A weak dual, its faces and each face's (neighbour, shared edge) links,
+    in a form that ignores the order of its faces and edges: faces and
+    shared edges in ranks among `vertices`, sorted, and each shared edge
+    with its two faces."""
     rank = {v: i for i, v in enumerate(sorted(vertices))}
     ranked = [tuple(rank[v] for v in face) for face in faces]
-    links = sorted(
+    pairs = sorted(
         (tuple(sorted((rank[u], rank[v]))), tuple(sorted((ranked[a], ranked[b]))))
-        for (u, v), (a, b) in zip(shared_edges, pairs)
+        for a, row in enumerate(links)
+        for b, (u, v) in row
+        if a < b
     )
-    return sorted(ranked), links
+    return sorted(ranked), pairs
 
 
 @LARGE
@@ -499,14 +504,11 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
     step = certify_module._face_step
 
     def record(src, faces):
-        chosen = set(faces)
-        pairs = [(f, g, e) for f in faces for g, e in src.links[f] if f < g and g in chosen]
         at = {f: i for i, f in enumerate(faces)}
         forests.append(
             forest_form(
                 [src.faces[f] for f in faces],
-                [e for _, _, e in pairs],
-                [(at[f], at[g]) for f, g, _ in pairs],
+                [[(at[g], e) for g, e in src.links[f] if g in at] for f in faces],
                 {v for f in faces for v in src.faces[f]},
             )
         )
@@ -522,7 +524,7 @@ def test_builder_node_embeddings_equal_recognition(seed, size, k, shape):
         node, graph, labels = stack.pop()
         if node.kind in face_kinds:
             dual = op.weak_dual(op.recognize_outerplanar(graph))
-            expected = forest_form([f.vertices for f in dual.faces], dual.shared_edges, dual.edges, range(graph.n))
+            expected = forest_form(dual.faces, dual.links, range(graph.n))
             assert forests[faced] == expected
             faced += 1
         if node.children:
@@ -640,7 +642,7 @@ def test_selections_read_against_the_certified_graph(seed, size, k, shape, data)
     g, k = shaped_host(seed, size, k, shape)
     emb = op.recognize_outerplanar(g)
     cert = op.build_certificate(emb, k)
-    faces = {face.vertices for face in op.inner_faces(emb)}
+    faces = set(op.inner_faces(emb))
     cuts = set(op.biconnected_decomposition(g).cut_vertices)
     stack = [(cert.root, False)]
     while stack:

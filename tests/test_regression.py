@@ -12,7 +12,9 @@ builder chose before. The disconnected tie was recorded when the builder
 grouped components on their own, before they hung from one hub in its
 block-cut forest. The `analyze` digests were recorded when every face
 structure still rebuilt its own faces; reading them all off one weak dual
-must give the same bytes.
+must give the same bytes. The multi-block host pins the order of dual
+edges across blocks in weak_dual.dot; its digests were recorded before
+the weak dual kept its shared edges per face.
 """
 
 import hashlib
@@ -58,7 +60,22 @@ def test_embedding_json_digest_chain_6_24():
     )
 
 
-ANALYZE_HOSTS = {"H5": lambda: op.build_H(5).graph, "ladder12": lambda: ladder(12)}
+# two components and the isolated vertices 7 and 19: a pentagon split by
+# the chord (5, 11) into a quadrilateral and a triangle, with a pendant
+# edge, bridged to a square split by (2, 4), with a triangle at vertex 4;
+# and a fan of three triangles with a pendant edge. Block 1-2-3-4 comes
+# after block 0-5-9-11-13, but its chord sorts first.
+MULTIBLOCK_EDGES = [
+    (0, 5), (5, 9), (9, 11), (11, 13), (0, 13), (5, 11), (1, 2), (2, 3), (3, 4), (1, 4), (2, 4), (4, 6),
+    (6, 8), (4, 8), (1, 13), (9, 10), (12, 14), (14, 15), (15, 16), (16, 17), (12, 17), (14, 16), (14, 17),
+    (17, 18),
+]
+
+ANALYZE_HOSTS = {
+    "H5": lambda: op.build_H(5).graph,
+    "ladder12": lambda: ladder(12),
+    "multiblock": lambda: op.make_graph(20, MULTIBLOCK_EDGES),
+}
 
 # sha256 of stdout, embedding.dot, weak_dual.dot and incidence.dot
 ANALYZE_DIGESTS = {
@@ -73,6 +90,12 @@ ANALYZE_DIGESTS = {
         "fe78009ee99f69bcded958903dd57a62b00edb627407f2fd64963582321aafd9",
         "a6ab9a72ee6c175b9295983ea11b2871038818406de5e18637c66f6833a44404",
         "be51d9617644510f80d76da28a1ec1d343a6557ee619d02af94f20ce1a289683",
+    ),
+    "multiblock": (
+        "ec572d1f57e8b76689474145d1da948abcdb534659949d77203f80f136975e37",
+        "3b438fb89f0e28e5541c3f49a7467c5de535be4e359fa3053c89ef26918c31e9",
+        "681128319ef271daad2cf70fa63ab793dd590606e770890a2d6bb461d758eddb",
+        "0cdd0cab6ba04f9888f138ae74235c54453580df604758a5c6629b1a91610f64",
     ),
 }
 

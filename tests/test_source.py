@@ -80,6 +80,27 @@ def test_certificates_stay_off_the_block_partition():
     assert names & partition == set()
 
 
+def test_one_face_form():
+    """A face is its canonical boundary tuple and the weak dual is its faces
+    plus each face's (neighbour, shared edge) links, as the face scan makes
+    them: no module wraps a face in a class, and the certificate builder
+    walks the links as built, so certify.py names no other form of the dual."""
+    from opturan.dual import WeakDualForest
+
+    classes = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef) and node.name == "Face"
+    ]
+    assert classes == []
+    assert tuple(f.name for f in dataclasses.fields(WeakDualForest)) == ("faces", "links")
+    names = {
+        getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(ast.parse((PACKAGE / "certify.py").read_text()))
+    }
+    assert names & {"shared_edges", "adjacency"} == set()
+
+
 def test_verifier_reads_no_embedding_off_a_parent():
     """A derived child is vouched for by a flag: the verifier never restricts
     its parent's embedding."""
