@@ -4,12 +4,15 @@ Given an outerplane graph with no k-cycle, the builder produces a tree of
 decomposition steps, each step shrinking the graph while preserving
 outerplanarity and k-cycle-freeness, bottoming out in leaves whose edge
 counts are bounded directly. An independent verifier replays every step:
-it checks the graphs, the split bookkeeping identities, and the chained
-integer inequalities that together establish
+it checks the graphs, the leaf conditions, a peel's vertex counts and each
+node's integer inequality. The rest of the split bookkeeping, and the chain
+of integer inequalities that together establish
 
     e * (k^2 - 2k - 1) <= (2k - 5) * (k*n - k - 1)
 
-at the root. A certificate stores the certified graph and, per node, only
+at the root, hold by its derivation of every child from its parent and the
+recorded selection (the lemma at _verify_split), so it does not check them.
+A certificate stores the certified graph and, per node, only
 its kind and the selection that fixes the step, as a flat preorder list:
 a node's kind fixes its number of children, so no recursion writes or
 reads it. Every vertex is named by its label in the certified graph, so a
@@ -62,7 +65,7 @@ graph known to be outerplanar, e = 2n-3 is exactly edge-maximality. Below
 a root that is not outerplanar nothing is vouched for, so each node there
 gets the full checks.
 
-Node kinds, their selections and their bookkeeping:
+Node kinds, their selections and the bookkeeping their derivation gives:
 
   edgeless        e = 0 leaf (n >= 2).
   base            n = 2 leaf, e <= 1.
@@ -486,15 +489,16 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
     are subgraphs of their parent inherit both properties (see the module
     docstring), as does a contracted peel, a minor of its parent, on fewer
     than k vertices, so a flag stands for them; a peel on more is recognised
-    and searched afresh. At every node it checks the selection against the
-    node, the split bookkeeping identities, the leaf conditions and the
-    integer inequality chain. Failures are pinpointed by node path.
+    and searched afresh. At every node it checks that the selection fits
+    the node, the leaf conditions or a peel's vertex counts, and the node's
+    integer inequality; the rest of the split bookkeeping and the chain of
+    inequalities hold by derivation (_verify_split). The root bound is
+    checked once more against turan.bound_holds. Failures are pinpointed by
+    node path.
     """
     audit = _Audit(k)
     if k != cert.k:
         audit.fail("root", f"certificate was built for k={cert.k}, audited with k={k}")
-    if cert.graph.n < 2:
-        audit.fail("root", f"certified graph has n={cert.graph.n} < 2")
     if k < 3:
         audit.fail("root", f"cycle length must be at least 3, got k={k}")
     try:
@@ -503,8 +507,9 @@ def verify_certificate(cert: Certificate, k: int) -> AuditReport:
         audit.fail("root", f"invalid certified graph: {exc}")
     else:
         # the root is the certified graph without its isolated vertices (the
-        # graph itself when it has no edge); no node can be audited for
-        # shorter cycles; the stack keeps preorder
+        # graph itself when it has no edge, so on n < 2 its inequality
+        # fails); no node can be audited for shorter cycles; the stack
+        # keeps preorder
         edges = list(cert.graph.edges)
         n = _vertex_count(edges) if edges else cert.graph.n
         stack = [(cert.root, n, edges, False, "root")] if k >= 3 else []
@@ -547,11 +552,9 @@ def _verify_node(
     note = ""
     children: list[Derived] = []
 
-    if node.kind == EDGELESS:
+    if node.kind == EDGELESS:  # on n <= 1 its inequality fails: rhs < 0 = lhs
         if e != 0:
             audit.fail(path, "edgeless node has edges")
-        if n < 2:
-            audit.fail(path, "edgeless node needs n >= 2")
     elif node.kind == BASE:
         if n != 2 or e > 1:
             audit.fail(path, f"base leaf requires n=2, e<=1; got n={n}, e={e}")
@@ -568,7 +571,7 @@ def _verify_node(
         except SelectionError as exc:
             audit.fail(path, str(exc))
         if children:
-            _verify_split(node, n, e, [(m, len(es)) for m, es, _ in children], k, path, audit)
+            _verify_split(node, n, [m for m, _, _ in children], k, path, audit)
         size = len(node.face or ())
         note = {
             CUT_SPLIT: "split at a cut",
@@ -588,43 +591,27 @@ def _verify_node(
     ]
 
 
-def _verify_split(
-    node: CertNode, n: int, e: int, sizes: list[tuple[int, int]], k: int, path: str, audit: _Audit
-) -> None:
-    """The bookkeeping of a split node on n vertices and e edges, its
-    derived children of these (vertex count, edge count) sizes."""
-    n_sum = sum(m for m, _ in sizes)
-    e_sum = sum(d for _, d in sizes)
-    child_rhs = sum(audit.rhs(m) for m, _ in sizes)
-    if e_sum != e:
-        audit.fail(path, f"children hold {e_sum} edges, the node {e}")
-    if node.kind == BIG_FACE_SPLIT:
-        size = len(node.face)
-        if n_sum != n + size:
-            audit.fail(path, f"sum n_i = {n_sum} differs from n+L = {n + size}")
-        mid = audit.coeff * (k * (n + size) - k * size - size)
-        if child_rhs != mid:
-            audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
-        if mid > audit.rhs(n):
-            audit.fail(path, "chain value exceeds the node bound (face too small?)")
-        return
+def _verify_split(node: CertNode, n: int, sizes: list[int], k: int, path: str, audit: _Audit) -> None:
+    """The bookkeeping a split node on n vertices leaves open, given its
+    derived children's vertex counts: only a peel's n'+n* = n+1 and n* <=
+    k-2, which keeps the contracted peel free of k-cycles.
 
-    # cut split and peel: two children on at most n+1 vertices
-    mid = audit.coeff * (k * (n + 1) - 2 * k - 2)
-    if node.kind == CUT_SPLIT:
-        if n_sum > n + 1:
-            audit.fail(path, f"n1+n2 = {n_sum} exceeds n+1 = {n + 1}")
-        if child_rhs > mid:
-            audit.fail(path, f"children bounds {child_rhs} exceed chain value {mid}")
-    else:
-        if n_sum != n + 1:
-            audit.fail(path, f"n'+n* = {n_sum} differs from n+1 = {n + 1}")
-        if sizes[1][0] >= k - 1:
-            audit.fail(path, f"contracted peel has n* = {sizes[1][0]} >= k-1 = {k - 1}")
-        if child_rhs != mid:
-            audit.fail(path, f"children bounds {child_rhs} != chain value {mid}")
-    if mid >= audit.rhs(n):
-        audit.fail(path, "chain value must be strictly below the node bound")
+    Lemma: the rest holds by derivation. Let c = 2k-5 > 0 (k >= 3) and
+    rhs(m) = c(km-k-1); s children have sum(rhs(n_i)) = c(k*sum(n_i) -
+    s(k+1)). The children's edges partition the node's (a peel's merge
+    collapses none, as L >= 4), so their lhs add up to the node's. A big
+    face's sides hold each face vertex twice and every other vertex once:
+    sum(n_i) = n+L, and rhs(n) - sum(rhs(n_i)) = c(L-k-1) >= 0, as _derive
+    refuses L < k+1. A cut split's children share only the cut: n_1+n_2 <=
+    n+1, and the difference is at least c > 0; so is a peel's once n'+n* =
+    n+1, which a part across no face edge at an inner face vertex breaks.
+    So each node's bound follows from its children's.
+    """
+    if node.kind == TERMINAL_PEEL:
+        if sum(sizes) != n + 1:
+            audit.fail(path, f"n'+n* = {sum(sizes)} differs from n+1 = {n + 1}")
+        if sizes[1] >= k - 1:
+            audit.fail(path, f"contracted peel has n* = {sizes[1]} >= k-1 = {k - 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +721,7 @@ def _face_sides(
     steps = [(pos[u] - pos[v]) % size for u, v in edges if u in pos and v in pos]
     if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
         raise SelectionError("recorded face is not an inner face of the node graph")
-    sides = [[edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
+    sides = [[edge] for edge in cycle_edges(face)]
     loose = []
     for vertices, part, touched in _parts(_adjacency(edges), pos):
         ends = sorted(pos[v] for v in touched)

@@ -379,7 +379,10 @@ def _subtree_sums(parent: list[int], weights: list[int], mask: int) -> set[int]:
     rooted_sums = [(1 << w) & mask for w in weights]  # subtrees whose top node is f
     total = 0
     for f, up in enumerate(parent):  # f's children come before f, so rooted_sums[f] is whole
-        rooted_sums[up] |= _sumset(rooted_sums[f], rooted_sums[up], mask)
+        a, b = rooted_sums[f], rooted_sums[up]
+        if a.bit_count() > b.bit_count():  # _sumset loops over the bits of its first operand
+            a, b = b, a
+        rooted_sums[up] |= _sumset(a, b, mask)
         total |= rooted_sums[f]
     total |= rooted_sums[-1]
     return {at for at, bit in enumerate(bin(total)[:1:-1]) if bit == "1"}

@@ -440,7 +440,7 @@ def local_face_sides(g: op.Graph, face: tuple[int, ...]) -> tuple[list[list[Edge
     steps = [(pos[u] - pos[v]) % size for u, v in g.edges if u in pos and v in pos]
     if size < 3 or len(pos) < size or len(steps) != size or not set(steps) <= {1, size - 1}:
         raise certify_module.SelectionError(NOT_A_FACE)
-    sides = [[op.edge_key(face[i], face[(i + 1) % size])] for i in range(size)]
+    sides = [[edge] for edge in op.cycle_edges(face)]
     loose = []
     for vertices, edges, touched in local_parts(g, pos):
         ends = sorted(pos[v] for v in touched)
@@ -521,8 +521,6 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
         if node.kind == certify_module.EDGELESS:
             if g.e != 0:
                 audit.fail(path, "edgeless node has edges")
-            if g.n < 2:
-                audit.fail(path, "edgeless node needs n >= 2")
         elif node.kind == certify_module.BASE:
             if g.n != 2 or g.e > 1:
                 audit.fail(path, f"base leaf requires n=2, e<=1; got n={g.n}, e={g.e}")
@@ -538,8 +536,7 @@ def reference_verify(cert: op.Certificate, k: int, heredity: bool = True) -> op.
             except certify_module.SelectionError as exc:
                 audit.fail(path, str(exc))
             if children:
-                sizes = [(c.n, c.e) for c, _, _ in children]
-                certify_module._verify_split(node, g.n, g.e, sizes, k, path, audit)
+                certify_module._verify_split(node, g.n, [c.n for c, _, _ in children], k, path, audit)
             size = len(node.face or ())
             note = {
                 certify_module.CUT_SPLIT: "split at a cut",
@@ -631,7 +628,7 @@ def reference_select_peel(dual: WeakDualForest, k: int) -> tuple[int, ...]:
     if not 4 <= size <= k - 1:
         raise certify_module.CoverageError(f"reducible face size {size} outside 4..{k - 1}")
     ring = list(face)
-    skip = next((i for i in range(size) if op.edge_key(ring[i], ring[(i + 1) % size]) in held), 0)
+    skip = next((i for i, edge in enumerate(op.cycle_edges(ring)) if edge in held), 0)
     ring = ring[skip + 1 :] + ring[: skip + 1]
     if ring[0] > ring[-1]:
         ring.reverse()  # same closing edge, and v1 < vL for determinism

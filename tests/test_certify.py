@@ -209,6 +209,20 @@ class TestVerifier:
         assert report.failures == ("root: cycle length must be at least 3, got k=2",)
         assert report.entries == ()
 
+    @pytest.mark.parametrize(
+        "edges, failure",
+        [(((0, 0), (0, 1)), "loop edge (0, 0)"), (((0, 1), (1, 5)), "edge (1, 5) outside vertex range 0..2")],
+        ids=["loop", "out of range"],
+    )
+    def test_hand_built_graph_is_a_root_failure(self, edges, failure):
+        """A Graph can be made without make_graph, so the verifier validates
+        the certified graph itself; an invalid one audits no node."""
+        cert = op.build_certificate(op.recognize_outerplanar(op.make_graph(3, [(0, 1), (1, 2)])), 4)
+        report = op.verify_certificate(dataclasses.replace(cert, graph=op.Graph(3, edges)), 4)
+        assert not report.verdict
+        assert report.failures == (f"root: invalid certified graph: {failure}",)
+        assert report.entries == ()
+
     def test_malformed_json(self):
         with pytest.raises(op.CertificateFormatError):
             op.certificate_from_json("{}")
@@ -352,6 +366,7 @@ class TestSelections:
         (PATH9, 5, _set("side", (0, 0)), "side [0, 0] " + BAD_SIDE),
         (PATH9, 5, _set("side", (4,)), "side [4] " + BAD_SIDE),
         (PATH9, 5, _set("side", ()), "side [] " + BAD_SIDE),
+        (PATH9, 5, lambda root: op.CertNode(EDGELESS), "edgeless node has edges"),
         (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 99)), NOT_A_FACE),
         (CHAIN51, 5, _set("face", (0, 1, 2, 3, 4, 4)), NOT_A_FACE),
         (CHAIN51, 5, _set("face", (0, 1, 2), keep=3), "face of size 3 is below k+1 = 6"),
@@ -410,11 +425,7 @@ class TestSelections:
     # no face edge, so it stays in the rest, the path 3-0-4 or 3-0 with 1-4
     PEELS = [
         (0, ["cut_split", 0, [3]], ()),
-        (
-            1,
-            ["cut_split", None, [0]],
-            ("root: n'+n* = 7 differs from n+1 = 6", "root: children bounds 115 != chain value 90"),
-        ),
+        (1, ["cut_split", None, [0]], ("root: n'+n* = 7 differs from n+1 = 6",)),
     ]
 
     @pytest.mark.parametrize("at, rest, failures", PEELS)

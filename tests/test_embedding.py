@@ -1,9 +1,12 @@
 import json
+import math
 import random
+from unittest import mock
 
 import pytest
 
 import opturan as op
+import opturan.embedding as embedding_module
 from opturan.embedding import (
     EdgeNotOnOuterFaceError,
     NotOuterplanarError,
@@ -202,6 +205,24 @@ class TestCycleSpectrum:
             g = rand_subgraph(rng, rand_triangulation(rng, n).graph, 0.7)
             emb = op.recognize_outerplanar(g)
             assert op.cycle_length_set(emb) == frozenset(brute_cycle_lengths(g))
+
+    def test_merges_loop_over_the_smaller_operand(self):
+        """_sumset loops over the bits of its first operand, and each subtree
+        merge passes the one with fewer bits first, so the whole uncapped
+        spectrum of the chain (5,250) loops at most n*ceil(log2 n) times;
+        with the child's set always first it loops about 881,000 times."""
+        sumset, steps = embedding_module._sumset, []
+
+        def counted(a, b, limit):
+            steps.append(a.bit_count())
+            return sumset(a, b, limit)
+
+        emb = op.build_chain(5, 250)
+        with mock.patch.object(embedding_module, "_sumset", counted):
+            spectrum = op.cycle_length_set(emb)
+        n = emb.graph.n
+        assert n == 3504 and 5 not in spectrum
+        assert sum(steps) <= n * math.ceil(math.log2(n))
 
 
 class TestContraction:

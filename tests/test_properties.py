@@ -793,23 +793,19 @@ def mutate(doc: dict, how: str, data) -> None:
         node[1] = data.draw(st.one_of(st.none(), st.integers(0, n - 1)))
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
+# a certificate document for a k-cycle-free host or a ladder, valid or with one mutate()
+MUTATED = (
     seeds,
     st.integers(10, 120),
     st.sampled_from(["ckfree", "ladder"]),
     st.integers(3, 8),
-    st.sampled_from(
-        ["none"] + CORRUPTIONS + list(MORE_MUTATIONS)
-    ),
+    st.sampled_from(["none"] + CORRUPTIONS + list(MORE_MUTATIONS)),
     st.data(),
 )
-def test_heredity_flag_matches_the_restricted_embeddings(seed, size, host, k, how, data):
-    """Vouching for derived children by a flag gives the audit that reading
-    each child's embedding off its parent's gave, line for line, on valid
-    certificates and on broken ones. Every document the reader accepts is
-    also written back and reads again as the same tree: the writer needs
-    no checks of its own."""
+
+
+def mutated_document(seed: int, size: int, host: str, k: int, how: str, data) -> tuple[dict, int]:
+    """The document MUTATED's draws describe, and the k it is built for."""
     if host == "ladder":
         g, k = ladder(3 + size % 10), 5 if k < 7 else 7  # a ladder's cycles are even
     else:
@@ -817,9 +813,65 @@ def test_heredity_flag_matches_the_restricted_embeddings(seed, size, host, k, ho
     doc = json.loads(op.certificate_to_json(op.build_certificate(op.recognize_outerplanar(g), k)))
     if how != "none":
         mutate(doc, how, data)
+    return doc, k
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(*MUTATED)
+def test_heredity_flag_matches_the_restricted_embeddings(seed, size, host, k, how, data):
+    """Vouching for derived children by a flag gives the audit that reading
+    each child's embedding off its parent's gave, line for line, on valid
+    certificates and on broken ones. Every document the reader accepts is
+    also written back and reads again as the same tree: the writer needs
+    no checks of its own."""
+    doc, k = mutated_document(seed, size, host, k, how, data)
     try:
         cert = op.certificate_from_json(json.dumps(doc))
     except op.CertificateFormatError:
         return
     assert op.certificate_from_json(op.certificate_to_json(cert)) == cert
     assert op.verify_certificate(cert, k).format_lines() == reference_verify(cert, k).format_lines()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(*MUTATED)
+def test_derived_children_keep_the_split_bookkeeping(seed, size, host, k, how, data):
+    """The lemma at certify._verify_split holds wherever certify._derive
+    gives children, on valid certificates and on broken ones: the children
+    of a cut or big-face split partition the node's edges, and a peel's
+    hold as many edges as the node, its merged edges without a repeat; a
+    big face has sum(n_i) = n+L and rhs(n) - sum(rhs(n_i)) = c(L-k-1) >= 0,
+    and a cut split n_1+n_2 <= n+1 and a difference of at least c = 2k-5;
+    a peel whose n'+n* = n+1 has a difference of exactly c."""
+    doc, k = mutated_document(seed, size, host, k, how, data)
+    try:
+        cert = op.certificate_from_json(json.dumps(doc))
+    except op.CertificateFormatError:
+        return
+    derive, c = certify_module._derive, 2 * k - 5
+
+    def rhs(m: int) -> int:
+        return c * (k * m - k - 1)
+
+    def checked(node, edges, vouched, k):
+        children = derive(node, edges, vouched, k)
+        if children:
+            n = len({v for edge in edges for v in edge})
+            sizes = [m for m, _, _ in children]
+            slack = rhs(n) - sum(map(rhs, sizes))
+            assert sum(len(es) for _, es, _ in children) == len(edges)
+            if node.kind == certify_module.TERMINAL_PEEL:
+                merged = children[1][1]
+                assert len(set(merged)) == len(merged)
+                assert sum(sizes) != n + 1 or slack == c
+            else:
+                assert sorted(edge for _, es, _ in children for edge in es) == sorted(edges)
+                if node.kind == certify_module.BIG_FACE_SPLIT:
+                    size = len(node.face)
+                    assert sum(sizes) == n + size and slack == c * (size - k - 1) >= 0
+                else:
+                    assert sum(sizes) <= n + 1 and slack >= c > 0
+        return children
+
+    with mock.patch.object(certify_module, "_derive", checked):
+        op.verify_certificate(cert, k)
